@@ -10,6 +10,7 @@ PID1 with the factor floored at one so dt never grows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,10 +105,9 @@ def error_norm(kind: str, u_n, u_nm1, e_n: float, e_nm1: float) -> float:
     A zero denominator yields inf; callers substitute their setpoint.
     """
     if kind == "U":
-        a = np.asarray(getattr(u_n, "values", u_n), dtype=float)
-        b = np.asarray(getattr(u_nm1, "values", u_nm1), dtype=float)
-        denom = float(np.linalg.norm(a.ravel()))
-        num = float(np.linalg.norm((a - b).ravel()))
+        num_sq, denom_sq = _change_sum_sq(u_n, u_nm1)
+        denom = math.sqrt(denom_sq)
+        num = math.sqrt(num_sq)
     elif kind == "E":
         denom = abs(float(e_n))
         num = abs(float(e_n) - float(e_nm1))
@@ -116,6 +116,18 @@ def error_norm(kind: str, u_n, u_nm1, e_n: float, e_nm1: float) -> float:
     if denom == 0.0:
         return float("inf")
     return num / denom
+
+
+def _change_sum_sq(u_n, u_nm1) -> tuple[float, float]:
+    """Sums of squares of u_n - u_nm1 and of u_n (fields or arrays).
+
+    Summed by einsum's own loop, not BLAS: np.linalg.norm and dot call
+    OpenBLAS, whose thread wake-up can cost more than the sum on a small
+    field.
+    """
+    a = np.asarray(getattr(u_n, "values", u_n), dtype=float).ravel()
+    d = a - np.asarray(getattr(u_nm1, "values", u_nm1), dtype=float).ravel()
+    return float(np.einsum("i,i->", d, d)), float(np.einsum("i,i->", a, a))
 
 
 def _sanitize(e: float, eps_p: float) -> float:
@@ -201,9 +213,7 @@ class Controller:
             st.last_error = float("nan")
             return
         if cfg.kind == "Manual1":
-            a = np.asarray(getattr(u_n, "values", u_n), dtype=float)
-            b = np.asarray(getattr(u_nm1, "values", u_nm1), dtype=float)
-            e = float(np.linalg.norm((a - b).ravel()))
+            e = math.sqrt(_change_sum_sq(u_n, u_nm1)[0])
         elif cfg.kind == "Manual2":
             e = abs(float(e_n) - float(e_nm1))
         elif cfg.kind == "PID2":

@@ -159,7 +159,8 @@ def thomas_solve(sys: LineSystem, dt: float, rhs: np.ndarray) -> np.ndarray:
 
     rhs holds the explicit right-hand side at the interior nodes only; the
     correction vector and the boundary couplings times bc_lo/bc_hi are folded
-    in here, scaled by dt.  dt = 0 returns rhs unchanged.
+    in here, scaled by dt.  dt = 0 returns rhs unchanged.  This is the
+    one-line case of the batched sweep kernel (ldlt_factor / ldlt_solve).
     """
     rhs = np.asarray(rhs, dtype=float)
     m = sys.n_interior
@@ -172,31 +173,44 @@ def thomas_solve(sys: LineSystem, dt: float, rhs: np.ndarray) -> np.ndarray:
     b[-1] += dt * sys.w_hi * sys.bc_hi
     if dt == 0.0:
         return b
-    # I - dt*A = I + dt*M with M the stored negated operator.
-    diag = 1.0 + dt * sys.diag
-    off = dt * sys.off
-    return _thomas(diag, off, b)
+    ldlt_solve(*ldlt_factor(sys.diag, sys.off, dt), b)
+    return b
 
 
-def _thomas(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Symmetric tridiagonal solve; diag dominance makes pivots safe."""
-    m = len(diag)
-    cp = np.empty(m - 1)
-    dp = np.empty(m)
-    piv = diag[0]
-    if abs(piv) < 1e-300:
+def ldlt_factor(
+    diag: np.ndarray, off: np.ndarray, tau: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Factor I + tau*M = L D L^T for a batch of symmetric tridiagonal lines.
+
+    M is the stored negated operator: diag (m, ...) and off (m-1, ...), the
+    line index first and any batch shape after it.  Returns the unit lower
+    multipliers cp (m-1, ...), L[i+1, i] = cp[i], and the inverse pivots
+    inv (m, ...), inv = 1/D.  Diagonal dominance keeps pivots away from zero;
+    a pivot that vanishes anyway raises NumericalError.
+    """
+    d = 1.0 + tau * diag
+    o = tau * off
+    piv = np.empty_like(d)
+    cp = np.empty_like(o)
+    piv[0] = d[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(1, len(d)):
+            cp[i - 1] = o[i - 1] / piv[i - 1]
+            piv[i] = d[i] - o[i - 1] * cp[i - 1]
+    if np.any(np.abs(piv) < 1e-300):
         raise NumericalError("zero pivot in tridiagonal solve")
-    cp[0] = off[0] / piv
-    dp[0] = rhs[0] / piv
-    for i in range(1, m):
-        piv = diag[i] - off[i - 1] * cp[i - 1]
-        if abs(piv) < 1e-300:
-            raise NumericalError("zero pivot in tridiagonal solve")
-        if i < m - 1:
-            cp[i] = off[i] / piv
-        dp[i] = (rhs[i] - off[i - 1] * dp[i - 1]) / piv
-    x = np.empty(m)
-    x[-1] = dp[-1]
-    for i in range(m - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
-    return x
+    return cp, np.reciprocal(piv, out=piv)
+
+
+def ldlt_solve(cp: np.ndarray, inv: np.ndarray, b: np.ndarray) -> None:
+    """Solve L D L^T x = b in place, with (cp, inv) from ldlt_factor.
+
+    b has the line index first, like the factors; the three passes are the
+    forward elimination, the scaling by the inverse pivots and the back
+    substitution.
+    """
+    for i in range(1, len(b)):
+        b[i] -= cp[i - 1] * b[i - 1]
+    b *= inv
+    for i in range(len(b) - 2, -1, -1):
+        b[i] -= cp[i] * b[i + 1]

@@ -2,8 +2,15 @@
 
 The 3D operator splits into per-axis modified second differences (gfm
 module).  Each axis's line systems are assembled once and stored batched,
-so a sweep is one vectorized Thomas solve over all lines.  Both schemes
-keep the six box faces pinned at the Dirichlet values through every stage.
+line-major.  The explicit apply gathers the lines once and returns a full
+field; an implicit sweep gathers the right-hand side with the cached
+correction fold added in the same pass, runs one cached L D L^T solve over
+all lines in place (the gfm kernel, shared with the one-line solve), and
+scatters the lines back.  kappa^2 is zero inside the solute and one scalar
+in the solvent, so the substep runs once over the field with scalar
+coefficients and the inside nodes are copied back from a flat index.
+Both schemes keep the six box faces pinned at the Dirichlet values
+through every stage.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import AssemblyError, ConfigError
-from .gfm import JumpData, assemble_line
+from .gfm import JumpData, assemble_line, ldlt_factor, ldlt_solve
 from .grid import Field
 from .molecule import AtomSet, PhysicalParams, green_gradient, green_potential
 from .surface import InterfaceData
@@ -28,7 +35,8 @@ def nonlinear_substep(w: np.ndarray, kappa_sq, dt: float, strength: float) -> np
 
     Closed form tanh(w/2) = tanh(w0/2) * exp(-strength*kappa^2*dt), evaluated
     in a log form that neither overflows for large |w0| nor loses the sign.
-    Nodes with kappa^2 = 0 are returned bit-identical.
+    Nodes with kappa^2 = 0 are returned bit-identical.  kappa_sq may be a
+    scalar, which keeps every coefficient of the log form a scalar.
     """
     w = np.asarray(w, dtype=float)
     lam = np.asarray(strength * np.asarray(kappa_sq, dtype=float) * dt)
@@ -36,23 +44,49 @@ def nonlinear_substep(w: np.ndarray, kappa_sq, dt: float, strength: float) -> np
         raise ConfigError("substep requires dt, strength, kappa^2 all nonnegative")
     if not np.all(np.isfinite(w)):
         raise ConfigError("non-finite field entering nonlinear substep")
-    m = np.abs(w)
-    em = np.exp(-m)
+    # mag = log1p(g + em*omg) - log(omg + em*(1+g)), em = exp(-|w|), in place
+    mag = np.empty(np.broadcast_shapes(w.shape, lam.shape))
+    em = np.empty_like(mag)
+    np.abs(w, out=em)
+    np.exp(np.negative(em, out=em), out=em)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g = np.exp(-lam)
         omg = -np.expm1(-lam)
-        mag = np.log1p(g + em * omg) - np.log(omg + em * (1.0 + g))
+        np.multiply(em, omg, out=mag)
+        mag += g
+        np.log1p(mag, out=mag)
+        em *= 1.0 + g
+        em += omg
+        mag -= np.log(em, out=em)
         # roundoff can push mag a ulp below zero for |w| near eps
-        out = np.sign(w) * np.maximum(mag, 0.0)
-    return np.where(lam > 0, out, w)
+        np.maximum(mag, 0.0, out=mag)
+        mag *= np.sign(w)
+    np.copyto(mag, w, where=lam <= 0)
+    return mag
 
 
 class AxisOperator:
     """Batched line systems along one axis, over interior transverse indices.
 
-    Arrays are stacked line-wise: diag/corr are (n-2, L), off is (n-3, L),
-    and the Dirichlet couplings/values are (L,), with L the number of
-    interior lines in C order of the transverse axes.
+    With n nodes along the axis and L interior lines (C order of the two
+    transverse axes), every array is stored line-major, the position along
+    the line first:
+
+    - diag, (n-2, L): the diagonal of the negated operator -A, W_left +
+      W_right at each interior node.
+    - weights, (n-1, L): each edge's coefficient W (the ghost-fluid
+      harmonic value on cut edges); rows 0 and n-2 couple the first and
+      last interior node to the Dirichlet ends, and off = -weights[1:-1].
+    - corr, (n-2, L): the jump correction c.
+    - dir_lo, dir_hi, (L,): the end weights times the Dirichlet values.
+
+    apply gathers the full lines once and adds the terms in the order
+    gfm.apply_operator adds them, so a batched and a one-line apply agree
+    bit for bit.  solve keeps an LRU cache of _FACTOR_CACHE_SIZE entries
+    keyed by tau.  An entry holds three (., L) arrays: the L D L^T
+    multipliers cp, the inverse pivots inv (gfm.ldlt_factor), and the fold
+    tau * (corr + Dirichlet ends), which is added to the right-hand side
+    in the same pass that gathers it into line layout.
     """
 
     def __init__(self, axis: int, shape: tuple[int, int, int], systems: list):
@@ -61,101 +95,89 @@ class AxisOperator:
         n = shape[axis]
         self.n = n
         self.diag = np.stack([s.diag for s in systems], axis=1)
-        self.off = np.stack([s.off for s in systems], axis=1)
+        self.weights = np.empty((n - 1, len(systems)))
+        self.weights[0] = [s.w_lo for s in systems]
+        np.negative(np.stack([s.off for s in systems], axis=1), out=self.weights[1:-1])
+        self.weights[-1] = [s.w_hi for s in systems]
         self.corr = np.stack([s.corr for s in systems], axis=1)
-        self.w_lo = np.array([s.w_lo for s in systems])
-        self.w_hi = np.array([s.w_hi for s in systems])
-        self.bc_lo = np.array([s.bc_lo for s in systems])
-        self.bc_hi = np.array([s.bc_hi for s in systems])
+        self.dir_lo = np.array([s.w_lo * s.bc_lo for s in systems])
+        self.dir_hi = np.array([s.w_hi * s.bc_hi for s in systems])
         self._factors: OrderedDict[float, tuple] = OrderedDict()
 
-    def _full_lines(self, v: np.ndarray) -> np.ndarray:
-        sl = [slice(1, -1)] * 3
-        sl[self.axis] = slice(None)
-        arr = np.moveaxis(v[tuple(sl)], self.axis, 0)
-        return np.ascontiguousarray(arr.reshape(arr.shape[0], -1))
-
-    def _interior_lines(self, v: np.ndarray) -> np.ndarray:
-        arr = np.moveaxis(v[1:-1, 1:-1, 1:-1], self.axis, 0)
-        return np.ascontiguousarray(arr.reshape(arr.shape[0], -1))
+    def _lines(self, block: np.ndarray) -> np.ndarray:
+        """View of a 3D block with this operator's axis first."""
+        return np.moveaxis(block, self.axis, 0)
 
     def _scatter(self, lines: np.ndarray, out: np.ndarray) -> None:
         """Write interior-line values (n-2, L) into out's interior block."""
-        tshape = tuple(
-            s - 2 for a, s in enumerate(self.shape) if a != self.axis
-        )
-        blk = lines.reshape((self.n - 2,) + tshape)
-        out[1:-1, 1:-1, 1:-1] = np.moveaxis(blk, 0, self.axis)
+        rows = self._lines(out[1:-1, 1:-1, 1:-1])
+        rows[...] = lines.reshape(rows.shape)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """delta2(v) = A v + c on every interior node; zeros elsewhere."""
-        lines = self._full_lines(v)
+        sl = [slice(1, -1)] * 3
+        sl[self.axis] = slice(None)
+        lines = self._lines(v[tuple(sl)]).reshape(self.n, -1)
         vi = lines[1:-1]
-        out = -self.diag * vi + self.corr
-        w = -self.off
-        out[1:] += w * vi[:-1]
-        out[:-1] += w * vi[1:]
-        out[0] += self.w_lo * lines[0]
-        out[-1] += self.w_hi * lines[-1]
+        w = self.weights
+        out = self.diag * vi
+        np.subtract(self.corr, out, out=out)
+        t = w[1:-1] * vi[:-1]
+        out[1:] += t
+        np.multiply(w[1:-1], vi[1:], out=t)
+        out[:-1] += t
+        out[0] += w[0] * lines[0]
+        out[-1] += w[-1] * lines[-1]
         full = np.zeros_like(v)
         self._scatter(out, full)
         return full
 
-    def _factor(self, tau: float):
-        cached = self._factors.get(tau)
-        if cached is not None:
+    def _factor(self, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        entry = self._factors.get(tau)
+        if entry is not None:
             self._factors.move_to_end(tau)
-            return cached
-        d = 1.0 + tau * self.diag
-        o = tau * self.off
-        m = d.shape[0]
-        inv = np.empty_like(d)
-        cp = np.empty_like(o)
-        inv[0] = 1.0 / d[0]
-        cp[0] = o[0] * inv[0]
-        for i in range(1, m):
-            piv = d[i] - o[i - 1] * cp[i - 1]
-            inv[i] = 1.0 / piv
-            if i < m - 1:
-                cp[i] = o[i] * inv[i]
-        self._factors[tau] = (o, cp, inv)
+            return entry
+        # I - tau*A = I + tau*M, M = -A: diag on the diagonal, -W off it.
+        cp, inv = ldlt_factor(self.diag, -self.weights[1:-1], tau)
+        fold = tau * self.corr
+        fold[0] += tau * self.dir_lo
+        fold[-1] += tau * self.dir_hi
+        entry = self._factors[tau] = (cp, inv, fold)
         if len(self._factors) > _FACTOR_CACHE_SIZE:
             self._factors.popitem(last=False)
-        return self._factors[tau]
-
-    def solve_lines(self, tau: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (I - tau*A) x = rhs + tau*(c + Dirichlet fold), batched."""
-        b = rhs + tau * self.corr
-        b[0] += tau * self.w_lo * self.bc_lo
-        b[-1] += tau * self.w_hi * self.bc_hi
-        if tau == 0.0:
-            return b
-        o, cp, inv = self._factor(tau)
-        m = b.shape[0]
-        y = np.empty_like(b)
-        y[0] = b[0] * inv[0]
-        for i in range(1, m):
-            y[i] = (b[i] - o[i - 1] * y[i - 1]) * inv[i]
-        x = y
-        for i in range(m - 2, -1, -1):
-            x[i] -= cp[i] * x[i + 1]
-        return x
+        return entry
 
     def solve(self, tau: float, rhs: np.ndarray, boundary: np.ndarray) -> np.ndarray:
-        """Implicit sweep: rhs read at interior nodes, faces set from boundary."""
-        lines = self._interior_lines(rhs)
-        solved = self.solve_lines(tau, lines)
-        out = boundary.copy()
-        self._scatter(solved, out)
+        """Implicit sweep: rhs read at interior nodes, faces set from boundary.
+
+        Solves (I - tau*A) x = rhs + tau*(c + Dirichlet fold) on every line.
+        """
+        out = np.empty_like(boundary)
+        _reset_faces(out, boundary)
+        inner = rhs[1:-1, 1:-1, 1:-1]
+        if tau == 0.0:
+            out[1:-1, 1:-1, 1:-1] = inner
+            return out
+        cp, inv, fold = self._factor(tau)
+        rows = self._lines(inner)
+        b = np.empty_like(fold)
+        np.add(rows, fold.reshape(rows.shape), out=b.reshape(rows.shape))
+        ldlt_solve(cp, inv, b)
+        self._scatter(b, out)
         return out
 
 
 @dataclass
 class SplitOperators:
-    """Assembled axis operators plus the nodal screening and boundary data."""
+    """Assembled axis operators plus the screening and boundary data.
+
+    kappa^2 is the scalar kappa_sq on solvent nodes and zero on the solute
+    nodes listed in inside, as flat C-order indices into the field.
+    """
 
     ops: tuple[AxisOperator, AxisOperator, AxisOperator]
-    kappa_sq: np.ndarray
+    kappa_sq: float
+    inside: np.ndarray
     boundary: np.ndarray
 
     @property
@@ -233,7 +255,7 @@ def build_split_operators(
     params: PhysicalParams,
     boundary: Field,
 ) -> SplitOperators:
-    """Assemble the three axis operators and the nodal kappa^2 field.
+    """Assemble the three axis operators and the kappa^2 = 0 node index.
 
     boundary must be a field on the same grid whose face values hold the
     Dirichlet data; interior values are ignored.
@@ -246,8 +268,12 @@ def build_split_operators(
     ops = tuple(
         build_axis_operator(data, params, jumps, bvals, axis) for axis in range(3)
     )
-    kappa_sq = np.where(data.inside, 0.0, params.kappa_sq)
-    return SplitOperators(ops=ops, kappa_sq=kappa_sq, boundary=bvals.copy())
+    return SplitOperators(
+        ops=ops,
+        kappa_sq=float(params.kappa_sq),
+        inside=np.flatnonzero(data.inside),
+        boundary=bvals.copy(),
+    )
 
 
 def _reset_faces(v: np.ndarray, boundary: np.ndarray) -> None:
@@ -275,10 +301,16 @@ def adi_step(
     v0 = _substep(u, split, dt, 1.0, linearized)
     dy = oy.apply(v0)
     dz = oz.apply(v0)
-    v1 = ox.solve(dt, v0 + dt * (dy + dz), split.boundary)
-    v2 = oy.solve(dt, v1 - dt * dy, split.boundary)
-    v3 = oz.solve(dt, v2 - dt * dz, split.boundary)
-    return v3
+    rhs = dy + dz
+    rhs *= dt
+    rhs += v0
+    v1 = ox.solve(dt, rhs, split.boundary)
+    dy *= dt
+    v1 -= dy
+    v2 = oy.solve(dt, v1, split.boundary)
+    dz *= dt
+    v2 -= dz
+    return oz.solve(dt, v2, split.boundary)
 
 
 def lod_step(
@@ -291,7 +323,9 @@ def lod_step(
     half = 0.5 * dt
     for op in split.ops:
         d = op.apply(v)
-        v = op.solve(half, v + half * d, split.boundary)
+        d *= half
+        d += v
+        v = op.solve(half, d, split.boundary)
     return _substep(v, split, dt, 0.5, linearized)
 
 
@@ -302,5 +336,6 @@ def _substep(
         v = u * np.exp(-strength * split.kappa_sq * dt)
     else:
         v = nonlinear_substep(u, split.kappa_sq, dt, strength)
+    np.put(v, split.inside, np.take(u, split.inside))
     _reset_faces(v, split.boundary)
     return v

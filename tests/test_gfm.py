@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from gfmpbe.errors import AssemblyError, ConfigError
+from gfmpbe.errors import AssemblyError, ConfigError, NumericalError
 from gfmpbe.gfm import JumpData, LineSystem, apply_operator, assemble_line, thomas_solve
 from gfmpbe.grid import build_grid
 from gfmpbe.molecule import Atom, AtomSet, PhysicalParams
-from gfmpbe.stepping import compute_jumps
+from gfmpbe.stepping import AxisOperator, compute_jumps
 from gfmpbe.surface import classify_union
 
 NO_JUMP = JumpData(0.0, 0.0)
@@ -174,6 +174,26 @@ class TestThomas:
         sys = _uniform_line(n=8)
         with pytest.raises(ConfigError):
             thomas_solve(sys, 0.1, np.zeros(7))
+
+    def test_zero_pivot_raises(self):
+        # 1 + dt*diag[0] == 0: the first pivot of I + dt*M vanishes.
+        sys = LineSystem(
+            diag=np.array([-1.0, 2.0, 2.0]),
+            off=np.array([-1.0, -1.0]),
+            corr=np.zeros(3),
+            bc_lo=0.0,
+            bc_hi=0.0,
+            w_lo=1.0,
+            w_hi=1.0,
+            h=1.0,
+        )
+        with pytest.raises(NumericalError):
+            thomas_solve(sys, 1.0, np.ones(3))
+        # The batched sweep shares the factorization: one line along x.
+        op = AxisOperator(0, (5, 3, 3), [sys])
+        field = np.ones((5, 3, 3))
+        with pytest.raises(NumericalError):
+            op.solve(1.0, field, np.zeros((5, 3, 3)))
 
 
 class TestApplyOperator:

@@ -1,15 +1,19 @@
 """Tests for the nonlinear substep, batched sweeps, and the two split schemes."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfmpbe import stepping
 from gfmpbe.errors import ConfigError
 from gfmpbe.gfm import apply_operator, assemble_line, thomas_solve
 from gfmpbe.grid import Field, build_grid
 from gfmpbe.molecule import Atom, AtomSet, PhysicalParams, dirichlet_boundary
 from gfmpbe.stepping import (
+    AxisOperator,
     adi_step,
     build_split_operators,
     compute_jumps,
@@ -263,6 +267,13 @@ def _reset_faces_ref(v, bvals):
         v[tuple(sl0)] = bvals[tuple(sl0)]
 
 
+def _nodal_substep(u, kappa, dt, strength, linearized):
+    """The substep evaluated with the nodal kappa^2 field."""
+    if linearized:
+        return u * np.exp(-strength * kappa * dt)
+    return nonlinear_substep(u, kappa, dt, strength)
+
+
 class TestSchemeOracles:
     """Dense factor-by-factor evaluation of both splitting formulas."""
 
@@ -281,12 +292,13 @@ class TestSchemeOracles:
         _reset_faces_ref(u, bvals)
         return grid, bvals, split, dense, kappa, u
 
-    def test_adi_vs_dense(self):
+    @pytest.mark.parametrize("linearized", [False, True], ids=["nonlinear", "linearized"])
+    def test_adi_vs_dense(self, linearized):
         grid, bvals, split, dense, kappa, u = self._setup()
         dt = 0.23
-        got = adi_step(u, dt, split)
+        got = adi_step(u, dt, split, linearized=linearized)
 
-        v0 = nonlinear_substep(u, kappa, dt, 1.0)
+        v0 = _nodal_substep(u, kappa, dt, 1.0, linearized)
         _reset_faces_ref(v0, bvals)
         x = v0[1:-1, 1:-1, 1:-1].ravel()
         (mx, cx, fx), (my, cy, fy), (mz, cz, fz) = dense
@@ -304,12 +316,13 @@ class TestSchemeOracles:
         want_faces[1:-1, 1:-1, 1:-1] = got[1:-1, 1:-1, 1:-1]
         np.testing.assert_array_equal(got, want_faces)
 
-    def test_lod_vs_dense(self):
+    @pytest.mark.parametrize("linearized", [False, True], ids=["nonlinear", "linearized"])
+    def test_lod_vs_dense(self, linearized):
         grid, bvals, split, dense, kappa, u = self._setup()
         dt = 0.23
-        got = lod_step(u, dt, split)
+        got = lod_step(u, dt, split, linearized=linearized)
 
-        w = nonlinear_substep(u, kappa, dt, 0.5)
+        w = _nodal_substep(u, kappa, dt, 0.5, linearized)
         _reset_faces_ref(w, bvals)
         x = w[1:-1, 1:-1, 1:-1].ravel()
         half = 0.5 * dt
@@ -321,7 +334,7 @@ class TestSchemeOracles:
         full[1:-1, 1:-1, 1:-1] = x.reshape(grid.shape[0] - 2, -1).reshape(
             tuple(s - 2 for s in grid.shape)
         )
-        out = nonlinear_substep(full, kappa, dt, 0.5)
+        out = _nodal_substep(full, kappa, dt, 0.5, linearized)
         _reset_faces_ref(out, bvals)
         np.testing.assert_allclose(got, out, rtol=0, atol=1e-12)
 
@@ -400,3 +413,90 @@ class TestSteadyStatePreservation:
             drifts[dt] = np.abs(lod_step(u.copy(), dt, split) - u).max()
             assert drifts[dt] <= 5.0 * dt * corr_scale
         assert drifts[0.01] < drifts[0.05]
+
+
+def _first_apply_input(monkeypatch, step, u, dt, split, linearized):
+    """The field the step hands to its first AxisOperator.apply: the
+    post-substep field with its faces reset."""
+    seen = []
+    original = AxisOperator.apply
+
+    def recording(op, v):
+        seen.append(v.copy())
+        return original(op, v)
+
+    monkeypatch.setattr(AxisOperator, "apply", recording)
+    step(u, dt, split, linearized=linearized)
+    return seen[0]
+
+
+class TestStepSubstep:
+    """The substep inside a step, on a two-material grid with kappa > 0."""
+
+    @pytest.mark.parametrize("linearized", [False, True])
+    @pytest.mark.parametrize("step, strength", [(adi_step, 1.0), (lod_step, 0.5)])
+    def test_inside_untouched_solvent_matches_nodal_substep(
+        self, monkeypatch, step, strength, linearized
+    ):
+        grid, data, params, _, bvals, split = _two_sphere_problem()
+        rng = np.random.default_rng(17)
+        u = rng.normal(scale=2.0, size=grid.shape)
+        _reset_faces_ref(u, bvals)
+        dt = 0.07
+        v0 = _first_apply_input(monkeypatch, step, u, dt, split, linearized)
+
+        kappa = np.where(data.inside, 0.0, params.kappa_sq)
+        want = _nodal_substep(u, kappa, dt, strength, linearized)
+        interior = np.zeros(grid.shape, dtype=bool)
+        interior[1:-1, 1:-1, 1:-1] = True
+        inside = data.inside & interior
+        solvent = ~data.inside & interior
+        assert inside.sum() > 0 and solvent.sum() > 0
+        np.testing.assert_array_equal(v0[inside], u[inside])
+        np.testing.assert_array_equal(v0[solvent], want[solvent])
+        assert not np.array_equal(v0[solvent], u[solvent])
+        np.testing.assert_array_equal(v0[~interior], bvals[~interior])
+
+
+class TestLayerCalls:
+    """Each step reaches the substep, apply and sweep layers a fixed number
+    of times, with the sweep's boundary passed as its fourth positional
+    argument; per-layer timings from outside rely on both."""
+
+    @pytest.mark.parametrize(
+        "step, linearized, expected",
+        [
+            (adi_step, False, (1, 2, 3)),
+            (adi_step, True, (0, 2, 3)),
+            (lod_step, False, (2, 3, 3)),
+            (lod_step, True, (0, 3, 3)),
+        ],
+    )
+    def test_counts(self, monkeypatch, step, linearized, expected):
+        _, _, _, _, _, split = _two_sphere_problem()
+        calls = Counter()
+
+        def counting(name, fn, check=None):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                if check is not None:
+                    check(args, kwargs)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def boundary_positional(args, kwargs):
+            assert len(args) == 4 and not kwargs
+            assert args[3] is split.boundary
+
+        monkeypatch.setattr(
+            stepping, "nonlinear_substep", counting("substep", stepping.nonlinear_substep)
+        )
+        monkeypatch.setattr(AxisOperator, "apply", counting("apply", AxisOperator.apply))
+        monkeypatch.setattr(
+            AxisOperator,
+            "solve",
+            counting("solve", AxisOperator.solve, boundary_positional),
+        )
+        step(split.boundary.copy(), 0.05, split, linearized=linearized)
+        assert (calls["substep"], calls["apply"], calls["solve"]) == expected
