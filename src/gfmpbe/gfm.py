@@ -5,7 +5,10 @@ plus a correction vector c, so that the modified second difference is
 delta2(v) = A v + c.  On an uncut edge the coefficient is eps/h^2 with the
 sharp nodal eps; on a cut edge the ghost-node elimination under the jump
 conditions [u] = a and [eps u_xi] = b produces the theta-weighted harmonic
-coefficient and routes the jump data into c.
+coefficient and routes the jump data into c.  assemble_lines and apply_lines
+work on a batch of lines at once, line-major (position along the line
+first); the one-line functions assemble_line and apply_operator are their
+L = 1 case, and thomas_solve runs the batched L D L^T kernel on one line.
 """
 
 from __future__ import annotations
@@ -61,19 +64,17 @@ class LineSystem:
         return len(self.diag)
 
 
-def assemble_line(
-    axis: int,
-    inside: np.ndarray,
-    eps: tuple[float, float],
-    cuts: Mapping[int, tuple[float, JumpData]],
-    bc: tuple[float, float],
-    h: float,
-) -> LineSystem:
-    """Assemble one line's operator.
+def assemble_lines(axis: int, inside: np.ndarray, eps: tuple, cuts, bc, h: float):
+    """Assemble L lines along one axis at once, line-major.
 
-    inside flags the nodes along the line; eps = (eps_in, eps_out) are the
-    sharp dielectric values; cuts maps a cut edge's low node position to
-    (theta, JumpData); bc holds the Dirichlet values at the two ends.
+    inside (n, L) flags the nodes, the position along the line first; cuts =
+    (pos, line, theta, a, b) holds each cut edge's low node position, line,
+    theta and jump data; bc = (bc_lo, bc_hi) the Dirichlet end values.
+    Returns diag (n-2, L) = W_left + W_right, the edge weights W (n-1, L)
+    (eps/h^2, harmonic on cut edges), the jump correction corr (n-2, L) and
+    dir_lo, dir_hi (L,) = end weights times bc.  A side change without a cut,
+    a cut without one or a theta outside the clamp range raises
+    AssemblyError for the first such edge, line by line.
     """
     eps_in, eps_out = eps
     if eps_in <= 0 or eps_out <= 0:
@@ -84,52 +85,80 @@ def assemble_line(
         raise AssemblyError(f"line must have at least 4 nodes, got {n}")
     if h <= 0:
         raise AssemblyError(f"spacing must be positive, got {h}")
-    weights = np.empty(n - 1)
-    corr_full = np.zeros(n)
+    pos, line = (np.asarray(v, dtype=np.intp) for v in cuts[:2])
+    theta, a, b = (np.asarray(v, dtype=float) for v in cuts[2:])
     inv_h2 = 1.0 / (h * h)
-    for e in range(n - 1):
-        lo_in = inside[e]
-        hi_in = inside[e + 1]
-        cut = cuts.get(e)
-        if cut is None:
-            if lo_in != hi_in:
-                raise AssemblyError(
-                    f"edge {e} on axis {axis} changes side but has no crossing"
-                )
-            weights[e] = (eps_in if lo_in else eps_out) * inv_h2
-            continue
-        if lo_in == hi_in:
-            raise AssemblyError(
-                f"edge {e} on axis {axis} has a crossing but no side change"
-            )
-        theta, jump = cut
-        if not (THETA_MIN <= theta <= 1.0 - THETA_MIN):
-            raise AssemblyError(f"theta {theta} outside clamp range on edge {e}")
-        eps_lo = eps_in if lo_in else eps_out
-        eps_hi = eps_in if hi_in else eps_out
-        denom = eps_hi * theta + eps_lo * (1.0 - theta)
-        w = (eps_lo * eps_hi / denom) * inv_h2
-        weights[e] = w
-        f_lo = eps_lo * (1.0 - theta) / denom
-        f_hi = eps_hi * theta / denom
-        # Jump data are outside-minus-inside; orient them to this edge.
-        sign = 1.0 if lo_in else -1.0
-        ju = sign * jump.a
-        jf = sign * jump.b
-        corr_full[e] += -w * ju - (f_lo / h) * jf
-        corr_full[e + 1] += w * ju - (f_hi / h) * jf
-    diag = weights[:-1] + weights[1:]
-    off = -weights[1:-1]
-    return LineSystem(
-        diag=diag,
-        off=off,
-        corr=corr_full[1:-1].copy(),
-        bc_lo=float(bc[0]),
-        bc_hi=float(bc[1]),
-        w_lo=float(weights[0]),
-        w_hi=float(weights[-1]),
-        h=h,
+    weights = np.where(inside[:-1], eps_in, eps_out) * inv_h2
+    changes = inside[:-1] != inside[1:]
+    clamped = (theta >= THETA_MIN) & (theta <= 1.0 - THETA_MIN)
+    bad = changes.copy()
+    bad[pos, line] = ~changes[pos, line] | ~clamped
+    if bad.any():
+        lid, e = (int(v) for v in np.argwhere(bad.T)[0])
+        at = np.flatnonzero((pos == e) & (line == lid))
+        edge = f"edge {e} on axis {axis}"
+        if not at.size:
+            raise AssemblyError(f"{edge} changes side but has no crossing")
+        if not changes[e, lid]:
+            raise AssemblyError(f"{edge} has a crossing but no side change")
+        raise AssemblyError(f"theta {theta[at[0]]} outside clamp range on edge {e}")
+    lo_in = inside[pos, line]
+    eps_lo, eps_hi = np.where(lo_in, eps_in, eps_out), np.where(lo_in, eps_out, eps_in)
+    denom = eps_hi * theta + eps_lo * (1.0 - theta)
+    w = (eps_lo * eps_hi / denom) * inv_h2
+    weights[pos, line] = w
+    f_lo = eps_lo * (1.0 - theta) / denom
+    f_hi = eps_hi * theta / denom
+    # Jump data are outside-minus-inside; orient them to each edge.
+    sign = np.where(lo_in, 1.0, -1.0)
+    ju, jf = sign * a, sign * b
+    # A node between two cut edges takes a term from each.
+    corr = np.zeros(inside.shape)
+    np.add.at(
+        corr,
+        (np.r_[pos, pos + 1], np.r_[line, line]),
+        np.r_[-w * ju - (f_lo / h) * jf, w * ju - (f_hi / h) * jf],
     )
+    diag = weights[:-1] + weights[1:]
+    return diag, weights, corr[1:-1], weights[0] * bc[0], weights[-1] * bc[1]
+
+
+def assemble_line(
+    axis: int,
+    inside: np.ndarray,
+    eps: tuple[float, float],
+    cuts: Mapping[int, tuple[float, JumpData]],
+    bc: tuple[float, float],
+    h: float,
+) -> LineSystem:
+    """Assemble one line's operator: the one-line case of assemble_lines.
+
+    inside flags the nodes along the line; cuts maps a cut edge's low node
+    position to (theta, JumpData); bc holds the Dirichlet values at the ends.
+    """
+    inside = np.asarray(inside, dtype=bool)
+    edges = [e for e in cuts if 0 <= e < len(inside) - 1]
+    theta, jumps = [cuts[e][0] for e in edges], [cuts[e][1] for e in edges]
+    cut = (edges, [0] * len(edges), theta, [j.a for j in jumps], [j.b for j in jumps])
+    diag, weights, corr, _, _ = assemble_lines(axis, inside[:, None], eps, cut, bc, h)
+    w = weights[:, 0]
+    bc_lo, bc_hi, w_lo, w_hi = (float(v) for v in (*bc, w[0], w[-1]))
+    return LineSystem(diag[:, 0], -w[1:-1], corr[:, 0], bc_lo, bc_hi, w_lo, w_hi, h)
+
+
+def apply_lines(diag, weights, corr, lines: np.ndarray) -> np.ndarray:
+    """delta2(v) = A v + c at the interior nodes of full lines (n, L), from
+    assemble_lines' diag, weights and corr."""
+    vi = lines[1:-1]
+    out = diag * vi
+    np.subtract(corr, out, out=out)
+    t = weights[1:-1] * vi[:-1]
+    out[1:] += t
+    np.multiply(weights[1:-1], vi[1:], out=t)
+    out[:-1] += t
+    out[0] += weights[0] * lines[0]
+    out[-1] += weights[-1] * lines[-1]
+    return out
 
 
 def apply_operator(sys: LineSystem, v: np.ndarray) -> np.ndarray:
@@ -142,15 +171,9 @@ def apply_operator(sys: LineSystem, v: np.ndarray) -> np.ndarray:
     m = sys.n_interior
     if len(v) != m + 2:
         raise ConfigError(f"line length {len(v)} does not match system ({m + 2})")
-    vi = v[1:-1]
-    out = -sys.diag * vi + sys.corr
-    w = -sys.off
-    out[1:] += w * vi[:-1]
-    out[:-1] += w * vi[1:]
-    out[0] += sys.w_lo * v[0]
-    out[-1] += sys.w_hi * v[-1]
+    weights = np.r_[sys.w_lo, -sys.off, sys.w_hi]
     full = np.zeros_like(v)
-    full[1:-1] = out
+    full[1:-1] = apply_lines(sys.diag, weights, sys.corr, v)
     return full
 
 

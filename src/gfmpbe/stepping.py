@@ -1,31 +1,31 @@
 """One pseudo-time step: analytic sinh substep plus ADI or LOD line sweeps.
 
 The 3D operator splits into per-axis modified second differences (gfm
-module).  Each axis's line systems are assembled once and stored batched,
-line-major.  The explicit apply gathers the lines once and returns a full
-field; an implicit sweep gathers the right-hand side with the cached
-correction fold added in the same pass, runs one cached L D L^T solve over
-all lines in place (the gfm kernel, shared with the one-line solve), and
-scatters the lines back.  kappa^2 is zero inside the solute and one scalar
-in the solvent, so the substep runs once over the field with scalar
-coefficients and the inside nodes are copied back from a flat index.
-Both schemes keep the six box faces pinned at the Dirichlet values
-through every stage.
+module).  Each axis's lines are assembled once, all together, from the
+interface's node mask and crossing arrays and the jump arrays of
+compute_jumps, and stored batched, line-major.  The explicit apply gathers
+the lines once and returns a full field; an implicit sweep gathers the
+right-hand side with the cached correction fold added in the same pass,
+runs one cached L D L^T solve over all lines in place (the gfm kernel,
+shared with the one-line solve), and scatters the lines back.  kappa^2 is
+zero inside the solute and one scalar in the solvent, so the substep runs
+once over the field with scalar coefficients and the inside nodes are
+copied back from a flat index.  Both schemes keep the six box faces pinned
+at the Dirichlet values through every stage.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .errors import AssemblyError, ConfigError
-from .gfm import JumpData, assemble_line, ldlt_factor, ldlt_solve
+from .gfm import JumpData, apply_lines, assemble_lines, ldlt_factor, ldlt_solve
 from .grid import Field
 from .molecule import AtomSet, PhysicalParams, green_gradient, green_potential
-from .surface import InterfaceData
+from .surface import InterfaceData, RowMap
 
 _FACTOR_CACHE_SIZE = 4
 
@@ -80,28 +80,18 @@ class AxisOperator:
     - corr, (n-2, L): the jump correction c.
     - dir_lo, dir_hi, (L,): the end weights times the Dirichlet values.
 
-    apply gathers the full lines once and adds the terms in the order
-    gfm.apply_operator adds them, so a batched and a one-line apply agree
-    bit for bit.  solve keeps an LRU cache of _FACTOR_CACHE_SIZE entries
-    keyed by tau.  An entry holds three (., L) arrays: the L D L^T
+    apply gathers the full lines once into gfm.apply_lines, the kernel of
+    the one-line apply.  solve keeps an LRU cache of _FACTOR_CACHE_SIZE
+    entries keyed by tau.  An entry holds three (., L) arrays: the L D L^T
     multipliers cp, the inverse pivots inv (gfm.ldlt_factor), and the fold
     tau * (corr + Dirichlet ends), which is added to the right-hand side
     in the same pass that gathers it into line layout.
     """
 
-    def __init__(self, axis: int, shape: tuple[int, int, int], systems: list):
-        self.axis = axis
-        self.shape = shape
-        n = shape[axis]
-        self.n = n
-        self.diag = np.stack([s.diag for s in systems], axis=1)
-        self.weights = np.empty((n - 1, len(systems)))
-        self.weights[0] = [s.w_lo for s in systems]
-        np.negative(np.stack([s.off for s in systems], axis=1), out=self.weights[1:-1])
-        self.weights[-1] = [s.w_hi for s in systems]
-        self.corr = np.stack([s.corr for s in systems], axis=1)
-        self.dir_lo = np.array([s.w_lo * s.bc_lo for s in systems])
-        self.dir_hi = np.array([s.w_hi * s.bc_hi for s in systems])
+    def __init__(self, axis: int, shape: tuple, diag, weights, corr, dir_lo, dir_hi):
+        self.axis, self.shape, self.n = axis, shape, shape[axis]
+        self.diag, self.weights, self.corr = diag, weights, corr
+        self.dir_lo, self.dir_hi = dir_lo, dir_hi
         self._factors: OrderedDict[float, tuple] = OrderedDict()
 
     def _lines(self, block: np.ndarray) -> np.ndarray:
@@ -118,18 +108,8 @@ class AxisOperator:
         sl = [slice(1, -1)] * 3
         sl[self.axis] = slice(None)
         lines = self._lines(v[tuple(sl)]).reshape(self.n, -1)
-        vi = lines[1:-1]
-        w = self.weights
-        out = self.diag * vi
-        np.subtract(self.corr, out, out=out)
-        t = w[1:-1] * vi[:-1]
-        out[1:] += t
-        np.multiply(w[1:-1], vi[1:], out=t)
-        out[:-1] += t
-        out[0] += w[0] * lines[0]
-        out[-1] += w[-1] * lines[-1]
         full = np.zeros_like(v)
-        self._scatter(out, full)
+        self._scatter(apply_lines(self.diag, self.weights, self.corr, lines), full)
         return full
 
     def _factor(self, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -185,94 +165,68 @@ class SplitOperators:
         return self.ops[0].shape
 
 
-def compute_jumps(
-    data: InterfaceData, atoms: AtomSet, params: PhysicalParams
-) -> dict[tuple[int, int, int, int], JumpData]:
-    """Jump data at every crossing: a = G, b = eps_in * dG/dxi, at the cut."""
-    keys = sorted(data.crossings)
-    if not keys:
-        return {}
-    locs = np.array([data.crossings[k].location for k in keys])
-    a_vals = green_potential(atoms, locs, params)
-    grads = green_gradient(atoms, locs, params)
-    jumps = {}
-    for key, a, grad in zip(keys, a_vals, grads):
-        axis = key[0]
-        jumps[key] = JumpData(a=float(a), b=float(params.eps_in * grad[axis]))
-    return jumps
+class Jumps(RowMap):
+    """Jump data of one interface as arrays a (m,) and b (m,), in its
+    canonical crossing order; as a mapping, crossing key -> JumpData."""
+
+    def __init__(self, data: InterfaceData, a: np.ndarray, b: np.ndarray):
+        super().__init__(data, lambda row: JumpData(a=float(a[row]), b=float(b[row])))
+        self.a, self.b = a, b
 
 
-def build_axis_operator(
-    data: InterfaceData,
-    params: PhysicalParams,
-    jumps: Mapping[tuple[int, int, int, int], JumpData],
-    boundary: np.ndarray,
-    axis: int,
-) -> AxisOperator:
-    """Assemble all interior lines along one axis into a batched operator."""
-    g = data.grid
-    shape = g.shape
-    t1, t2 = (a for a in range(3) if a != axis)
-    cuts_by_line: dict[tuple[int, int], dict] = {}
-    for key, c in data.crossings.items():
-        if c.axis != axis:
-            continue
-        tv = (c.index[t1], c.index[t2])
-        pos = c.index[axis]
-        jump = jumps.get(key)
-        if jump is None:
-            raise AssemblyError(f"crossing {key} has no jump data")
-        cuts_by_line.setdefault(tv, {})[pos] = (c.theta, jump)
-    eps = (params.eps_in, params.eps_out)
-    systems = []
-    line_sl: list = [0, 0, 0]
-    for a_t1 in range(1, shape[t1] - 1):
-        for a_t2 in range(1, shape[t2] - 1):
-            line_sl[axis] = slice(None)
-            line_sl[t1] = a_t1
-            line_sl[t2] = a_t2
-            inside_line = data.inside[tuple(line_sl)]
-            line_sl[axis] = 0
-            bc_lo = boundary[tuple(line_sl)]
-            line_sl[axis] = shape[axis] - 1
-            bc_hi = boundary[tuple(line_sl)]
-            systems.append(
-                assemble_line(
-                    axis,
-                    inside_line,
-                    eps,
-                    cuts_by_line.get((a_t1, a_t2), {}),
-                    (float(bc_lo), float(bc_hi)),
-                    g.h,
-                )
-            )
-    return AxisOperator(axis, shape, systems)
+def compute_jumps(data: InterfaceData, atoms: AtomSet, params: PhysicalParams) -> Jumps:
+    """Jump data at every crossing: a = G, b = eps_in * dG/dxi, at the cut.
+
+    A non-finite value raises AssemblyError naming its crossing.
+    """
+    if not len(data.theta):
+        return Jumps(data, np.empty(0), np.empty(0))
+    a = green_potential(atoms, data.location, params)
+    grad = green_gradient(atoms, data.location, params)
+    b = params.eps_in * grad[np.arange(len(grad)), data.axis]
+    finite = np.isfinite(a) & np.isfinite(b)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise AssemblyError(
+            f"non-finite jump data on crossing {data.key(row)}: a={a[row]}, b={b[row]}"
+        )
+    return Jumps(data, a, b)
 
 
 def build_split_operators(
-    data: InterfaceData,
-    atoms: AtomSet,
-    params: PhysicalParams,
-    boundary: Field,
+    data: InterfaceData, atoms: AtomSet, params: PhysicalParams, boundary: Field
 ) -> SplitOperators:
     """Assemble the three axis operators and the kappa^2 = 0 node index.
 
     boundary must be a field on the same grid whose face values hold the
-    Dirichlet data; interior values are ignored.
+    Dirichlet data; interior values are ignored.  Each axis's interior lines
+    are assembled at once from the crossing arrays, in C order of the two
+    transverse axes; crossings on the boundary transverse lines belong to no
+    interior line.
     """
     if boundary.grid != data.grid:
         raise ConfigError("boundary field grid does not match interface grid")
     data.validate()
     jumps = compute_jumps(data, atoms, params)
-    bvals = boundary.values
-    ops = tuple(
-        build_axis_operator(data, params, jumps, bvals, axis) for axis in range(3)
-    )
+    shape, idx = data.grid.shape, data.index
+    eps = (params.eps_in, params.eps_out)
+    ops = []
+    for axis in range(3):
+        t = [a for a in range(3) if a != axis]
+        inner = np.all((idx[:, t] > 0) & (idx[:, t] < np.take(shape, t) - 1), axis=1)
+        own = (data.axis == axis) & inner
+        line = (idx[own, t[0]] - 1) * (shape[t[1]] - 2) + idx[own, t[1]] - 1
+        cuts = (idx[own, axis], line, data.theta[own], jumps.a[own], jumps.b[own])
+        block = np.moveaxis(data.inside, axis, 0)[:, 1:-1, 1:-1]
+        inside = block.reshape(shape[axis], -1)
+        bc = np.moveaxis(boundary.values, axis, 0)[[0, -1], 1:-1, 1:-1].reshape(2, -1)
+        arrays = assemble_lines(axis, inside, eps, cuts, bc, data.grid.h)
+        ops.append(AxisOperator(axis, shape, *arrays))
     return SplitOperators(
-        ops=ops,
+        ops=tuple(ops),
         kappa_sq=float(params.kappa_sq),
         inside=np.flatnonzero(data.inside),
-        boundary=bvals.copy(),
+        boundary=boundary.values.copy(),
     )
 
 

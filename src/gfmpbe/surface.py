@@ -2,15 +2,19 @@
 
 An interface is represented discretely: every grid node carries an
 inside/outside flag, and every grid edge whose endpoints disagree carries
-exactly one crossing record (the fraction theta measured from the low-index
-node, plus the Cartesian location of the cut).  Three generators are
-provided: an analytic sphere, a union of atom spheres (van der Waals), and
-a probe-rolled molecular surface built from a signed distance to the
-solvent-accessible surface.
+exactly one crossing (the fraction theta measured from the low-index node,
+plus the Cartesian location of the cut).  InterfaceData holds the flags as
+one boolean array and the crossings as four arrays in canonical
+(axis, i, j, k) order, so assembly reads them without one Python object per
+cut edge.  Three generators are provided, each computing its crossings with
+whole-array numpy: an analytic sphere, a union of atom spheres (van der
+Waals), and a probe-rolled molecular surface built from a signed distance to
+the solvent-accessible surface.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,77 +58,179 @@ class Crossing:
 
 
 class InterfaceData:
-    """Node classification plus crossing records for one grid."""
+    """Node flags plus the crossings of one grid, held as arrays.
+
+    inside is the (nx, ny, nz) boolean node mask.  The m crossings are the
+    rows of four read-only arrays in canonical (axis, i, j, k) order: axis
+    (m,), index (m, 3) of each edge's low node, theta (m,) measured from that
+    node and location (m, 3).  crossings maps each key (axis, i, j, k) to a
+    Crossing built on access.  The constructor takes Crossing records in any
+    order, from_arrays the four arrays in any row order; a low node off the
+    grid or a repeated edge raises ConfigError.
+    """
 
     def __init__(self, grid: Grid, inside: np.ndarray, crossings):
+        cs = list(crossings.values() if isinstance(crossings, Mapping) else crossings)
+        fields = ("axis", "index", "theta", "location")
+        self._set(grid, inside, *([getattr(c, f) for c in cs] for f in fields))
+
+    @classmethod
+    def from_arrays(cls, grid: Grid, inside, axis, index, theta, location):
+        """An interface from the four crossing arrays, rows in any order."""
+        data = cls.__new__(cls)
+        data._set(grid, inside, axis, index, theta, location)
+        return data
+
+    def _set(self, grid, inside, axis, index, theta, location) -> None:
         inside = np.asarray(inside, dtype=bool)
         if inside.shape != grid.shape:
             raise ConfigError(
                 f"inside mask shape {inside.shape} does not match grid {grid.shape}"
             )
-        if isinstance(crossings, dict):
-            crossings = crossings.values()
-        self.grid = grid
-        self.inside = inside
-        self.crossings: dict[tuple[int, int, int, int], Crossing] = {}
-        for c in crossings:
-            if c.key in self.crossings:
-                raise ConfigError(f"duplicate crossing on edge {c.key}")
-            self.crossings[c.key] = c
+        axis = np.asarray(axis, dtype=np.intp).reshape(-1)
+        index = np.asarray(index, dtype=np.intp).reshape(-1, 3)
+        theta = np.asarray(theta, dtype=float).reshape(-1)
+        location = np.asarray(location, dtype=float).reshape(-1, 3)
+        if not len(axis) == len(index) == len(theta) == len(location):
+            raise ConfigError("crossing arrays differ in length")
+        off = (axis < 0) | (axis > 2) | np.any((index < 0) | (index >= grid.shape), 1)
+        if off.any():
+            key = _key(axis[np.argmax(off)], index[np.argmax(off)])
+            raise ConfigError(f"crossing edge {key} off the grid")
+        codes = _codes(axis, index, (3, *grid.shape))
+        order = np.argsort(codes, kind="stable")
+        dup = np.flatnonzero(np.diff(codes[order]) == 0)
+        if dup.size:
+            first = order[dup[0]]
+            key = _key(axis[first], index[first])
+            raise ConfigError(f"duplicate crossing on edge {key}")
+        self.grid, self.inside = grid, inside
+        arrays = [a[order] for a in (axis, index, theta, location, codes)]
+        for a in arrays:
+            a.flags.writeable = False
+        self.axis, self.index, self.theta, self.location, self._codes = arrays
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, InterfaceData):
             return NotImplemented
-        return (
-            self.grid == other.grid
-            and bool(np.array_equal(self.inside, other.inside))
-            and self.crossings == other.crossings
+        return self.grid == other.grid and all(
+            np.array_equal(getattr(self, f), getattr(other, f))
+            for f in ("inside", "_codes", "theta", "location")
         )
 
+    @property
+    def crossings(self) -> "RowMap":
+        """Crossing key -> Crossing."""
+        return RowMap(self, self._crossing)
+
+    def _crossing(self, row: int) -> Crossing:
+        axis, *index = self.key(row)
+        theta, loc = float(self.theta[row]), tuple(self.location[row])
+        return Crossing(axis, tuple(index), theta, loc)
+
+    def key(self, row: int) -> tuple[int, int, int, int]:
+        """The (axis, i, j, k) key of one crossing row."""
+        return _key(self.axis[row], self.index[row])
+
+    def row(self, key) -> int:
+        """The row of the crossing with key (axis, i, j, k); KeyError if none."""
+        try:
+            code = np.ravel_multi_index(tuple(key), (3, *self.grid.shape))
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        row = int(np.searchsorted(self._codes, code))
+        if row == len(self._codes) or self._codes[row] != code:
+            raise KeyError(key)
+        return row
+
     def validate(self) -> None:
-        """Check one-crossing-per-mixed-edge consistency; raise AssemblyError."""
+        """Check one-crossing-per-mixed-edge consistency; raise AssemblyError.
+
+        Each message names the first offending edge in canonical order.
+        """
         g = self.grid
-        expected = set()
-        for axis in range(3):
-            for i, j, k in _mixed_edges(self.inside, axis):
-                expected.add((axis, int(i), int(j), int(k)))
-        got = set(self.crossings)
-        missing = expected - got
-        if missing:
-            raise AssemblyError(f"mixed edge without crossing record: {sorted(missing)[0]}")
-        extra = got - expected
-        if extra:
-            raise AssemblyError(f"crossing on uniform edge: {sorted(extra)[0]}")
-        for c in self.crossings.values():
-            if not (0.0 < c.theta < 1.0):
-                raise AssemblyError(f"theta out of (0,1) on edge {c.key}: {c.theta}")
-            lo = np.asarray(g.node(*c.index))
-            loc = np.asarray(c.location)
-            if not np.all(np.isfinite(loc)):
-                raise AssemblyError(f"non-finite location on edge {c.key}")
-            off = np.delete(loc - lo, c.axis)
-            if np.max(np.abs(off)) > 1e-9 * max(1.0, g.h):
-                raise AssemblyError(f"location off the edge line for {c.key}")
-            t = (loc[c.axis] - lo[c.axis]) / g.h
-            if not (-1e-3 < t < 1.0 + 1e-3):
-                raise AssemblyError(f"location outside the edge for {c.key}")
+        edges = (3, *g.shape)
+        mixed = [np.argwhere(np.diff(self.inside, axis=a)) for a in range(3)]
+        mixed = np.concatenate([_codes(a, idx, edges) for a, idx in enumerate(mixed)])
+        missing = np.setdiff1d(mixed, self._codes)
+        if missing.size:
+            key = tuple(int(v) for v in np.unravel_index(missing[0], edges))
+            raise AssemblyError(f"mixed edge without crossing record: {key}")
+        uniform = ~np.isin(self._codes, mixed)
+        if uniform.any():
+            key = self.key(np.argmax(uniform))
+            raise AssemblyError(f"crossing on uniform edge: {key}")
+        rows = np.arange(len(self.theta))
+        with np.errstate(invalid="ignore"):
+            d = self.location - (np.asarray(g.origin) + g.h * self.index)
+            t = d[rows, self.axis] / g.h
+            d[rows, self.axis] = 0.0
+            checks = (
+                ~((self.theta > 0.0) & (self.theta < 1.0)),
+                ~np.all(np.isfinite(self.location), axis=1),
+                np.max(np.abs(d), axis=1, initial=0.0) > 1e-9 * max(1.0, g.h),
+                ~((t > -1e-3) & (t < 1.0 + 1e-3)),
+            )
+        bad = np.any(checks, axis=0)
+        if not bad.any():
+            return
+        row = int(np.argmax(bad))
+        key = self.key(row)
+        messages = (
+            f"theta out of (0,1) on edge {key}: {float(self.theta[row])}",
+            f"non-finite location on edge {key}",
+            f"location off the edge line for {key}",
+            f"location outside the edge for {key}",
+        )
+        raise AssemblyError(next(msg for c, msg in zip(checks, messages) if c[row]))
 
 
-def _mixed_edges(inside: np.ndarray, axis: int) -> np.ndarray:
-    """Low-node indices (m, 3) of edges whose endpoints disagree."""
-    sl_lo = [slice(None)] * 3
-    sl_hi = [slice(None)] * 3
-    sl_lo[axis] = slice(0, -1)
-    sl_hi[axis] = slice(1, None)
-    mixed = inside[tuple(sl_lo)] != inside[tuple(sl_hi)]
-    return np.argwhere(mixed)
+class RowMap(Mapping):
+    """Read-only mapping from the crossing keys (axis, i, j, k) of an
+    interface to value(row), built on access."""
+
+    def __init__(self, data: InterfaceData, value):
+        self._data, self._value = data, value
+
+    def __len__(self) -> int:
+        return len(self._data.theta)
+
+    def __iter__(self):
+        return zip(self._data.axis.tolist(), *self._data.index.T.tolist())
+
+    def __getitem__(self, key):
+        return self._value(self._data.row(key))
+
+
+def _key(axis, index) -> tuple[int, int, int, int]:
+    return (int(axis), *(int(v) for v in index))
+
+
+def _codes(axis, index: np.ndarray, edges: tuple) -> np.ndarray:
+    """Flat edge numbers of keys (axis, i, j, k), ordered like the keys."""
+    return np.ravel_multi_index((np.broadcast_to(axis, len(index)), *index.T), edges)
+
+
+def _classified(grid: Grid, inside: np.ndarray, fraction) -> InterfaceData:
+    """Crossings on every mixed edge, from fraction(axis, idx, p0): the cut
+    fractions t of the edges with low nodes idx (m, 3), C order, at p0.
+    theta is t clamped to [THETA_MIN, 1 - THETA_MIN]."""
+    parts = []
+    for axis in range(3):
+        idx = np.argwhere(np.diff(inside, axis=axis))
+        p0 = np.asarray(grid.origin) + idx * grid.h
+        t = fraction(axis, idx, p0)
+        loc = p0.copy()
+        loc[:, axis] += t * grid.h
+        theta = np.clip(t, THETA_MIN, 1.0 - THETA_MIN)
+        parts.append((np.full(len(idx), axis), idx, theta, loc))
+    arrays = (np.concatenate(p) for p in zip(*parts))
+    return InterfaceData.from_arrays(grid, inside, *arrays)
 
 
 def _stable_roots(a: float, b: np.ndarray, c: np.ndarray):
     """Real roots of a*t^2 + b*t + c, paired stably; returns (lo, hi)."""
-    disc = b * b - 4.0 * a * c
-    disc = np.maximum(disc, 0.0)
-    sq = np.sqrt(disc)
+    sq = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
     q = -0.5 * (b + np.copysign(sq, b))
     r1 = q / a
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -141,69 +247,39 @@ def classify_sphere(grid: Grid, center, radius: float) -> InterfaceData:
     dist = np.sqrt(((nodes - c) ** 2).sum(axis=-1))
     inside = dist - radius < CLASSIFY_TOL
     h = grid.h
-    crossings = []
-    for axis in range(3):
-        idx = _mixed_edges(inside, axis)
-        if idx.size == 0:
-            continue
-        p0 = np.asarray(grid.origin) + idx * h
+
+    def fraction(axis, idx, p0):
         d0 = p0 - c
-        a = h * h
         b = 2.0 * h * d0[:, axis]
         c0 = (d0**2).sum(axis=1) - radius * radius
-        t_lo, t_hi = _stable_roots(a, b, c0)
-        low_inside = inside[idx[:, 0], idx[:, 1], idx[:, 2]]
+        t_lo, t_hi = _stable_roots(h * h, b, c0)
         # Going out of the sphere the quadratic rises through its larger root.
-        t = np.where(low_inside, t_hi, t_lo)
-        locs = p0.copy()
-        locs[:, axis] += t * h
-        theta = np.clip(t, THETA_MIN, 1.0 - THETA_MIN)
-        for row, th, loc in zip(idx, theta, locs):
-            crossings.append(
-                Crossing(axis, tuple(int(v) for v in row), float(th), tuple(loc))
-            )
-    return InterfaceData(grid, inside, crossings)
+        return np.where(inside[tuple(idx.T)], t_hi, t_lo)
+
+    return _classified(grid, inside, fraction)
 
 
-def _sphere_intervals(p0, axis, h, centers, radii):
-    """Edge-parameter intervals [t1, t2] where the edge is inside some sphere."""
-    d0 = p0 - centers
-    a = h * h
-    b = 2.0 * h * d0[:, axis]
-    c0 = (d0**2).sum(axis=1) - radii**2
-    t_lo, t_hi = _stable_roots(a, b, c0)
-    real = (b * b - 4.0 * a * c0) > 0.0
-    return [(float(lo), float(hi)) for lo, hi in zip(t_lo[real], t_hi[real])]
-
-
-def _cover_from_low(intervals) -> float:
-    """Greedy endpoint of the interval union component containing t = 0."""
-    cov = 0.0
-    changed = True
-    while changed:
-        changed = False
-        for t1, t2 in intervals:
-            if t1 <= cov + _T_TOL and t2 > cov:
-                cov = t2
-                changed = True
-    return cov
-
-
-def _cover_from_high(intervals) -> float:
-    """Greedy endpoint of the interval union component containing t = 1."""
-    cov = 1.0
-    changed = True
-    while changed:
-        changed = False
-        for t1, t2 in intervals:
-            if t2 >= cov - _T_TOL and t1 < cov:
-                cov = t1
-                changed = True
+def _cover(t1: np.ndarray, t2: np.ndarray, start: float) -> np.ndarray:
+    """Right end of the chain of intervals [t1, t2] (one row per edge) from
+    start: the least fixed point of cov <- max(cov, max{t2 : t1 <= cov +
+    tol}), which greedy chaining also reaches.  A round that moves takes in
+    another interval, so there are at most as many rounds as columns."""
+    cov = np.full(len(t1), start)
+    for _ in range(t1.shape[1]):
+        reach = np.where(t1 <= (cov + _T_TOL)[:, None], t2, -np.inf)
+        nxt = np.maximum(cov, reach.max(axis=1, initial=-np.inf))
+        if np.array_equal(nxt, cov):
+            break
+        cov = nxt
     return cov
 
 
 def classify_union(grid: Grid, atoms: AtomSet) -> InterfaceData:
-    """Classify the union of the atom spheres (van der Waals surface)."""
+    """Classify the union of the atom spheres (van der Waals surface).
+
+    Each edge's intervals inside the atom spheres are chained from the
+    inside endpoint; the cut is where the chain ends.
+    """
     nodes = grid.nodes()
     signed = np.full(grid.shape, np.inf)
     for center, radius in zip(atoms.centers, atoms.radii):
@@ -211,27 +287,21 @@ def classify_union(grid: Grid, atoms: AtomSet) -> InterfaceData:
         np.minimum(signed, d - radius, out=signed)
     inside = signed < CLASSIFY_TOL
     h = grid.h
-    origin = np.asarray(grid.origin)
-    crossings = []
-    for axis in range(3):
-        for i, j, k in _mixed_edges(inside, axis):
-            p0 = origin + np.array([i, j, k]) * h
-            intervals = _sphere_intervals(p0, axis, h, atoms.centers, atoms.radii)
-            if inside[i, j, k]:
-                t = _cover_from_low(intervals)
-            else:
-                t = _cover_from_high(intervals)
-            loc = p0.copy()
-            loc[axis] += t * h
-            crossings.append(
-                Crossing(
-                    axis,
-                    (int(i), int(j), int(k)),
-                    float(np.clip(t, THETA_MIN, 1.0 - THETA_MIN)),
-                    tuple(loc),
-                )
-            )
-    return InterfaceData(grid, inside, crossings)
+
+    def fraction(axis, idx, p0):
+        d0 = p0[:, None, :] - atoms.centers  # (m, atoms, 3)
+        b = 2.0 * h * d0[..., axis]
+        c0 = (d0**2).sum(axis=-1) - atoms.radii**2
+        t1, t2 = _stable_roots(h * h, b, c0)
+        real = (b * b - 4.0 * (h * h) * c0) > 0.0
+        t1 = np.where(real, t1, np.inf)
+        t2 = np.where(real, t2, -np.inf)
+        # From an outside low node, chain down from t = 1 on the mirror image.
+        return np.where(
+            inside[tuple(idx.T)], _cover(t1, t2, 0.0), -_cover(-t2, -t1, -1.0)
+        )
+
+    return _classified(grid, inside, fraction)
 
 
 class _SesDistance:
@@ -261,15 +331,10 @@ class _SesDistance:
             deepest[upd] = ia
         self.vdw_signed = vdw
         sas_inside = depth > -CLASSIFY_TOL
-        self.sas_inside = sas_inside
         edt = distance_transform_edt(sas_inside, sampling=(grid.h,) * 3)
-        covered = nodes[sas_inside]
-        ia = deepest[sas_inside]
-        exact = self._radial_exit_clear(covered, ia)
-        dist = depth.copy()
-        dist_cov = np.where(exact, depth[sas_inside], edt[sas_inside])
-        dist[sas_inside] = dist_cov
-        self.node_signed = dist
+        exact = self._radial_exit_clear(nodes[sas_inside], deepest[sas_inside])
+        self.node_signed = depth.copy()
+        self.node_signed[sas_inside] = np.where(exact, depth[sas_inside], edt[sas_inside])
         outside_pts = nodes[~sas_inside].reshape(-1, 3)
         self._tree = cKDTree(outside_pts) if len(outside_pts) else None
 
@@ -289,45 +354,39 @@ class _SesDistance:
             blocked |= (dk < self.sas_r[k] - CLASSIFY_TOL) & (ia != k)
         return ~blocked
 
-    def psi_nodes(self) -> np.ndarray:
-        """Level values on the lattice; inside the surface where psi >= 0."""
-        return self.node_signed - self.probe_radius
-
-    def psi_point(self, x: np.ndarray) -> float:
-        """Level value at an arbitrary point, consistent with psi_nodes."""
-        d = np.sqrt(((self.centers - x) ** 2).sum(axis=1))
+    def psi_points(self, x: np.ndarray) -> np.ndarray:
+        """Level values at points (m, 3), consistent with the lattice values
+        node_signed - probe_radius; inside the surface where psi >= 0."""
+        d = np.sqrt(((x[:, None, :] - self.centers) ** 2).sum(axis=-1))
         vals = self.sas_r - d
-        i = int(np.argmax(vals))
-        depth = float(vals[i])
-        if depth <= -CLASSIFY_TOL:
-            return depth - self.probe_radius
-        exact = self._radial_exit_clear(x[None, :], np.array([i]))[0]
-        if exact:
-            s = depth
-        else:
-            s = float(self._tree.query(x)[0]) if self._tree is not None else depth
+        ia = np.argmax(vals, axis=1)
+        depth = vals[np.arange(len(x)), ia]
+        s = depth.copy()
+        if self._tree is not None:
+            # Covered points whose radial exit is blocked take the lattice
+            # distance to the nearest exterior node.
+            deep = np.flatnonzero(depth > -CLASSIFY_TOL)
+            far = deep[~self._radial_exit_clear(x[deep], ia[deep])]
+            s[far] = self._tree.query(x[far])[0]
         return s - self.probe_radius
 
 
-def _bisect_flip(p0, axis, h, low_inside, indicator) -> float:
-    """Bisect for the fraction where a boolean indicator flips along an edge."""
-    t_lo, t_hi = 0.0, 1.0
-    p = np.array(p0, dtype=float)
+def _bisect_flip(p0, axis, h, low_inside, indicator) -> np.ndarray:
+    """Bisect the edges with low nodes p0 (m, 3) for the fraction where
+    indicator(points) flips from its low-end value low_inside."""
+    t_lo, t_hi = np.zeros(len(p0)), np.ones(len(p0))
+    p = p0.copy()
     for _ in range(_BISECT_ITERS):
         tm = 0.5 * (t_lo + t_hi)
-        p[axis] = p0[axis] + tm * h
-        if indicator(p) == low_inside:
-            t_lo = tm
-        else:
-            t_hi = tm
+        p[:, axis] = p0[:, axis] + tm * h
+        low_side = indicator(p) == low_inside
+        t_lo = np.where(low_side, tm, t_lo)
+        t_hi = np.where(low_side, t_hi, tm)
     return 0.5 * (t_lo + t_hi)
 
 
 def classify_ses_grid(
-    grid: Grid,
-    atoms: AtomSet,
-    probe_radius: float = 1.4,
-    refine: bool = False,
+    grid: Grid, atoms: AtomSet, probe_radius: float = 1.4, refine: bool = False
 ) -> InterfaceData:
     """Classify the probe-rolled molecular surface of a solute.
 
@@ -341,42 +400,20 @@ def classify_ses_grid(
     if probe_radius == 0.0:
         return classify_union(grid, atoms)
     dist = _SesDistance(grid, atoms, probe_radius)
-    psi = dist.psi_nodes()
+    psi = dist.node_signed - probe_radius
     inside = (dist.vdw_signed < CLASSIFY_TOL) | (psi > -CLASSIFY_TOL)
-    h = grid.h
-    origin = np.asarray(grid.origin)
-    crossings = []
-    indicator = None
-    if refine:
-        indicator = lambda x: dist.psi_point(x) > -CLASSIFY_TOL
-    for axis in range(3):
-        idx = _mixed_edges(inside, axis)
-        if idx.size == 0:
-            continue
-        hi = idx.copy()
-        hi[:, axis] += 1
-        psi_lo = psi[idx[:, 0], idx[:, 1], idx[:, 2]]
-        psi_hi = psi[hi[:, 0], hi[:, 1], hi[:, 2]]
-        denom = psi_lo - psi_hi
+
+    def fraction(axis, idx, p0):
+        if refine:
+            level_inside = lambda x: dist.psi_points(x) > -CLASSIFY_TOL
+            return _bisect_flip(p0, axis, grid.h, inside[tuple(idx.T)], level_inside)
+        psi_lo = psi[tuple(idx.T)]
+        denom = -np.diff(psi, axis=axis)[tuple(idx.T)]  # psi_lo - psi_hi
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_lin = np.where(denom != 0.0, psi_lo / np.where(denom != 0.0, denom, 1.0), 0.5)
-        low_inside = inside[idx[:, 0], idx[:, 1], idx[:, 2]]
-        for row, t0, lo_in in zip(idx, t_lin, low_inside):
-            p0 = origin + row * h
-            t = float(t0)
-            if refine:
-                t = _bisect_flip(p0, axis, h, bool(lo_in), indicator)
-            loc = p0.copy()
-            loc[axis] += t * h
-            crossings.append(
-                Crossing(
-                    axis,
-                    tuple(int(v) for v in row),
-                    float(np.clip(t, THETA_MIN, 1.0 - THETA_MIN)),
-                    tuple(loc),
-                )
-            )
-    return InterfaceData(grid, inside, crossings)
+            t = psi_lo / np.where(denom != 0.0, denom, 1.0)
+        return np.where(denom != 0.0, t, 0.5)
+
+    return _classified(grid, inside, fraction)
 
 
 def _fmt(x: float) -> str:
@@ -407,24 +444,13 @@ def export_interface(data: InterfaceData, path) -> None:
     for k in range(nz):
         for j in range(ny):
             row = signs[:, j, k]
-            runs = []
-            count, cur = 1, row[0]
-            for v in row[1:]:
-                if v == cur:
-                    count += 1
-                else:
-                    runs.append(f"{count}*{cur}")
-                    count, cur = 1, v
-            runs.append(f"{count}*{cur}")
+            starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+            runs = (f"{n}*{row[i]}" for i, n in zip(starts, np.diff(np.r_[starts, nx])))
             lines.append(f"row {j} {k} " + " ".join(runs))
-    for key in sorted(data.crossings):
-        c = data.crossings[key]
-        lines.append(
-            f"cross {AXIS_NAMES[c.axis]} {c.index[0]} {c.index[1]} {c.index[2]} "
-            + _fmt(c.theta)
-            + " "
-            + " ".join(_fmt(v) for v in c.location)
-        )
+    arrays = (data.axis, data.index, data.theta, data.location)
+    for axis, (i, j, k), theta, loc in zip(*(a.tolist() for a in arrays)):
+        numbers = " ".join(_fmt(v) for v in (theta, *loc))
+        lines.append(f"cross {AXIS_NAMES[axis]} {i} {j} {k} {numbers}")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -550,26 +576,22 @@ def import_interface(path) -> InterfaceData:
     crossings = []
     seen = set()
     for axis, index, theta, loc, lineno in crosses:
-        i, j, k = index
         hi_idx = list(index)
         hi_idx[axis] += 1
-        n = shape
-        if not (0 <= i < n[0] and 0 <= j < n[1] and 0 <= k < n[2] and hi_idx[axis] < n[axis]):
+        if not all(0 <= v < n for v, n in zip(hi_idx, shape)) or min(index) < 0:
             raise FormatError(f"crossing edge {index} out of range", lineno)
-        if inside[i, j, k] == inside[tuple(hi_idx)]:
+        if inside[index] == inside[tuple(hi_idx)]:
             raise FormatError(
                 f"crossing on a uniform edge at {index} along {AXIS_NAMES[axis]}",
                 lineno,
             )
-        key = (axis, i, j, k)
-        if key in seen:
+        if (axis, index) in seen:
             raise FormatError(f"duplicate crossing on edge {index}", lineno)
-        seen.add(key)
+        seen.add((axis, index))
         if loc is None:
-            p = grid.node(i, j, k)
-            p[axis] += theta * grid.h
-            loc = tuple(p)
-        crossings.append(Crossing(axis, index, theta, loc))
+            loc = grid.node(*index)
+            loc[axis] += theta * grid.h
+        crossings.append(Crossing(axis, index, theta, tuple(loc)))
     data = InterfaceData(grid, inside, crossings)
     try:
         data.validate()

@@ -5,10 +5,16 @@ import pytest
 
 from gfmpbe.errors import AssemblyError, ConfigError, NumericalError
 from gfmpbe.gfm import JumpData, LineSystem, apply_operator, assemble_line, thomas_solve
-from gfmpbe.grid import build_grid
-from gfmpbe.molecule import Atom, AtomSet, PhysicalParams
-from gfmpbe.stepping import AxisOperator, compute_jumps
-from gfmpbe.surface import classify_union
+from gfmpbe.grid import Field, Grid, build_grid
+from gfmpbe.molecule import Atom, AtomSet, PhysicalParams, dirichlet_boundary
+from gfmpbe.stepping import AxisOperator, build_split_operators, compute_jumps
+from gfmpbe.surface import (
+    Crossing,
+    InterfaceData,
+    classify_ses_grid,
+    classify_sphere,
+    classify_union,
+)
 
 NO_JUMP = JumpData(0.0, 0.0)
 
@@ -26,6 +32,18 @@ def _dense_neg_a(sys: LineSystem) -> np.ndarray:
     mat[np.arange(m - 1), np.arange(1, m)] = sys.off
     mat[np.arange(1, m), np.arange(m - 1)] = sys.off
     return mat
+
+
+def _stacked(systems) -> tuple:
+    """AxisOperator arrays stacked from one-line systems, line-major:
+    diag, weights, corr, dir_lo, dir_hi."""
+    return (
+        np.stack([s.diag for s in systems], axis=1),
+        np.stack([np.r_[s.w_lo, -s.off, s.w_hi] for s in systems], axis=1),
+        np.stack([s.corr for s in systems], axis=1),
+        np.array([s.w_lo * s.bc_lo for s in systems]),
+        np.array([s.w_hi * s.bc_hi for s in systems]),
+    )
 
 
 def _fold(sys: LineSystem) -> np.ndarray:
@@ -190,7 +208,7 @@ class TestThomas:
         with pytest.raises(NumericalError):
             thomas_solve(sys, 1.0, np.ones(3))
         # The batched sweep shares the factorization: one line along x.
-        op = AxisOperator(0, (5, 3, 3), [sys])
+        op = AxisOperator(0, (5, 3, 3), *_stacked([sys]))
         field = np.ones((5, 3, 3))
         with pytest.raises(NumericalError):
             op.solve(1.0, field, np.zeros((5, 3, 3)))
@@ -309,3 +327,165 @@ class TestTwoSphereLines:
                     assert evals.min() >= -1e-10 * max(1.0, evals.max())
                     n_checked += 1
         assert n_checked == n_expected
+
+
+def _per_line_arrays(data, params, jumps, bvals, axis) -> tuple:
+    """One assemble_line call per interior line, stacked like AxisOperator."""
+    shape = data.grid.shape
+    t1, t2 = (a for a in range(3) if a != axis)
+    cuts = {}
+    for key, c in data.crossings.items():
+        if c.axis == axis:
+            cuts.setdefault((c.index[t1], c.index[t2]), {})[c.index[axis]] = (
+                c.theta,
+                jumps[key],
+            )
+    systems = []
+    for a1 in range(1, shape[t1] - 1):
+        for a2 in range(1, shape[t2] - 1):
+            sl = [slice(None)] * 3
+            sl[t1], sl[t2] = a1, a2
+            ends = bvals[tuple(sl)][[0, -1]]
+            systems.append(
+                assemble_line(
+                    axis,
+                    data.inside[tuple(sl)],
+                    (params.eps_in, params.eps_out),
+                    cuts.get((a1, a2), {}),
+                    (float(ends[0]), float(ends[1])),
+                    data.grid.h,
+                )
+            )
+    return _stacked(systems)
+
+
+def _face_values(grid, atoms, params) -> np.ndarray:
+    bvals = np.zeros(grid.shape)
+    nodes = grid.nodes()
+    for axis in range(3):
+        for end in (0, -1):
+            sl = [slice(None)] * 3
+            sl[axis] = end
+            face = nodes[tuple(sl)]
+            bvals[tuple(sl)] = dirichlet_boundary(atoms, face.reshape(-1, 3), params).reshape(
+                face.shape[:-1]
+            )
+    return bvals
+
+
+_FOUR_ATOMS = AtomSet(
+    [
+        Atom((0.0, 0.0, 0.0), 1.0, 2.0),
+        Atom((2.8, 0.0, 0.0), -0.7, 1.7),
+        Atom((0.0, 2.9, 0.4), 0.5, 1.8),
+        Atom((-2.7, 0.3, -0.6), -0.8, 1.6),
+    ]
+)
+
+
+def _sliver(grid: Grid) -> InterfaceData:
+    """A one-node-thick inside plane x = 3 across the whole grid.
+
+    Every node of the plane takes corrections from both of its cut x edges,
+    and the plane's crossings on the boundary transverse lines (j or k on a
+    face) belong to no interior line.
+    """
+    inside = np.zeros(grid.shape, dtype=bool)
+    inside[3] = True
+    crossings = []
+    for j in range(grid.shape[1]):
+        for k in range(grid.shape[2]):
+            for i, theta in ((2, 0.3 + 0.01 * j), (3, 0.6 - 0.01 * k)):
+                loc = grid.node(i, j, k)
+                loc[0] += theta * grid.h
+                crossings.append(Crossing(0, (i, j, k), theta, tuple(loc)))
+    return InterfaceData(grid, inside, crossings)
+
+
+def _oracle_case(name: str):
+    """(interface, atoms) of one oracle grid."""
+    grid = build_grid(_FOUR_ATOMS, h=0.5, probe_radius=1.4)
+    far_atom = AtomSet([Atom((0.4, 0.3, -0.2), 0.8, 1.0)])
+    if name == "sphere":
+        return classify_sphere(grid, (0.1, -0.2, 0.0), 2.3), far_atom
+    if name == "union":
+        return classify_union(grid, _FOUR_ATOMS), _FOUR_ATOMS
+    if name == "ses":
+        return classify_ses_grid(grid, _FOUR_ATOMS, 1.4), _FOUR_ATOMS
+    return _sliver(Grid((-3.0, -3.0, -3.0), 1.0, (7, 7, 7))), far_atom
+
+
+class TestBatchedAssembly:
+    """Whole-array assembly against one assemble_line call per line."""
+
+    @pytest.mark.parametrize("case", ["sphere", "union", "ses", "sliver"])
+    def test_bit_identical_to_per_line(self, case):
+        data, atoms = _oracle_case(case)
+        params = PhysicalParams(eps_in=2.0, eps_out=80.0, kappa_sq=1.0)
+        bvals = _face_values(data.grid, atoms, params)
+        split = build_split_operators(data, atoms, params, Field(data.grid, bvals))
+        jumps = compute_jumps(data, atoms, params)
+        for axis, op in enumerate(split.ops):
+            want = _per_line_arrays(data, params, jumps, bvals, axis)
+            got = (op.diag, op.weights, op.corr, op.dir_lo, op.dir_hi)
+            for name, g, w in zip(("diag", "weights", "corr", "dir_lo", "dir_hi"), got, want):
+                assert g.shape == w.shape, name
+                assert np.array_equal(g, w), (axis, name)
+
+    def test_sliver_nodes_take_both_corrections(self):
+        data, atoms = _oracle_case("sliver")
+        params = PhysicalParams(eps_in=2.0, eps_out=80.0, kappa_sq=1.0)
+        split = build_split_operators(
+            data, atoms, params, Field(data.grid, np.zeros(data.grid.shape))
+        )
+        jumps = compute_jumps(data, atoms, params)
+        eps_in, eps_out, h = params.eps_in, params.eps_out, data.grid.h
+        # Node (3, 2, 4): x line (2, 4) is interior line 1*5 + 3, position 3.
+        c_lo, c_hi = data.crossings[(0, 2, 2, 4)], data.crossings[(0, 3, 2, 4)]
+        j_lo, j_hi = jumps[(0, 2, 2, 4)], jumps[(0, 3, 2, 4)]
+        # Edge 2 -> 3 enters the plane: its high node is inside.
+        d1 = eps_in * c_lo.theta + eps_out * (1 - c_lo.theta)
+        w1 = eps_out * eps_in / d1 / h**2
+        from_lo = -w1 * j_lo.a - (eps_in * c_lo.theta / d1 / h) * -j_lo.b
+        # Edge 3 -> 4 leaves it: its low node is inside.
+        d2 = eps_out * c_hi.theta + eps_in * (1 - c_hi.theta)
+        w2 = eps_in * eps_out / d2 / h**2
+        from_hi = -w2 * j_hi.a - (eps_in * (1 - c_hi.theta) / d2 / h) * j_hi.b
+        got = split.ops[0].corr[2, 1 * 5 + 3]
+        assert got == pytest.approx(from_lo + from_hi, rel=1e-13)
+        assert abs(from_lo) > 0 and abs(from_hi) > 0
+
+    @pytest.mark.parametrize(
+        "fault, match",
+        [("drop", "no crossing"), ("extra", "no side change"), ("clamp", "clamp")],
+    )
+    def test_assembly_errors_raise_through_build(self, monkeypatch, fault, match):
+        data, atoms = _oracle_case("sphere")
+        axis, index = data.axis.copy(), data.index.copy()
+        theta, location = data.theta.copy(), data.location.copy()
+        keep = np.ones(len(theta), dtype=bool)
+        # The sphere sits mid-grid, so its middle x crossing and the x edge
+        # from its centre node lie on interior lines.
+        if fault == "drop":
+            keep[np.flatnonzero(axis == 0)[np.sum(axis == 0) // 2]] = False
+        elif fault == "extra":
+            centre = tuple(int(v) for v in np.argwhere(data.inside).mean(axis=0).round())
+            assert data.inside[centre] and data.inside[centre[0] + 1, centre[1], centre[2]]
+            axis = np.r_[axis, 0]
+            index = np.vstack([index, centre])
+            theta = np.r_[theta, 0.5]
+            location = np.vstack([location, data.grid.node(*centre) + (0.25, 0, 0)])
+            keep = np.r_[keep, True]
+        else:
+            theta[len(theta) // 2] = 1e-9
+        bad = InterfaceData.from_arrays(
+            data.grid, data.inside, axis[keep], index[keep], theta[keep], location[keep]
+        )
+        if fault != "clamp":
+            # validate() reports these first; the assembly checks them again.
+            monkeypatch.setattr(InterfaceData, "validate", lambda self: None)
+        params = PhysicalParams(eps_in=2.0, eps_out=80.0, kappa_sq=1.0)
+        with pytest.raises(AssemblyError, match=match):
+            build_split_operators(
+                bad, atoms, params, Field(bad.grid, np.zeros(bad.grid.shape))
+            )

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfmpbe import stepping
-from gfmpbe.errors import ConfigError
+import re
+
+from gfmpbe import gfm, stepping
+from gfmpbe.driver import RunConfig, build_problem, kirkwood_config
+from gfmpbe.errors import AssemblyError, ConfigError
 from gfmpbe.gfm import apply_operator, assemble_line, thomas_solve
 from gfmpbe.grid import Field, build_grid
 from gfmpbe.molecule import Atom, AtomSet, PhysicalParams, dirichlet_boundary
@@ -20,7 +23,7 @@ from gfmpbe.stepping import (
     lod_step,
     nonlinear_substep,
 )
-from gfmpbe.surface import classify_union
+from gfmpbe.surface import Crossing, classify_union
 
 # Adaptive RK4 value for dw/dt = -sinh(w), w(0)=1, over t=0.1 (stable to 1e-13
 # across step counts 64..65536; agrees with the closed form).
@@ -500,3 +503,55 @@ class TestLayerCalls:
         )
         step(split.boundary.copy(), 0.05, split, linearized=linearized)
         assert (calls["substep"], calls["apply"], calls["solve"]) == expected
+
+
+class TestBuildPath:
+    """The build runs on the crossing arrays: no per-line assemble_line call
+    and no Crossing object, on the way to a full problem."""
+
+    @pytest.mark.parametrize("surface", ["ses-grid", "sphere"])
+    def test_no_per_line_or_per_crossing_objects(self, monkeypatch, surface):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-line or per-crossing object built")
+
+        monkeypatch.setattr(gfm, "assemble_line", forbidden)
+        monkeypatch.setattr(Crossing, "__init__", forbidden)
+        box = (-4.0,) * 3 + (4.0,) * 3
+        if surface == "sphere":
+            cfg = kirkwood_config(h=0.5, box_half=4.0)
+        else:
+            atoms = AtomSet(
+                [Atom((-0.8, 0.0, 0.2), 0.5, 1.6), Atom((1.1, 0.4, -0.3), -0.5, 1.3)]
+            )
+            cfg = RunConfig(atoms=atoms, h=0.5, surface=surface, box=box)
+        problem = build_problem(cfg)
+        data = problem.data
+        assert data.grid.shape == (17, 17, 17)
+        n_mixed = sum(
+            int(np.count_nonzero(np.diff(data.inside, axis=a))) for a in range(3)
+        )
+        assert n_mixed > 0
+        assert len(data.crossings) == n_mixed
+        assert [op.diag.shape for op in problem.split.ops] == [(15, 225)] * 3
+
+
+class TestJumpArrays:
+    def test_keys_and_values(self):
+        _, data, params, jumps, _, _ = _two_sphere_problem()
+        assert len(jumps) == len(data.crossings)
+        assert list(jumps) == list(data.crossings)
+        row = len(data.theta) // 2
+        key = data.key(row)
+        assert jumps[key].a == jumps.a[row] and jumps[key].b == jumps.b[row]
+
+    def test_non_finite_jump_names_the_crossing(self):
+        grid, data, _, _, bvals, _ = _two_sphere_problem()
+        # A finite charge whose Coulomb potential overflows at every cut.
+        atoms = AtomSet([Atom((0.0, 0.0, 0.0), 1e307, 1.6)])
+        params = PhysicalParams(eps_in=2.0, eps_out=80.0, kappa_sq=1.0)
+        key = re.escape(str(data.key(0)))
+        with np.errstate(over="ignore"):
+            with pytest.raises(AssemblyError, match=f"non-finite jump data on crossing {key}"):
+                compute_jumps(data, atoms, params)
+            with pytest.raises(AssemblyError, match=f"on crossing {key}"):
+                build_split_operators(data, atoms, params, Field(grid, bvals))

@@ -1,6 +1,7 @@
 """Tests for interface classification and the interchange format."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,8 +10,12 @@ from gfmpbe.errors import AssemblyError, ConfigError, FormatError
 from gfmpbe.grid import Grid, build_grid
 from gfmpbe.molecule import Atom, AtomSet
 from gfmpbe.surface import (
+    _T_TOL,
+    THETA_MIN,
     Crossing,
     InterfaceData,
+    _cover,
+    _stable_roots,
     classify_sphere,
     classify_ses_grid,
     classify_union,
@@ -384,3 +389,235 @@ class TestValidation:
         )
         with pytest.raises(AssemblyError, match="theta"):
             bad.validate()
+
+
+def _generators():
+    atoms = AtomSet(
+        [
+            Atom((0.0, 0.0, 0.0), 1.0, 2.0),
+            Atom((2.8, 0.0, 0.0), -0.7, 1.7),
+            Atom((0.0, 2.9, 0.4), 0.5, 1.8),
+        ]
+    )
+    grid = build_grid(atoms, h=0.5, probe_radius=1.4)
+    return {
+        "sphere": classify_sphere(grid, (0.1, -0.2, 0.0), 2.3),
+        "union": classify_union(grid, atoms),
+        "ses": classify_ses_grid(grid, atoms, probe_radius=1.4),
+    }
+
+
+class TestArrayLayout:
+    """Crossing arrays, the Crossing-list constructor and the interchange."""
+
+    @pytest.mark.parametrize("kind", ["sphere", "union", "ses"])
+    def test_shuffled_crossing_list_equals_classifier(self, kind):
+        data = _generators()[kind]
+        crossings = list(data.crossings.values())
+        np.random.default_rng(4).shuffle(crossings)
+        rebuilt = InterfaceData(data.grid, data.inside, crossings)
+        assert rebuilt == data
+        keys = np.column_stack([rebuilt.axis, rebuilt.index])
+        assert [tuple(k) for k in keys.tolist()] == sorted(data.crossings)
+        with pytest.raises(ConfigError, match="duplicate"):
+            InterfaceData(data.grid, data.inside, crossings + crossings[5:6])
+
+    @pytest.mark.parametrize("kind", ["sphere", "union", "ses"])
+    def test_export_import_round_trip(self, kind, tmp_path):
+        data = _generators()[kind]
+        path = tmp_path / f"{kind}.txt"
+        export_interface(data, path)
+        assert import_interface(path) == data
+
+    def test_mapping_view(self):
+        data = _generators()["union"]
+        assert len(data.crossings) == len(data.theta) > 0
+        row = len(data.theta) // 3
+        key = data.key(row)
+        c = data.crossings[key]
+        assert c.key == key and data.row(key) == row
+        assert c.theta == data.theta[row]
+        assert c.location == tuple(data.location[row])
+        assert (3, 0, 0, 0) not in data.crossings
+        with pytest.raises(KeyError):
+            data.crossings[(0, 0, 0, 0)]
+        with pytest.raises(ValueError):
+            data.theta[0] = 0.5
+
+    def test_crossing_off_grid_rejected(self):
+        grid = Grid((0.0, 0.0, 0.0), 1.0, (4, 4, 4))
+        inside = np.zeros((4, 4, 4), dtype=bool)
+        with pytest.raises(ConfigError, match=re.escape("(1, 4, 0, 0) off the grid")):
+            InterfaceData(grid, inside, [Crossing(1, (4, 0, 0), 0.5, (4.0, 0.5, 0.0))])
+
+
+def _single_node():
+    """One inside node at (1, 1, 1) of a 4^3 grid and its six crossings."""
+    grid = Grid((0.0, 0.0, 0.0), 1.0, (4, 4, 4))
+    inside = np.zeros((4, 4, 4), dtype=bool)
+    inside[1, 1, 1] = True
+    crossings = []
+    for axis in range(3):
+        for delta in (0, 1):
+            idx = [1, 1, 1]
+            idx[axis] -= delta
+            loc = [1.0, 1.0, 1.0]
+            loc[axis] += 0.5 - delta
+            crossings.append(Crossing(axis, tuple(idx), 0.5, tuple(loc)))
+    return grid, inside, crossings
+
+
+def _replaced(crossings, key, **changes):
+    out = []
+    for c in crossings:
+        if c.key == key:
+            fields = dict(axis=c.axis, index=c.index, theta=c.theta, location=c.location)
+            fields.update(changes)
+            c = Crossing(**fields)
+        out.append(c)
+    return out
+
+
+class TestValidateMessages:
+    """Each check names the first offending edge in canonical order."""
+
+    def test_missing_crossing(self):
+        grid, inside, crossings = _single_node()
+        kept = [c for c in crossings if c.key not in ((1, 1, 0, 1), (2, 1, 1, 1))]
+        with pytest.raises(
+            AssemblyError, match=re.escape("mixed edge without crossing record: (1, 1, 0, 1)")
+        ):
+            InterfaceData(grid, inside, kept).validate()
+
+    def test_crossing_on_uniform_edge(self):
+        grid, inside, crossings = _single_node()
+        extra = [
+            Crossing(2, (2, 2, 2), 0.5, (2.0, 2.0, 2.5)),
+            Crossing(0, (3, 0, 0), 0.5, (3.5, 0.0, 0.0)),  # past the last node
+        ]
+        with pytest.raises(
+            AssemblyError, match=re.escape("crossing on uniform edge: (0, 3, 0, 0)")
+        ):
+            InterfaceData(grid, inside, crossings + extra).validate()
+
+    def test_theta_out_of_range(self):
+        grid, inside, crossings = _single_node()
+        bad = _replaced(crossings, (2, 1, 1, 0), theta=1.5)
+        bad = _replaced(bad, (1, 1, 0, 1), theta=0.0)
+        with pytest.raises(
+            AssemblyError, match=re.escape("theta out of (0,1) on edge (1, 1, 0, 1): 0.0")
+        ):
+            InterfaceData(grid, inside, bad).validate()
+
+    def test_non_finite_location(self):
+        grid, inside, crossings = _single_node()
+        bad = _replaced(crossings, (1, 1, 1, 1), location=(1.0, math.nan, 1.0))
+        with pytest.raises(
+            AssemblyError, match=re.escape("non-finite location on edge (1, 1, 1, 1)")
+        ):
+            InterfaceData(grid, inside, bad).validate()
+
+    def test_location_off_the_edge_line(self):
+        grid, inside, crossings = _single_node()
+        bad = _replaced(crossings, (0, 0, 1, 1), location=(0.5, 1.0, 1.1))
+        bad = _replaced(bad, (2, 1, 1, 1), location=(2.0, 1.0, 1.5))
+        with pytest.raises(
+            AssemblyError, match=re.escape("location off the edge line for (0, 0, 1, 1)")
+        ):
+            InterfaceData(grid, inside, bad).validate()
+
+    def test_location_outside_the_edge(self):
+        grid, inside, crossings = _single_node()
+        bad = _replaced(crossings, (0, 1, 1, 1), location=(2.5, 1.0, 1.0))
+        with pytest.raises(
+            AssemblyError, match=re.escape("location outside the edge for (0, 1, 1, 1)")
+        ):
+            InterfaceData(grid, inside, bad).validate()
+
+    def test_first_failing_check_of_the_first_edge(self):
+        # (0, 0, 1, 1) fails the line check only; (0, 1, 1, 1), later in
+        # canonical order, fails the theta check, which runs first per edge.
+        grid, inside, crossings = _single_node()
+        bad = _replaced(crossings, (0, 0, 1, 1), location=(0.5, 1.0, 1.1))
+        bad = _replaced(bad, (0, 1, 1, 1), theta=2.0)
+        with pytest.raises(AssemblyError, match=re.escape("off the edge line for (0, 0, 1, 1)")):
+            InterfaceData(grid, inside, bad).validate()
+
+
+def _greedy_cover(intervals, low_inside) -> float:
+    """Scalar reference: chain intervals greedily from the inside end of the
+    edge (t = 0 or t = 1), one interval at a time."""
+    changed = True
+    if low_inside:
+        cov = 0.0
+        while changed:
+            changed = False
+            for t1, t2 in intervals:
+                if t1 <= cov + _T_TOL and t2 > cov:
+                    cov, changed = t2, True
+    else:
+        cov = 1.0
+        while changed:
+            changed = False
+            for t1, t2 in intervals:
+                if t2 >= cov - _T_TOL and t1 < cov:
+                    cov, changed = t1, True
+    return cov
+
+
+def _greedy_cut(p0, axis, h, atoms, low_inside) -> float:
+    """The greedy cover over the edge's intervals inside the atom spheres."""
+    d0 = p0 - atoms.centers
+    a = h * h
+    b = 2.0 * h * d0[:, axis]
+    c0 = (d0**2).sum(axis=1) - atoms.radii**2
+    t_lo, t_hi = _stable_roots(a, b, c0)
+    real = (b * b - 4.0 * a * c0) > 0.0
+    return _greedy_cover(list(zip(t_lo[real], t_hi[real])), low_inside)
+
+
+class TestUnionCover:
+    def test_matches_greedy_scalar_cover_on_random_spheres(self):
+        rng = np.random.default_rng(77)
+        checked = 0
+        for _ in range(6):
+            n = int(rng.integers(3, 7))
+            # Centres within 1.5 A of each other so the spheres overlap.
+            atoms = AtomSet(
+                [
+                    Atom(tuple(rng.uniform(-1.5, 1.5, 3)), 0.0, float(rng.uniform(0.8, 1.6)))
+                    for _ in range(n)
+                ]
+            )
+            grid = build_grid(atoms, h=0.4, probe_radius=0.5)
+            data = classify_union(grid, atoms)
+            origin = np.asarray(grid.origin)
+            for row in range(len(data.theta)):
+                axis, idx = int(data.axis[row]), data.index[row]
+                p0 = origin + idx * grid.h
+                t = _greedy_cut(p0, axis, grid.h, atoms, bool(data.inside[tuple(idx)]))
+                assert data.theta[row] == np.clip(t, THETA_MIN, 1.0 - THETA_MIN)
+                loc = p0.copy()
+                loc[axis] += t * grid.h
+                assert np.array_equal(data.location[row], loc)
+                checked += 1
+        assert checked > 1000
+
+    def test_fixed_point_matches_greedy_on_chained_intervals(self):
+        # Short intervals scattered over the edge, so that most covers chain
+        # through several of them and take several rounds.
+        rng = np.random.default_rng(78)
+        t1 = rng.uniform(-0.3, 1.1, size=(2000, 7))
+        t2 = t1 + rng.uniform(0.05, 0.35, size=t1.shape)
+        t1[:, 0] = rng.uniform(-0.2, 0.0, size=len(t1))  # one reaches t = 0
+        lengths = []
+        for low in (True, False):
+            if low:
+                got = _cover(t1, t2, 0.0)
+            else:
+                got = -_cover(-t2, -t1, -1.0)
+            for row in range(len(t1)):
+                intervals = list(zip(t1[row], t2[row]))
+                assert got[row] == _greedy_cover(intervals, low)
+            lengths.append(np.mean(got > 0.5) if low else np.mean(got < 0.5))
+        assert min(lengths) > 0.2
