@@ -33,9 +33,11 @@ ENERGY_GUARD = 1e8
 
 _T_EPS = 1e-12
 
-LPB_DT = 0.01
-LPB_TOL = 1e-3
-LPB_T_END = 10.0
+CG_RTOL = 1e-8
+"""Relative residual at which the linearized steady-state CG stops."""
+
+CG_MAXITER = 5000
+"""Iteration cap of the linearized steady-state CG."""
 
 
 @dataclass
@@ -148,16 +150,10 @@ def _boundary_field(grid: Grid, atoms: AtomSet, params: PhysicalParams) -> Field
     return Field(grid, values)
 
 
-def _step_once(
-    u: np.ndarray,
-    dt: float,
-    split: SplitOperators,
-    scheme: str,
-    linearized: bool = False,
-) -> np.ndarray:
+def _step_once(u: np.ndarray, dt: float, split: SplitOperators, scheme: str) -> np.ndarray:
     if scheme == "ADI":
-        return adi_step(u, dt, split, linearized=linearized)
-    return lod_step(u, dt, split, linearized=linearized)
+        return adi_step(u, dt, split)
+    return lod_step(u, dt, split)
 
 
 def _check_field(u: np.ndarray, step: int) -> None:
@@ -173,38 +169,85 @@ def _check_energy(e: float, step: int) -> None:
 def initial_condition(kind: str, problem: Problem, scheme: str = "ADI") -> Field:
     """Starting field: zeros, or the steady state of the linearized problem.
 
-    The linearized pre-solve runs the same splitting scheme with the sinh
-    substep replaced by exact exponential decay, at constant dt = 0.01,
-    until the energy change drops below 1e-3 or t reaches 10.
+    "lpb" solves the discrete linearized steady state on the interior nodes,
+    (sum_a M_a + kappa^2) u = sum_a (c_a + Dirichlet_a) with M_a = -A_a the
+    axis operators, by Jacobi-preconditioned conjugate gradients (_jacobi_cg)
+    applied matrix-free.  The result does not depend on scheme, which stays
+    in the signature for the callers.  A non-finite field, a runaway energy
+    or a solve that misses its tolerance raises InitializationError.
     """
-    u0 = problem.boundary.values.copy()
+    u = problem.boundary.values.copy()
     if kind == "zero":
-        return Field(problem.grid, u0)
+        return Field(problem.grid, u)
     if kind != "lpb":
         raise ConfigError(f"unknown initial condition kind {kind!r}")
-    u = u0
-    energy = solvation_energy(Field(problem.grid, u), problem.atoms, problem.params)
-    t = 0.0
-    step = 0
+    split = problem.split
+    interior = u[1:-1, 1:-1, 1:-1]
+    kappa = np.full(split.shape, split.kappa_sq)
+    kappa.flat[split.inside] = 0.0
+    kappa = kappa[1:-1, 1:-1, 1:-1].ravel()
+    v = np.zeros(split.shape)
+
+    def matvec(x):
+        v[1:-1, 1:-1, 1:-1] = x.reshape(interior.shape)
+        y = kappa * x
+        y -= split.delta2_sum(v, corr=False).ravel()
+        return y
+
+    b = split.delta2_sum(u).ravel()
+    inv_diag = 1.0 / (split.diag_sum().ravel() + kappa)
+    x, iterations, rel = _jacobi_cg(matvec, b, inv_diag)
+    interior[...] = x.reshape(interior.shape)
     try:
-        while t < LPB_T_END - _T_EPS:
-            u = _step_once(u, LPB_DT, problem.split, scheme, linearized=True)
-            step += 1
-            t += LPB_DT
-            _check_field(u, step)
-            e_new = solvation_energy(
-                Field(problem.grid, u), problem.atoms, problem.params
-            )
-            _check_energy(e_new, step)
-            de = abs(e_new - energy)
-            energy = e_new
-            if de < LPB_TOL:
-                break
+        _check_field(u, iterations)
+        e = solvation_energy(Field(problem.grid, u), problem.atoms, problem.params)
+        _check_energy(e, iterations)
     except DivergenceError as exc:
         raise InitializationError(
-            "linearized pre-solve diverged", exc.step
+            "linearized steady-state solve diverged", exc.step
         ) from exc
+    if not rel <= CG_RTOL:
+        raise InitializationError(
+            f"linearized steady-state CG stopped after {iterations} iterations at"
+            f" relative residual {rel:.3e}, tolerance {CG_RTOL:g}",
+            iterations,
+        )
     return Field(problem.grid, u)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    # einsum calls no BLAS, so no thread pool wakes up for a small vector
+    return float(np.einsum("i,i->", a, b))
+
+
+def _jacobi_cg(matvec, b: np.ndarray, inv_diag: np.ndarray):
+    """Conjugate gradients from x = 0 for an SPD operator, preconditioned by
+    the inverse diagonal inv_diag.
+
+    Stops when the recursively updated residual r satisfies ||r|| / ||b|| <=
+    CG_RTOL (2-norms) or after CG_MAXITER iterations; returns x, the
+    iteration count and ||r|| / ||b||.
+    """
+    x = np.zeros_like(b)
+    r = b.copy()
+    b_norm = math.sqrt(_dot(b, b)) or 1.0
+    rel = math.sqrt(_dot(r, r)) / b_norm
+    z = inv_diag * r
+    p = z.copy()
+    rz = _dot(r, z)
+    iterations = 0
+    while rel > CG_RTOL and iterations < CG_MAXITER:
+        q = matvec(p)
+        alpha = rz / _dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        np.multiply(inv_diag, r, out=z)
+        rz, rz_old = _dot(r, z), rz
+        p *= rz / rz_old
+        p += z
+        rel = math.sqrt(_dot(r, r)) / b_norm
+        iterations += 1
+    return x, iterations, rel
 
 
 def run(cfg: RunConfig, problem: Problem | None = None) -> EnergyTrace:

@@ -50,4 +50,5 @@ class DivergenceError(GfmpbeError):
 
 
 class InitializationError(DivergenceError):
-    """The linearized pre-solve used to build an initial condition diverged."""
+    """The linearized steady-state solve that builds an initial condition
+    diverged or missed its tolerance; step is its CG iteration count."""

@@ -191,11 +191,13 @@ def thomas_solve(sys: LineSystem, dt: float, rhs: np.ndarray) -> np.ndarray:
         raise ConfigError(f"rhs length {len(rhs)} does not match interior count {m}")
     if dt < 0:
         raise ConfigError(f"time step must be nonnegative, got {dt}")
-    b = rhs + dt * sys.corr
-    b[0] += dt * sys.w_lo * sys.bc_lo
-    b[-1] += dt * sys.w_hi * sys.bc_hi
     if dt == 0.0:
-        return b
+        return rhs.copy()
+    # The fold of AxisOperator._factor, added in the same order.
+    b = dt * sys.corr
+    b[0] += dt * (sys.w_lo * sys.bc_lo)
+    b[-1] += dt * (sys.w_hi * sys.bc_hi)
+    np.add(rhs, b, out=b)
     ldlt_solve(*ldlt_factor(sys.diag, sys.off, dt), b)
     return b
 

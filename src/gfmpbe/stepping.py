@@ -103,13 +103,22 @@ class AxisOperator:
         rows = self._lines(out[1:-1, 1:-1, 1:-1])
         rows[...] = lines.reshape(rows.shape)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """delta2(v) = A v + c on every interior node; zeros elsewhere."""
+    def _add_into(self, lines: np.ndarray, block: np.ndarray) -> None:
+        """Add interior-line values (n-2, L) into an interior block."""
+        rows = self._lines(block)
+        rows += lines.reshape(rows.shape)
+
+    def _apply_lines(self, v: np.ndarray, corr: bool) -> np.ndarray:
+        """A v (+ c) at the interior nodes of this axis's lines, (n-2, L)."""
         sl = [slice(1, -1)] * 3
         sl[self.axis] = slice(None)
         lines = self._lines(v[tuple(sl)]).reshape(self.n, -1)
+        return apply_lines(self.diag, self.weights, self.corr if corr else 0.0, lines)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """delta2(v) = A v + c on every interior node; zeros elsewhere."""
         full = np.zeros_like(v)
-        self._scatter(apply_lines(self.diag, self.weights, self.corr, lines), full)
+        self._scatter(self._apply_lines(v, True), full)
         return full
 
     def _factor(self, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -163,6 +172,22 @@ class SplitOperators:
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.ops[0].shape
+
+    def delta2_sum(self, v: np.ndarray, corr: bool = True) -> np.ndarray:
+        """Sum over the axes of delta2_a(v) = A_a v + c_a on the interior
+        block, shape (n0-2, n1-2, n2-2), with the faces of v as Dirichlet
+        ends.  corr=False leaves out the jump corrections c_a."""
+        out = np.zeros(tuple(n - 2 for n in self.shape))
+        for op in self.ops:
+            op._add_into(op._apply_lines(v, corr), out)
+        return out
+
+    def diag_sum(self) -> np.ndarray:
+        """Sum over the axes of the diagonal of -A_a, on the interior block."""
+        out = np.zeros(tuple(n - 2 for n in self.shape))
+        for op in self.ops:
+            op._add_into(op.diag, out)
+        return out
 
 
 class Jumps(RowMap):

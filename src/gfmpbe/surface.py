@@ -238,13 +238,21 @@ def _stable_roots(a: float, b: np.ndarray, c: np.ndarray):
     return np.minimum(r1, r2), np.maximum(r1, r2)
 
 
+def _node_distance(grid: Grid, center) -> np.ndarray:
+    """Distance of every node to center, sqrt((dx^2 + dy^2) + dz^2) from
+    broadcast per-axis differences: the additions, in the same order, of
+    summing ((nodes - center) ** 2) over its last axis, without the
+    (nx, ny, nz, 3) temporaries."""
+    dx, dy, dz = ((grid.axis_coords(a) - center[a]) ** 2 for a in range(3))
+    return np.sqrt((dx[:, None, None] + dy[:, None]) + dz)
+
+
 def classify_sphere(grid: Grid, center, radius: float) -> InterfaceData:
     """Classify a single sphere; crossings from the exact quadratic roots."""
     if radius <= 0:
         raise ConfigError(f"sphere radius must be positive, got {radius}")
     c = np.asarray(center, dtype=float)
-    nodes = grid.nodes()
-    dist = np.sqrt(((nodes - c) ** 2).sum(axis=-1))
+    dist = _node_distance(grid, c)
     inside = dist - radius < CLASSIFY_TOL
     h = grid.h
 
@@ -280,10 +288,9 @@ def classify_union(grid: Grid, atoms: AtomSet) -> InterfaceData:
     Each edge's intervals inside the atom spheres are chained from the
     inside endpoint; the cut is where the chain ends.
     """
-    nodes = grid.nodes()
     signed = np.full(grid.shape, np.inf)
     for center, radius in zip(atoms.centers, atoms.radii):
-        d = np.sqrt(((nodes - center) ** 2).sum(axis=-1))
+        d = _node_distance(grid, center)
         np.minimum(signed, d - radius, out=signed)
     inside = signed < CLASSIFY_TOL
     h = grid.h
@@ -323,7 +330,7 @@ class _SesDistance:
         deepest = np.zeros(grid.shape, dtype=int)
         vdw = np.full(grid.shape, np.inf)
         for ia, (center, radius) in enumerate(zip(atoms.centers, atoms.radii)):
-            d = np.sqrt(((nodes - center) ** 2).sum(axis=-1))
+            d = _node_distance(grid, center)
             np.minimum(vdw, d - radius, out=vdw)
             v = (radius + probe_radius) - d
             upd = v > depth

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
+from scipy.sparse.linalg import spsolve
 
+from gfmpbe import driver
 from gfmpbe.control import ControllerConfig
 from gfmpbe.driver import (
+    CG_RTOL,
     RunConfig,
     build_problem,
     convergence_study,
@@ -169,6 +173,82 @@ class TestInitialCondition:
             problem=prob,
         ).final_energy
         assert abs(e_zero - e_lpb) / abs(e_lpb) <= 1e-6
+
+
+def _two_sphere_config():
+    atoms = AtomSet(
+        [Atom((0.0, 0.0, 0.0), 1.0, 1.6), Atom((1.4, 0.6, -0.4), -0.5, 1.2)]
+    )
+    params = PhysicalParams(eps_in=2.0, eps_out=80.0, kappa_sq=1.3)
+    return RunConfig(atoms=atoms, h=0.5, surface="vdw", probe_radius=0.5, params=params)
+
+
+def _interior_kappa_sq(split):
+    kappa = np.full(split.shape, split.kappa_sq)
+    kappa.flat[split.inside] = 0.0
+    return kappa[1:-1, 1:-1, 1:-1].ravel()
+
+
+def _sparse_steady_state(split):
+    """(sum_a M_a + kappa^2, sum_a (c_a + Dirichlet_a)) on the interior
+    nodes, assembled entry by entry from the AxisOperator arrays."""
+    shape = tuple(n - 2 for n in split.shape)
+    idx = np.arange(np.prod(shape)).reshape(shape)
+    rows, cols = [idx.ravel()], [idx.ravel()]
+    vals = [_interior_kappa_sq(split)]
+    b = np.zeros(idx.size)
+    for op in split.ops:
+        lines = np.moveaxis(idx, op.axis, 0).reshape(op.n - 2, -1)
+        off = -op.weights[1:-1].ravel()
+        rows += [lines.ravel(), lines[:-1].ravel(), lines[1:].ravel()]
+        cols += [lines.ravel(), lines[1:].ravel(), lines[:-1].ravel()]
+        vals += [op.diag.ravel(), off, off]
+        np.add.at(b, lines.ravel(), op.corr.ravel())
+        np.add.at(b, lines[0], op.dir_lo)
+        np.add.at(b, lines[-1], op.dir_hi)
+    mat = sparse.csc_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(idx.size, idx.size),
+    )
+    return mat, b
+
+
+class TestLinearizedSteadyState:
+    """The lpb initial condition against a sparse direct solve of the same
+    discrete linearized steady state."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: kirkwood_config(h=0.5, box_half=4.0), _two_sphere_config],
+        ids=["kirkwood", "two-sphere"],
+    )
+    def test_matches_direct_solve(self, make):
+        prob = build_problem(make())
+        assert max(prob.grid.shape) <= 17
+        mat, b = _sparse_steady_state(prob.split)
+        want = spsolve(mat, b)
+        u = initial_condition("lpb", prob).values
+        np.testing.assert_array_equal(u[0], prob.boundary.values[0])
+        got = u[1:-1, 1:-1, 1:-1].ravel()
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+        # Steady-state residual sum_a delta2_a u - kappa^2 u on the interior.
+        res = sum(op.apply(u) for op in prob.split.ops)[1:-1, 1:-1, 1:-1].ravel()
+        res -= _interior_kappa_sq(prob.split) * got
+        assert np.abs(res).max() <= np.linalg.norm(res) <= CG_RTOL * np.linalg.norm(b)
+
+    def test_scheme_does_not_change_the_result(self):
+        prob = build_problem(_two_sphere_config())
+        adi = initial_condition("lpb", prob, "ADI").values
+        lod = initial_condition("lpb", prob, "LOD").values
+        np.testing.assert_array_equal(adi, lod)
+
+    def test_missed_tolerance_is_initialization_error(self, monkeypatch):
+        monkeypatch.setattr(driver, "CG_MAXITER", 1)
+        prob = build_problem(kirkwood_config(h=0.5, box_half=4.0))
+        with pytest.raises(InitializationError, match="after 1 iterations") as exc:
+            initial_condition("lpb", prob)
+        assert exc.value.step == 1
+        assert "relative residual" in str(exc.value)
 
 
 class TestSchedule:
