@@ -114,6 +114,7 @@ def _print_trace_summary(trace) -> None:
     print(f"final energy: {trace.final_energy:.6f} kcal/mol")
     print(f"steps: {trace.steps}")
     print(f"wall time: {trace.wall_time:.3f} s")
+    print(f"stopped: {trace.stop_reason}")
 
 
 def _cmd_solve(args) -> int:

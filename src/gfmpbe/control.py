@@ -5,13 +5,14 @@ dt and a threshold delta whenever the step's change measure drops below
 delta.  PID1/PID2 scale dt by a three-term factor built from the last three
 relative changes of the field (PID1) or the energy (PID2); FastPID is PID1
 with a step-count stop after dt_min is first reached; NonincreasingPID is
-PID1 with the factor floored at one so dt never grows.
+PID1 with the factor floored at one so dt never grows.  Schedule is a
+Controller whose dt follows a piecewise-constant table of switch times.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -169,24 +170,30 @@ def manual_update(
     return state.dt, state.delta
 
 
+def stop_reason(
+    kind: str, t: float, de: float | None, state: ControllerState, cfg: ControllerConfig
+) -> str | None:
+    """Why to stop at time t after an energy change de, or None to go on:
+    "horizon" always, "post_min_steps" (FastPID's count at dt_min) or
+    "tolerance" only after t_min_stop and with a finite de."""
+    if t >= cfg.t_end - _T_EPS:
+        return "horizon"
+    if t < cfg.t_min_stop - _T_EPS:
+        return None
+    if de is None or not np.isfinite(de):
+        return None
+    if kind == "FastPID" and state.steps_at_min >= cfg.post_min_steps:
+        return "post_min_steps"
+    if de < cfg.tol and (kind != "NonincreasingPID" or state.reached_min):
+        return "tolerance"
+    return None
+
+
 def should_stop(
     kind: str, t: float, de: float | None, state: ControllerState, cfg: ControllerConfig
 ) -> bool:
-    """Stopping predicate; the horizon applies always, the rest after
-    t_min_stop."""
-    if t >= cfg.t_end - _T_EPS:
-        return True
-    if t < cfg.t_min_stop - _T_EPS:
-        return False
-    if de is None or not np.isfinite(de):
-        return False
-    if kind == "FastPID" and state.steps_at_min >= cfg.post_min_steps:
-        return True
-    if de < cfg.tol:
-        if kind == "NonincreasingPID":
-            return state.reached_min
-        return True
-    return False
+    """Stopping predicate: whether stop_reason gives a reason."""
+    return stop_reason(kind, t, de, state, cfg) is not None
 
 
 class Controller:
@@ -209,8 +216,6 @@ class Controller:
             st.reached_min = True
             st.steps_at_min += 1
         if cfg.kind == "Constant":
-            st.last_factor = float("nan")
-            st.last_error = float("nan")
             return
         if cfg.kind == "Manual1":
             e = math.sqrt(_change_sum_sq(u_n, u_nm1)[0])
@@ -223,12 +228,47 @@ class Controller:
         st.last_error = e
         if cfg.kind in ("Manual1", "Manual2"):
             st.dt, st.delta = manual_update(st, cfg, e)
-            st.last_factor = float("nan")
             return
         st.errors.append(e)
         f = pid_factor(st, cfg)
         st.last_factor = f
         st.dt = min(max(st.dt / f, cfg.dt_min), cfg.dt_max)
 
+    def stop_reason(self, t: float, de: float | None) -> str | None:
+        return stop_reason(self.cfg.kind, t, de, self.state, self.cfg)
+
     def should_stop(self, t: float, de: float | None) -> bool:
-        return should_stop(self.cfg.kind, t, de, self.state, self.cfg)
+        return self.stop_reason(t, de) is not None
+
+
+class Schedule(Controller):
+    """A Constant-kind Controller whose dt follows a piecewise-constant table.
+
+    switches is a list of (t_switch, dt) with strictly increasing times
+    starting at 0; each dt applies from the first step, the first one too,
+    whose start time t (accumulated from the steps observed) satisfies
+    t >= t_switch - 1e-9.  Stopping is the Constant kind's under cfg.
+    """
+
+    def __init__(self, switches: list[tuple[float, float]], cfg: ControllerConfig):
+        if not switches:
+            raise ConfigError("schedule needs at least one (t, dt) switch")
+        times = [s[0] for s in switches]
+        if times[0] > _T_EPS:
+            raise ConfigError("first switch must start at t = 0")
+        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+            raise ConfigError("switch times must be strictly increasing")
+        if any(dt <= 0 for _, dt in switches):
+            raise ConfigError("schedule time steps must be positive")
+        self.switches = list(switches)
+        self.t = 0.0
+        self.cfg = replace(cfg, kind="Constant")
+        self.state = ControllerState(dt=self._lookup(0.0))
+
+    def _lookup(self, t: float) -> float:
+        return [dt for t_sw, dt in self.switches if t >= t_sw - 1e-9][-1]
+
+    def observe(self, u_n, u_nm1, e_n: float, e_nm1: float) -> None:
+        """Advance the start time by the step just executed; look up dt."""
+        self.t += self.state.dt
+        self.state.dt = self._lookup(self.t)

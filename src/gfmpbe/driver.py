@@ -1,4 +1,7 @@
-"""Problem assembly, the pseudo-time loop, schedules, studies, and exports."""
+"""Problem assembly, the pseudo-time loop, studies, and exports.
+
+run and run_schedule march the same loop under a different step-size policy
+(a Controller, a Schedule); each trace records its stop_reason."""
 
 from __future__ import annotations
 
@@ -8,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import Controller, ControllerConfig, ControllerState, should_stop
+from .control import Controller, ControllerConfig, Schedule
 from .errors import ConfigError, DivergenceError, InitializationError
 from .gfm import JumpData  # noqa: F401  (re-exported for callers building jumps)
 from .grid import Field, Grid, build_grid, write_field_binary, write_field_csv
@@ -30,8 +33,6 @@ from .surface import (
 
 ENERGY_GUARD = 1e8
 """Absolute energies beyond this abort the run as divergent."""
-
-_T_EPS = 1e-12
 
 CG_RTOL = 1e-8
 """Relative residual at which the linearized steady-state CG stops."""
@@ -96,13 +97,15 @@ class TraceRow:
 
 @dataclass
 class EnergyTrace:
-    """Per-step history of one run plus the final state."""
+    """Per-step history of one run plus the final state and stop_reason:
+    "horizon", "tolerance" or "post_min_steps" (control.stop_reason)."""
 
     rows: list[TraceRow]
     final_energy: float
     steps: int
     wall_time: float
     final_field: Field | None = None
+    stop_reason: str | None = None
 
     def write_csv(self, path) -> None:
         with open(path, "w") as f:
@@ -156,14 +159,15 @@ def _step_once(u: np.ndarray, dt: float, split: SplitOperators, scheme: str) -> 
     return lod_step(u, dt, split)
 
 
-def _check_field(u: np.ndarray, step: int) -> None:
+def _checked_energy(u: np.ndarray, problem: Problem, step: int, t=None, dt=None) -> float:
+    """Solvation energy of u; DivergenceError on a non-finite u or a runaway
+    energy, naming step and, when given, t and dt."""
     if not np.all(np.isfinite(u)):
-        raise DivergenceError("non-finite field value", step)
-
-
-def _check_energy(e: float, step: int) -> None:
+        raise DivergenceError("non-finite field value", step, t, dt)
+    e = solvation_energy(Field(problem.grid, u), problem.atoms, problem.params)
     if not math.isfinite(e) or abs(e) > ENERGY_GUARD:
-        raise DivergenceError(f"runaway energy {e}", step)
+        raise DivergenceError(f"runaway energy {e}", step, t, dt)
+    return e
 
 
 def initial_condition(kind: str, problem: Problem, scheme: str = "ADI") -> Field:
@@ -199,9 +203,7 @@ def initial_condition(kind: str, problem: Problem, scheme: str = "ADI") -> Field
     x, iterations, rel = _jacobi_cg(matvec, b, inv_diag)
     interior[...] = x.reshape(interior.shape)
     try:
-        _check_field(u, iterations)
-        e = solvation_energy(Field(problem.grid, u), problem.atoms, problem.params)
-        _check_energy(e, iterations)
+        _checked_energy(u, problem, iterations)
     except DivergenceError as exc:
         raise InitializationError(
             "linearized steady-state solve diverged", exc.step
@@ -257,53 +259,7 @@ def run(cfg: RunConfig, problem: Problem | None = None) -> EnergyTrace:
     part of parameter studies).  Writes the trace CSV and the field dump
     when cfg carries output paths.
     """
-    if problem is None:
-        problem = build_problem(cfg)
-    u_field = initial_condition(cfg.ic, problem, cfg.scheme)
-    u = u_field.values
-    controller = Controller(cfg.controller)
-    energy = solvation_energy(Field(problem.grid, u), problem.atoms, problem.params)
-    rows = [TraceRow(0, 0.0, controller.dt, math.nan, math.nan, energy, math.nan)]
-    t = 0.0
-    step = 0
-    t_end = cfg.controller.t_end
-    start = time.perf_counter()
-    while t < t_end - _T_EPS:
-        dt = controller.dt
-        u_new = _step_once(u, dt, problem.split, cfg.scheme)
-        step += 1
-        t += dt
-        _check_field(u_new, step)
-        e_new = solvation_energy(
-            Field(problem.grid, u_new), problem.atoms, problem.params
-        )
-        _check_energy(e_new, step)
-        de = abs(e_new - energy)
-        controller.observe(u_new, u, e_new, energy)
-        rows.append(
-            TraceRow(
-                step,
-                t,
-                dt,
-                controller.state.last_error,
-                controller.state.last_factor,
-                e_new,
-                de,
-            )
-        )
-        u, energy = u_new, e_new
-        if controller.should_stop(t, de):
-            break
-    wall = time.perf_counter() - start
-    trace = EnergyTrace(
-        rows=rows,
-        final_energy=energy,
-        steps=step,
-        wall_time=wall,
-        final_field=Field(problem.grid, u),
-    )
-    _write_outputs(cfg, problem, trace)
-    return trace
+    return _march(cfg, Controller(cfg.controller), problem)
 
 
 def run_schedule(
@@ -311,60 +267,49 @@ def run_schedule(
     switches: list[tuple[float, float]],
     problem: Problem | None = None,
 ) -> EnergyTrace:
-    """Run with a piecewise-constant dt schedule.
+    """As run, with dt from the (t_switch, dt) table switches: see
+    control.Schedule, which validates it before any assembly.  Stopping
+    follows cfg.controller's horizon, tolerance, and guard."""
+    return _march(cfg, Schedule(switches, cfg.controller), problem)
 
-    switches is a list of (t_switch, dt) with strictly increasing times
-    starting at 0; each dt applies from the first step whose start time
-    has reached its switch point.  Stopping follows cfg.controller's
-    horizon, tolerance, and guard.
-    """
-    if not switches:
-        raise ConfigError("schedule needs at least one (t, dt) switch")
-    times = [s[0] for s in switches]
-    if times[0] > _T_EPS:
-        raise ConfigError("first switch must start at t = 0")
-    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-        raise ConfigError("switch times must be strictly increasing")
-    if any(dt <= 0 for _, dt in switches):
-        raise ConfigError("schedule time steps must be positive")
+
+def _march(cfg: RunConfig, policy, problem: Problem | None) -> EnergyTrace:
+    """Step from cfg's initial condition under policy (a Controller or a
+    Schedule) until it gives a stop_reason."""
     if problem is None:
         problem = build_problem(cfg)
-    u_field = initial_condition(cfg.ic, problem, cfg.scheme)
-    u = u_field.values
+    u = initial_condition(cfg.ic, problem, cfg.scheme).values
     energy = solvation_energy(Field(problem.grid, u), problem.atoms, problem.params)
-    ctrl_cfg = cfg.controller
-    dummy = ControllerState(dt=switches[0][1])
-    rows = [TraceRow(0, 0.0, switches[0][1], math.nan, math.nan, energy, math.nan)]
+    rows = [TraceRow(0, 0.0, policy.dt, math.nan, math.nan, energy, math.nan)]
     t = 0.0
     step = 0
     start = time.perf_counter()
-    while t < ctrl_cfg.t_end - _T_EPS:
-        dt = switches[0][1]
-        for t_sw, dt_sw in switches:
-            if t >= t_sw - 1e-9:
-                dt = dt_sw
+    reason = policy.stop_reason(t, None)
+    while reason is None:
+        dt = policy.dt
         u_new = _step_once(u, dt, problem.split, cfg.scheme)
         step += 1
         t += dt
-        _check_field(u_new, step)
-        e_new = solvation_energy(
-            Field(problem.grid, u_new), problem.atoms, problem.params
-        )
-        _check_energy(e_new, step)
+        e_new = _checked_energy(u_new, problem, step, t, dt)
         de = abs(e_new - energy)
-        rows.append(TraceRow(step, t, dt, math.nan, math.nan, e_new, de))
+        policy.observe(u_new, u, e_new, energy)
+        st = policy.state
+        rows.append(TraceRow(step, t, dt, st.last_error, st.last_factor, e_new, de))
         u, energy = u_new, e_new
-        if should_stop("Constant", t, de, dummy, ctrl_cfg):
-            break
+        reason = policy.stop_reason(t, de)
     wall = time.perf_counter() - start
-    trace = EnergyTrace(
-        rows=rows,
-        final_energy=energy,
-        steps=step,
-        wall_time=wall,
-        final_field=Field(problem.grid, u),
-    )
-    _write_outputs(cfg, problem, trace)
+    trace = EnergyTrace(rows, energy, step, wall, Field(problem.grid, u), reason)
+    if cfg.trace_path:
+        trace.write_csv(cfg.trace_path)
+    if cfg.field_path:
+        export_potential(
+            trace.final_field,
+            problem.atoms,
+            problem.params,
+            cfg.field_mode,
+            cfg.field_path,
+            inside=problem.data.inside,
+        )
     return trace
 
 
@@ -486,20 +431,6 @@ def export_potential(
         write_field_csv(out, path)
     else:
         write_field_binary(out, path)
-
-
-def _write_outputs(cfg: RunConfig, problem: Problem, trace: EnergyTrace) -> None:
-    if cfg.trace_path:
-        trace.write_csv(cfg.trace_path)
-    if cfg.field_path:
-        export_potential(
-            trace.final_field,
-            problem.atoms,
-            problem.params,
-            cfg.field_mode,
-            cfg.field_path,
-            inside=problem.data.inside,
-        )
 
 
 def kirkwood_config(

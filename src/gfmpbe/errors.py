@@ -42,11 +42,13 @@ class NumericalError(GfmpbeError):
 
 
 class DivergenceError(GfmpbeError):
-    """The pseudo-time iteration produced a non-finite or runaway field."""
+    """The pseudo-time iteration produced a non-finite or runaway field; t and
+    dt, when given, are the time reached by the failing step and its size."""
 
-    def __init__(self, message: str, step: int):
-        super().__init__(f"{message} (step {step})")
-        self.step = step
+    def __init__(self, message: str, step: int, t=None, dt=None):
+        where = f"step {step}" if t is None else f"step {step}, t={t:g}, dt={dt:g}"
+        super().__init__(f"{message} ({where})")
+        self.step, self.t, self.dt = step, t, dt
 
 
 class InitializationError(DivergenceError):

@@ -264,9 +264,7 @@ def _reset_faces(v: np.ndarray, boundary: np.ndarray) -> None:
     v[:, :, -1] = boundary[:, :, -1]
 
 
-def adi_step(
-    u: np.ndarray, dt: float, split: SplitOperators, linearized: bool = False
-) -> np.ndarray:
+def adi_step(u: np.ndarray, dt: float, split: SplitOperators) -> np.ndarray:
     """One Douglas ADI step preceded by the full-strength nonlinear substep.
 
     Stage 1: (1 - dt*d2x) v*   = [1 + dt*(d2y + d2z)] v0
@@ -277,7 +275,7 @@ def adi_step(
     if dt <= 0:
         raise ConfigError(f"time step must be positive, got {dt}")
     ox, oy, oz = split.ops
-    v0 = _substep(u, split, dt, 1.0, linearized)
+    v0 = _substep(u, split, dt, 1.0)
     dy = oy.apply(v0)
     dz = oz.apply(v0)
     rhs = dy + dz
@@ -292,29 +290,22 @@ def adi_step(
     return oz.solve(dt, v2, split.boundary)
 
 
-def lod_step(
-    u: np.ndarray, dt: float, split: SplitOperators, linearized: bool = False
-) -> np.ndarray:
+def lod_step(u: np.ndarray, dt: float, split: SplitOperators) -> np.ndarray:
     """One LOD step: half-strength substep, three CN sweeps, half substep."""
     if dt <= 0:
         raise ConfigError(f"time step must be positive, got {dt}")
-    v = _substep(u, split, dt, 0.5, linearized)
+    v = _substep(u, split, dt, 0.5)
     half = 0.5 * dt
     for op in split.ops:
         d = op.apply(v)
         d *= half
         d += v
         v = op.solve(half, d, split.boundary)
-    return _substep(v, split, dt, 0.5, linearized)
+    return _substep(v, split, dt, 0.5)
 
 
-def _substep(
-    u: np.ndarray, split: SplitOperators, dt: float, strength: float, linearized: bool
-) -> np.ndarray:
-    if linearized:
-        v = u * np.exp(-strength * split.kappa_sq * dt)
-    else:
-        v = nonlinear_substep(u, split.kappa_sq, dt, strength)
+def _substep(u: np.ndarray, split: SplitOperators, dt: float, strength: float) -> np.ndarray:
+    v = nonlinear_substep(u, split.kappa_sq, dt, strength)
     np.put(v, split.inside, np.take(u, split.inside))
     _reset_faces(v, split.boundary)
     return v

@@ -51,6 +51,7 @@ class TestSolve:
         assert rc == 0
         out = capsys.readouterr().out
         assert "final energy:" in out
+        assert "stopped: horizon" in out.splitlines()
         assert trace.read_text().startswith("step,t,dt,e_n,F,E_sol,dE")
         assert fieldf.stat().st_size > 0
 
@@ -154,7 +155,9 @@ class TestSchedule:
             ]
         )
         assert rc == 0
-        assert "final energy:" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "final energy:" in out
+        assert "stopped: horizon" in out.splitlines()
 
     def test_bad_switch_spec(self, capsys):
         rc = main(["schedule", "--switch", "nonsense", "--h", "2.0"])

@@ -12,10 +12,12 @@ from gfmpbe.control import (
     Controller,
     ControllerConfig,
     ControllerState,
+    Schedule,
     error_norm,
     manual_update,
     pid_factor,
     should_stop,
+    stop_reason,
 )
 from gfmpbe.errors import ConfigError
 
@@ -157,6 +159,95 @@ class TestShouldStop:
         st_ = ControllerState(dt=0.1)
         assert not should_stop("Constant", 10.0, None, st_, cfg)
         assert should_stop("Constant", 50.0, None, st_, cfg)
+
+
+class TestStopReason:
+    def test_each_reason(self):
+        st_ = ControllerState(dt=0.1)
+        cfg = ControllerConfig(kind="Constant", tol=1e-4, t_end=50.0, t_min_stop=5.0)
+        assert stop_reason("Constant", 50.0, None, st_, cfg) == "horizon"
+        assert stop_reason("Constant", 6.0, 1e-5, st_, cfg) == "tolerance"
+        assert stop_reason("Constant", 6.0, 1e-3, st_, cfg) is None
+        assert stop_reason("Constant", 3.0, 1e-9, st_, cfg) is None
+        fast = ControllerConfig(kind="FastPID", post_min_steps=100, t_min_stop=5.0)
+        st_.steps_at_min = 100
+        assert stop_reason("FastPID", 6.0, 1.0, st_, fast) == "post_min_steps"
+
+    def test_zero_horizon_stops_before_any_step(self):
+        cfg = ControllerConfig(kind="Constant", t_end=0.0)
+        assert stop_reason("Constant", 0.0, None, ControllerState(dt=0.1), cfg) == (
+            "horizon"
+        )
+
+    def test_nonincreasing_tolerance_only_after_min_dt(self):
+        cfg = ControllerConfig(
+            kind="NonincreasingPID", dt_min=0.01, tol=0.01, t_min_stop=5.0
+        )
+        st_ = ControllerState(dt=0.05)
+        assert stop_reason("NonincreasingPID", 6.0, 1e-5, st_, cfg) is None
+        st_.reached_min = True
+        assert stop_reason("NonincreasingPID", 6.0, 1e-5, st_, cfg) == "tolerance"
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_should_stop_is_a_reason_given(self, kind):
+        cfg = ControllerConfig.for_kind(kind, t_end=10.0, t_min_stop=2.0)
+        c = Controller(cfg)
+        for steps_at_min, reached in ((0, False), (100, True)):
+            c.state.steps_at_min, c.state.reached_min = steps_at_min, reached
+            for t in (1.0, 3.0, 10.0):
+                for de in (None, math.nan, 1.0, 1e-9):
+                    reason = stop_reason(kind, t, de, c.state, cfg)
+                    assert should_stop(kind, t, de, c.state, cfg) == (reason is not None)
+                    assert c.should_stop(t, de) == (reason is not None)
+                    assert c.stop_reason(t, de) == reason
+
+
+class TestSchedule:
+    def test_first_dt_is_the_lookup_at_zero(self):
+        sched = Schedule([(0.0, 0.1), (5e-10, 0.2), (1.0, 0.3)], ControllerConfig())
+        assert sched.dt == 0.2
+        assert math.isnan(sched.state.last_error) and math.isnan(sched.state.last_factor)
+
+    def test_switch_reached_through_roundoff(self):
+        # ten steps of 0.1 sum to 0.9999999999999999, short of 1.0 by 1e-16
+        sched = Schedule([(0.0, 0.1), (1.0, 0.05)], ControllerConfig())
+        dts = []
+        for _ in range(10):
+            dts.append(sched.dt)
+            sched.observe(None, None, 0.0, 0.0)
+        assert sched.t < 1.0
+        assert dts == [0.1] * 10
+        assert sched.dt == 0.05
+
+    def test_switch_within_slack_applies(self):
+        sched = Schedule([(0.0, 0.25), (0.5 + 5e-10, 0.125)], ControllerConfig())
+        dts = []
+        for _ in range(3):
+            dts.append(sched.dt)
+            sched.observe(None, None, 0.0, 0.0)
+        assert dts == [0.25, 0.25, 0.125]
+
+    def test_stops_as_constant_kind(self):
+        cfg = ControllerConfig.for_kind("NonincreasingPID", t_min_stop=1.0, t_end=9.0)
+        sched = Schedule([(0.0, 0.5)], cfg)
+        assert not sched.state.reached_min
+        assert sched.stop_reason(2.0, 1e-5) == "tolerance"
+        assert sched.should_stop(2.0, 1e-5)
+        assert sched.stop_reason(9.0, None) == "horizon"
+        assert sched.stop_reason(0.5, 1e-5) is None
+
+    @pytest.mark.parametrize(
+        "switches, message",
+        [
+            ([], "at least one"),
+            ([(1.0, 0.1)], "start at t = 0"),
+            ([(0.0, 0.1), (0.0, 0.05)], "strictly increasing"),
+            ([(0.0, 0.1), (0.5, -0.1)], "must be positive"),
+        ],
+    )
+    def test_validation(self, switches, message):
+        with pytest.raises(ConfigError, match=message):
+            Schedule(switches, ControllerConfig())
 
 
 class TestControllerWrapper:

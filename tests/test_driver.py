@@ -48,6 +48,48 @@ class TestRunLoop:
         assert trace.rows[0].step == 0
         assert trace.final_energy == e_ic
 
+    def test_zero_horizon_stop_reason(self):
+        trace = run(_coarse_kirkwood(t_end=0.0))
+        assert (trace.steps, trace.stop_reason) == (0, "horizon")
+
+    @pytest.mark.parametrize(
+        "overrides, reason, steps",
+        [
+            (dict(t_end=0.5), "horizon", 5),
+            (dict(t_end=50.0, t_min_stop=0.2, tol=1e-2), "tolerance", None),
+            (
+                dict(kind="FastPID", dt_min=0.1, dt_max=0.1, post_min_steps=3,
+                     t_min_stop=0.0, tol=1e-12, t_end=50.0),
+                "post_min_steps",
+                3,
+            ),
+        ],
+        ids=["horizon", "tolerance", "post_min_steps"],
+    )
+    def test_stop_reason(self, overrides, reason, steps):
+        cfg = _coarse_kirkwood(**overrides)
+        trace = run(cfg)
+        assert trace.stop_reason == reason
+        if steps is not None:
+            assert trace.steps == steps
+        if reason == "tolerance":
+            assert trace.rows[-1].de < cfg.controller.tol
+            assert all(r.de >= cfg.controller.tol for r in trace.rows[1:-1])
+
+    def test_nonincreasing_stops_on_tolerance_only_after_min_dt(self):
+        cfg = _coarse_kirkwood(
+            kind="NonincreasingPID", dt0=0.4, dt_min=0.05, dt_max=0.4, tol=10.0,
+            t_min_stop=0.0, t_end=50.0,
+        )
+        trace = run(cfg)
+        assert trace.stop_reason == "tolerance"
+        dt_min = cfg.controller.dt_min
+        # earlier steps met the tolerance, yet the run went on until a step
+        # was taken at dt_min
+        assert sum(r.de < 10.0 for r in trace.rows[1:-1]) > 10
+        assert trace.rows[-1].dt <= dt_min * (1 + 1e-12)
+        assert all(r.dt > dt_min * (1 + 1e-12) for r in trace.rows[1:-1])
+
     def test_first_row_holds_ic_energy(self):
         cfg = _coarse_kirkwood(t_end=0.3)
         trace = run(cfg)
@@ -91,6 +133,28 @@ class TestRunLoop:
             run(cfg)
         assert exc_info.value.step >= 1
         assert not isinstance(exc_info.value, InitializationError)
+        assert "t=" in str(exc_info.value) and "dt=0.1" in str(exc_info.value)
+        assert exc_info.value.dt == 0.1
+        assert exc_info.value.t == pytest.approx(0.1 * exc_info.value.step)
+
+    def test_schedule_runaway_energy_is_typed_divergence(self):
+        base = _coarse_kirkwood(t_end=2.0)
+        cfg = RunConfig(
+            atoms=AtomSet([Atom((0.0, 0.0, 0.0), 1e6, 2.0)]),
+            h=base.h,
+            surface="sphere",
+            controller=base.controller,
+            ic="zero",
+            params=base.params,
+            box=base.box,
+        )
+        with pytest.raises(DivergenceError) as exc_info:
+            run_schedule(cfg, [(0.0, 0.05), (0.5, 0.1)])
+        exc = exc_info.value
+        assert not isinstance(exc, InitializationError)
+        assert exc.step >= 1
+        assert "dt=" in str(exc)
+        assert f"(step {exc.step}, t=" in str(exc)
 
     def test_lpb_presolve_divergence_is_initialization_error(self):
         atoms = AtomSet([Atom((0.0, 0.0, 0.0), 1e6, 2.0)])
@@ -282,6 +346,45 @@ class TestSchedule:
             run_schedule(cfg, [(0.0, 0.1), (0.0, 0.05)], problem=prob)
         with pytest.raises(ConfigError):
             run_schedule(cfg, [(0.0, 0.1), (0.5, -0.1)], problem=prob)
+
+    def test_validation_precedes_assembly(self, monkeypatch):
+        def no_build(cfg):
+            raise AssertionError("problem built before the schedule was checked")
+
+        monkeypatch.setattr(driver, "build_problem", no_build)
+        cfg = _coarse_kirkwood()
+        for bad in ([], [(1.0, 0.1)], [(0.0, 0.1), (0.5, -0.1)]):
+            with pytest.raises(ConfigError):
+                run_schedule(cfg, bad)
+
+    @pytest.mark.parametrize(
+        "switches, t_end, want",
+        [
+            # 0.1 + 0.1 + 0.1 = 0.30000000000000004
+            ([(0.0, 0.1), (0.3, 0.05)], 0.5, [0.1] * 3 + [0.05] * 4),
+            # ten steps of 0.1 reach 0.9999999999999999, short of 1.0
+            ([(0.0, 0.1), (1.0, 0.05)], 1.2, [0.1] * 10 + [0.05] * 4),
+            # t = 0.5 falls short of the switch by 5e-10 < 1e-9
+            ([(0.0, 0.25), (0.5 + 5e-10, 0.125)], 1.0, [0.25] * 2 + [0.125] * 4),
+        ],
+        ids=["over-by-roundoff", "short-by-roundoff", "short-within-slack"],
+    )
+    def test_switch_reached_within_slack(self, switches, t_end, want):
+        trace = run_schedule(_coarse_kirkwood(t_end=t_end), switches)
+        assert trace.dts.tolist() == want
+        assert trace.rows[0].dt == switches[0][1]
+        assert trace.stop_reason == "horizon"
+
+    def test_trace_csv_has_nan_error_and_factor(self, tmp_path):
+        cfg = _coarse_kirkwood(t_end=0.5)
+        cfg.trace_path = str(tmp_path / "trace.csv")
+        trace = run_schedule(cfg, [(0.0, 0.25), (0.25, 0.125)])
+        lines = (tmp_path / "trace.csv").read_text().splitlines()
+        assert len(lines) == len(trace.rows) + 1 == 5
+        for line in lines[1:]:
+            cols = line.split(",")
+            assert (cols[3], cols[4]) == ("nan", "nan")
+            assert cols[5] != "nan"
 
 
 class TestConvergenceStudy:

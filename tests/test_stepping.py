@@ -298,10 +298,8 @@ def _reset_faces_ref(v, bvals):
         v[tuple(sl0)] = bvals[tuple(sl0)]
 
 
-def _nodal_substep(u, kappa, dt, strength, linearized):
+def _nodal_substep(u, kappa, dt, strength):
     """The substep evaluated with the nodal kappa^2 field."""
-    if linearized:
-        return u * np.exp(-strength * kappa * dt)
     return nonlinear_substep(u, kappa, dt, strength)
 
 
@@ -323,13 +321,13 @@ class TestSchemeOracles:
         _reset_faces_ref(u, bvals)
         return grid, bvals, split, dense, kappa, u
 
-    @pytest.mark.parametrize("linearized", [False, True], ids=["nonlinear", "linearized"])
+    @pytest.mark.parametrize("linearized", [False], ids=["nonlinear"])
     def test_adi_vs_dense(self, linearized):
         grid, bvals, split, dense, kappa, u = self._setup()
         dt = 0.23
-        got = adi_step(u, dt, split, linearized=linearized)
+        got = adi_step(u, dt, split)
 
-        v0 = _nodal_substep(u, kappa, dt, 1.0, linearized)
+        v0 = _nodal_substep(u, kappa, dt, 1.0)
         _reset_faces_ref(v0, bvals)
         x = v0[1:-1, 1:-1, 1:-1].ravel()
         (mx, cx, fx), (my, cy, fy), (mz, cz, fz) = dense
@@ -347,13 +345,13 @@ class TestSchemeOracles:
         want_faces[1:-1, 1:-1, 1:-1] = got[1:-1, 1:-1, 1:-1]
         np.testing.assert_array_equal(got, want_faces)
 
-    @pytest.mark.parametrize("linearized", [False, True], ids=["nonlinear", "linearized"])
+    @pytest.mark.parametrize("linearized", [False], ids=["nonlinear"])
     def test_lod_vs_dense(self, linearized):
         grid, bvals, split, dense, kappa, u = self._setup()
         dt = 0.23
-        got = lod_step(u, dt, split, linearized=linearized)
+        got = lod_step(u, dt, split)
 
-        w = _nodal_substep(u, kappa, dt, 0.5, linearized)
+        w = _nodal_substep(u, kappa, dt, 0.5)
         _reset_faces_ref(w, bvals)
         x = w[1:-1, 1:-1, 1:-1].ravel()
         half = 0.5 * dt
@@ -365,7 +363,7 @@ class TestSchemeOracles:
         full[1:-1, 1:-1, 1:-1] = x.reshape(grid.shape[0] - 2, -1).reshape(
             tuple(s - 2 for s in grid.shape)
         )
-        out = _nodal_substep(full, kappa, dt, 0.5, linearized)
+        out = _nodal_substep(full, kappa, dt, 0.5)
         _reset_faces_ref(out, bvals)
         np.testing.assert_allclose(got, out, rtol=0, atol=1e-12)
 
@@ -446,7 +444,7 @@ class TestSteadyStatePreservation:
         assert drifts[0.01] < drifts[0.05]
 
 
-def _first_apply_input(monkeypatch, step, u, dt, split, linearized):
+def _first_apply_input(monkeypatch, step, u, dt, split):
     """The field the step hands to its first AxisOperator.apply: the
     post-substep field with its faces reset."""
     seen = []
@@ -457,14 +455,14 @@ def _first_apply_input(monkeypatch, step, u, dt, split, linearized):
         return original(op, v)
 
     monkeypatch.setattr(AxisOperator, "apply", recording)
-    step(u, dt, split, linearized=linearized)
+    step(u, dt, split)
     return seen[0]
 
 
 class TestStepSubstep:
     """The substep inside a step, on a two-material grid with kappa > 0."""
 
-    @pytest.mark.parametrize("linearized", [False, True])
+    @pytest.mark.parametrize("linearized", [False])
     @pytest.mark.parametrize("step, strength", [(adi_step, 1.0), (lod_step, 0.5)])
     def test_inside_untouched_solvent_matches_nodal_substep(
         self, monkeypatch, step, strength, linearized
@@ -474,10 +472,10 @@ class TestStepSubstep:
         u = rng.normal(scale=2.0, size=grid.shape)
         _reset_faces_ref(u, bvals)
         dt = 0.07
-        v0 = _first_apply_input(monkeypatch, step, u, dt, split, linearized)
+        v0 = _first_apply_input(monkeypatch, step, u, dt, split)
 
         kappa = np.where(data.inside, 0.0, params.kappa_sq)
-        want = _nodal_substep(u, kappa, dt, strength, linearized)
+        want = _nodal_substep(u, kappa, dt, strength)
         interior = np.zeros(grid.shape, dtype=bool)
         interior[1:-1, 1:-1, 1:-1] = True
         inside = data.inside & interior
@@ -497,10 +495,8 @@ class TestLayerCalls:
     @pytest.mark.parametrize(
         "step, linearized, expected",
         [
-            (adi_step, False, (1, 2, 3)),
-            (adi_step, True, (0, 2, 3)),
-            (lod_step, False, (2, 3, 3)),
-            (lod_step, True, (0, 3, 3)),
+            pytest.param(adi_step, False, (1, 2, 3), id="adi_step-False-expected0"),
+            pytest.param(lod_step, False, (2, 3, 3), id="lod_step-False-expected2"),
         ],
     )
     def test_counts(self, monkeypatch, step, linearized, expected):
@@ -529,7 +525,7 @@ class TestLayerCalls:
             "solve",
             counting("solve", AxisOperator.solve, boundary_positional),
         )
-        step(split.boundary.copy(), 0.05, split, linearized=linearized)
+        step(split.boundary.copy(), 0.05, split)
         assert (calls["substep"], calls["apply"], calls["solve"]) == expected
 
 
