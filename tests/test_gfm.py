@@ -227,7 +227,17 @@ class TestApplyOperator:
         got = apply_operator(sys, v)
         m = _dense_neg_a(sys)
         want = -m @ v[1:-1] + sys.corr + _fold(sys)
-        np.testing.assert_allclose(got[1:-1], want, rtol=0, atol=1e-13)
+        # A rounding bound scaled by the magnitudes of the summed terms
+        # (W_lo v_lo, diag v, W_hi v_hi and c at each node), so that any
+        # order of the additions passes and a wrong term does not.
+        w = np.r_[sys.w_lo, -sys.off, sys.w_hi]
+        terms = (
+            np.abs(w[:-1] * v[:-2])
+            + np.abs(sys.diag * v[1:-1])
+            + np.abs(w[1:] * v[2:])
+            + np.abs(sys.corr)
+        )
+        assert np.all(np.abs(got[1:-1] - want) <= 8 * np.finfo(float).eps * terms)
         assert got[0] == 0.0 and got[-1] == 0.0
 
     def test_length_checked(self):
