@@ -13,7 +13,6 @@ import numpy as np
 
 from .control import Controller, ControllerConfig, Schedule
 from .errors import ConfigError, DivergenceError, InitializationError
-from .gfm import JumpData  # noqa: F401  (re-exported for callers building jumps)
 from .grid import Field, Grid, build_grid, write_field_binary, write_field_csv
 from .molecule import (
     AtomSet,
@@ -147,7 +146,9 @@ def _boundary_field(grid: Grid, atoms: AtomSet, params: PhysicalParams) -> Field
     mask[0, :, :] = mask[-1, :, :] = True
     mask[:, 0, :] = mask[:, -1, :] = True
     mask[:, :, 0] = mask[:, :, -1] = True
-    pts = grid.nodes()[mask]
+    # the face nodes' coordinates alone, in C order, as grid.nodes() has them
+    face = np.unravel_index(np.flatnonzero(mask), grid.shape)
+    pts = np.stack([grid.axis_coords(a)[i] for a, i in enumerate(face)], axis=-1)
     values = np.zeros(grid.shape)
     values[mask] = dirichlet_boundary(atoms, pts, params)
     return Field(grid, values)
@@ -159,11 +160,16 @@ def _step_once(u: np.ndarray, dt: float, split: SplitOperators, scheme: str) -> 
     return lod_step(u, dt, split)
 
 
-def _checked_energy(u: np.ndarray, problem: Problem, step: int, t=None, dt=None) -> float:
-    """Solvation energy of u; DivergenceError on a non-finite u or a runaway
-    energy, naming step and, when given, t and dt."""
+def _check_finite(u: np.ndarray, step: int, t=None, dt=None) -> None:
+    """DivergenceError on a non-finite u, naming step and, when given, t
+    and dt."""
     if not np.all(np.isfinite(u)):
         raise DivergenceError("non-finite field value", step, t, dt)
+
+
+def _checked_energy(u: np.ndarray, problem: Problem, step: int, t=None, dt=None) -> float:
+    """Solvation energy of u; DivergenceError on a runaway energy, naming
+    step and, when given, t and dt."""
     e = solvation_energy(Field(problem.grid, u), problem.atoms, problem.params)
     if not math.isfinite(e) or abs(e) > ENERGY_GUARD:
         raise DivergenceError(f"runaway energy {e}", step, t, dt)
@@ -195,7 +201,8 @@ def initial_condition(kind: str, problem: Problem, scheme: str = "ADI") -> Field
     def matvec(x):
         v[1:-1, 1:-1, 1:-1] = x.reshape(interior.shape)
         y = kappa * x
-        y -= split.delta2_sum(v, corr=False).ravel()
+        block = y.reshape(interior.shape)
+        block -= split.delta2_sum(v, corr=False)
         return y
 
     b = split.delta2_sum(u).ravel()
@@ -203,6 +210,7 @@ def initial_condition(kind: str, problem: Problem, scheme: str = "ADI") -> Field
     x, iterations, rel = _jacobi_cg(matvec, b, inv_diag)
     interior[...] = x.reshape(interior.shape)
     try:
+        _check_finite(u, iterations)
         _checked_energy(u, problem, iterations)
     except DivergenceError as exc:
         raise InitializationError(
@@ -287,7 +295,13 @@ def _march(cfg: RunConfig, policy, problem: Problem | None) -> EnergyTrace:
     reason = policy.stop_reason(t, None)
     while reason is None:
         dt = policy.dt
-        u_new = _step_once(u, dt, problem.split, cfg.scheme)
+        try:
+            u_new = _step_once(u, dt, problem.split, cfg.scheme)
+        except ConfigError:
+            # The step's substep scans u, the field of the last row, so that
+            # the loop need not scan it again.
+            _check_finite(u, step, rows[-1].t, rows[-1].dt)
+            raise
         step += 1
         t += dt
         e_new = _checked_energy(u_new, problem, step, t, dt)
@@ -297,6 +311,7 @@ def _march(cfg: RunConfig, policy, problem: Problem | None) -> EnergyTrace:
         rows.append(TraceRow(step, t, dt, st.last_error, st.last_factor, e_new, de))
         u, energy = u_new, e_new
         reason = policy.stop_reason(t, de)
+    _check_finite(u, step, rows[-1].t, rows[-1].dt)
     wall = time.perf_counter() - start
     trace = EnergyTrace(rows, energy, step, wall, Field(problem.grid, u), reason)
     if cfg.trace_path:

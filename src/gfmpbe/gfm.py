@@ -5,10 +5,15 @@ plus a correction vector c, so that the modified second difference is
 delta2(v) = A v + c.  On an uncut edge the coefficient is eps/h^2 with the
 sharp nodal eps; on a cut edge the ghost-node elimination under the jump
 conditions [u] = a and [eps u_xi] = b produces the theta-weighted harmonic
-coefficient and routes the jump data into c.  assemble_lines and apply_lines
-work on a batch of lines at once, line-major (position along the line
-first); the one-line functions assemble_line and apply_operator are their
-L = 1 case, and thomas_solve runs the batched L D L^T kernel on one line.
+coefficient and routes the jump data into c.  assemble_lines assembles a
+batch of lines at once, line-major (position along the line first), and
+assemble_line is its L = 1 case.  The explicit apply is in flux form: with
+F = W * diff(v) the flux through each edge, delta2(v) = F[1:] - F[:-1] + c,
+so the Dirichlet ends enter through the first and last flux.  apply_flux
+runs it on flat data with the axis's stride, so that every pass is one
+contiguous loop; the one-line apply_operator and the batched axis
+operators share it.  thomas_solve runs the batched L D L^T kernel on one
+line.
 """
 
 from __future__ import annotations
@@ -146,19 +151,20 @@ def assemble_line(
     return LineSystem(diag[:, 0], -w[1:-1], corr[:, 0], bc_lo, bc_hi, w_lo, w_hi, h)
 
 
-def apply_lines(diag, weights, corr, lines: np.ndarray) -> np.ndarray:
-    """delta2(v) = A v + c at the interior nodes of full lines (n, L), from
-    assemble_lines' diag, weights and corr."""
-    vi = lines[1:-1]
-    out = diag * vi
-    np.subtract(corr, out, out=out)
-    t = weights[1:-1] * vi[:-1]
-    out[1:] += t
-    np.multiply(weights[1:-1], vi[1:], out=t)
-    out[:-1] += t
-    out[0] += weights[0] * lines[0]
-    out[-1] += weights[-1] * lines[-1]
-    return out
+def apply_flux(weights, v: np.ndarray, stride: int = 1, out=None) -> np.ndarray:
+    """A v in flux form on flat data: the flux F = W * (v[s:] - v[:-s])
+    through each edge, then A v = F[s:] - F[:-s] at positions s .. len(v)-s-1,
+    with s = stride.  Three whole-array passes.
+
+    weights (len(v) - s,) holds the W of the edge from position p to p + s.
+    On one line (s = 1) the ends of v are the Dirichlet values; on a C-order
+    field s is the stride of the axis, and W is zero on the edges of no
+    line, so the faces enter as Dirichlet ends.  The correction c is added
+    by the caller.  The result goes into out when it is given.
+    """
+    flux = np.subtract(v[stride:], v[:-stride])
+    flux *= weights
+    return np.subtract(flux[stride:], flux[:-stride], out=out)
 
 
 def apply_operator(sys: LineSystem, v: np.ndarray) -> np.ndarray:
@@ -171,9 +177,9 @@ def apply_operator(sys: LineSystem, v: np.ndarray) -> np.ndarray:
     m = sys.n_interior
     if len(v) != m + 2:
         raise ConfigError(f"line length {len(v)} does not match system ({m + 2})")
-    weights = np.r_[sys.w_lo, -sys.off, sys.w_hi]
     full = np.zeros_like(v)
-    full[1:-1] = apply_lines(sys.diag, weights, sys.corr, v)
+    inner = apply_flux(np.r_[sys.w_lo, -sys.off, sys.w_hi], v, out=full[1:-1])
+    inner += sys.corr
     return full
 
 
@@ -232,10 +238,11 @@ def ldlt_solve(cp: np.ndarray, inv: np.ndarray, b: np.ndarray) -> None:
 
     b has the line index first, like the factors; the three passes are the
     forward elimination, the scaling by the inverse pivots and the back
-    substitution.
+    substitution.  One row-sized temporary serves every row.
     """
+    t = np.empty_like(b[0])
     for i in range(1, len(b)):
-        b[i] -= cp[i - 1] * b[i - 1]
+        b[i] -= np.multiply(cp[i - 1], b[i - 1], out=t)
     b *= inv
     for i in range(len(b) - 2, -1, -1):
-        b[i] -= cp[i] * b[i + 1]
+        b[i] -= np.multiply(cp[i], b[i + 1], out=t)

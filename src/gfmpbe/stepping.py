@@ -3,15 +3,19 @@
 The 3D operator splits into per-axis modified second differences (gfm
 module).  Each axis's lines are assembled once, all together, from the
 interface's node mask and crossing arrays and the jump arrays of
-compute_jumps, and stored batched, line-major.  The explicit apply gathers
-the lines once and returns a full field; an implicit sweep gathers the
-right-hand side with the cached correction fold added in the same pass,
-runs one cached L D L^T solve over all lines in place (the gfm kernel,
-shared with the one-line solve), and scatters the lines back.  kappa^2 is
-zero inside the solute and one scalar in the solvent, so the substep runs
-once over the field with scalar coefficients and the inside nodes are
-copied back from a flat index.  Both schemes keep the six box faces pinned
-at the Dirichlet values through every stage.
+compute_jumps.  The explicit apply is in flux form and runs in the field's
+own C-order layout: the edge weights sit at each edge's low node, so the
+flux W * diff(v) and its difference are whole-array passes over the flat
+field with the axis's stride, written straight into the result; the few
+nonzero jump corrections are added by index.  An implicit sweep gathers the
+right-hand side into line-major layout with the cached correction fold
+added in the same pass, runs one cached L D L^T solve over all lines in
+place (the gfm kernel, shared with the one-line solve), and scatters the
+lines back.  kappa^2 is zero inside the solute and one scalar in the
+solvent, so the substep runs once over the field with scalar coefficients
+and one log, and the inside nodes are copied back from a flat index.  Both
+schemes keep the six box faces pinned at the Dirichlet values through every
+stage.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssemblyError, ConfigError
-from .gfm import JumpData, apply_lines, assemble_lines, ldlt_factor, ldlt_solve
+from .gfm import JumpData, apply_flux, assemble_lines, ldlt_factor, ldlt_solve
 from .grid import Field
 from .molecule import AtomSet, PhysicalParams, green_gradient, green_potential
 from .surface import InterfaceData, RowMap
@@ -33,10 +37,13 @@ _FACTOR_CACHE_SIZE = 4
 def nonlinear_substep(w: np.ndarray, kappa_sq, dt: float, strength: float) -> np.ndarray:
     """Exact solution of dw/dt = -strength * kappa^2 * sinh(w) over dt.
 
-    Closed form tanh(w/2) = tanh(w0/2) * exp(-strength*kappa^2*dt), evaluated
-    in a log form that neither overflows for large |w0| nor loses the sign.
-    Nodes with kappa^2 = 0 are returned bit-identical.  kappa_sq may be a
-    scalar, which keeps every coefficient of the log form a scalar.
+    Closed form tanh(w/2) = tanh(w0/2) * g with g = exp(-strength*kappa^2*dt),
+    evaluated with one log as copysign(log((1+g + em*(1-g)) / ((1-g) +
+    em*(1+g))), w0), em = exp(-|w0|), which neither overflows for large
+    |w0| nor loses the sign.  1-g is floored at the smallest normal float,
+    so that the ratio stays finite.  Nodes with kappa^2 = 0 are returned
+    bit-identical.  kappa_sq may be a scalar, which keeps every coefficient
+    a scalar.  A non-finite w raises ConfigError.
     """
     w = np.asarray(w, dtype=float)
     lam = np.asarray(strength * np.asarray(kappa_sq, dtype=float) * dt)
@@ -44,24 +51,20 @@ def nonlinear_substep(w: np.ndarray, kappa_sq, dt: float, strength: float) -> np
         raise ConfigError("substep requires dt, strength, kappa^2 all nonnegative")
     if not np.all(np.isfinite(w)):
         raise ConfigError("non-finite field entering nonlinear substep")
-    # mag = log1p(g + em*omg) - log(omg + em*(1+g)), em = exp(-|w|), in place
-    mag = np.empty(np.broadcast_shapes(w.shape, lam.shape))
-    em = np.empty_like(mag)
-    np.abs(w, out=em)
-    np.exp(np.negative(em, out=em), out=em)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g = np.exp(-lam)
-        omg = -np.expm1(-lam)
-        np.multiply(em, omg, out=mag)
-        mag += g
-        np.log1p(mag, out=mag)
-        em *= 1.0 + g
-        em += omg
-        mag -= np.log(em, out=em)
-        # roundoff can push mag a ulp below zero for |w| near eps
-        np.maximum(mag, 0.0, out=mag)
-        mag *= np.sign(w)
-    np.copyto(mag, w, where=lam <= 0)
+    g = np.exp(-lam)
+    omg = np.maximum(-np.expm1(-lam), np.finfo(float).tiny)
+    opg = 1.0 + g
+    em = np.copysign(np.broadcast_to(w, np.broadcast_shapes(w.shape, lam.shape)), -1.0)
+    np.exp(em, out=em)
+    # (1+g + em*(1-g)) / ((1-g) + em*(1+g)), in place
+    den = em * opg
+    den += omg
+    em *= omg
+    em += opg
+    em /= den
+    mag = np.copysign(np.log(em, out=em), w, out=em)
+    if np.any(lam <= 0):
+        np.copyto(mag, w, where=lam <= 0)
     return mag
 
 
@@ -69,56 +72,87 @@ class AxisOperator:
     """Batched line systems along one axis, over interior transverse indices.
 
     With n nodes along the axis and L interior lines (C order of the two
-    transverse axes), every array is stored line-major, the position along
-    the line first:
+    transverse axes), the operator holds:
 
-    - diag, (n-2, L): the diagonal of the negated operator -A, W_left +
-      W_right at each interior node.
-    - weights, (n-1, L): each edge's coefficient W (the ghost-fluid
-      harmonic value on cut edges); rows 0 and n-2 couple the first and
-      last interior node to the Dirichlet ends, and off = -weights[1:-1].
-    - corr, (n-2, L): the jump correction c.
+    - flux_weights, in the field's shape: the coefficient W of the edge
+      from each node to its neighbour up the axis (the ghost-fluid harmonic
+      value on cut edges), zero on the edges of no interior line.  The
+      first and last edge of each line couple it to the Dirichlet faces.
+    - corr_index, corr_value: the nonzero entries of the jump correction c,
+      as flat C-order indices into the field.
+    - diag, (n-2, L), line-major: W_left + W_right, the diagonal of -A.
     - dir_lo, dir_hi, (L,): the end weights times the Dirichlet values.
 
-    apply gathers the full lines once into gfm.apply_lines, the kernel of
-    the one-line apply.  solve keeps an LRU cache of _FACTOR_CACHE_SIZE
-    entries keyed by tau.  An entry holds three (., L) arrays: the L D L^T
-    multipliers cp, the inverse pivots inv (gfm.ldlt_factor), and the fold
-    tau * (corr + Dirichlet ends), which is added to the right-hand side
-    in the same pass that gathers it into line layout.
+    The constructor takes assemble_lines' line-major arrays and keeps W and
+    c in the field layout only; weights and corr rebuild the line-major
+    (n-1, L) and (n-2, L) forms on access.  apply runs gfm.apply_flux on
+    the flat field with the axis's stride, straight into the result.
+    solve keeps an LRU cache of _FACTOR_CACHE_SIZE entries keyed by tau.
+    An entry holds three line-major arrays: the L D L^T multipliers cp, the
+    inverse pivots inv (gfm.ldlt_factor), and the fold tau * (corr +
+    Dirichlet ends), which is added to the right-hand side in the same pass
+    that gathers it into line layout.
     """
 
     def __init__(self, axis: int, shape: tuple, diag, weights, corr, dir_lo, dir_hi):
         self.axis, self.shape, self.n = axis, shape, shape[axis]
-        self.diag, self.weights, self.corr = diag, weights, corr
-        self.dir_lo, self.dir_hi = dir_lo, dir_hi
+        self.stride = int(np.prod(shape[axis + 1 :]))
+        self.diag, self.dir_lo, self.dir_hi = diag, dir_lo, dir_hi
+        self.flux_weights = np.zeros(shape)
+        self.flux_weights[self._edges] = self._to_field(weights)
+        c = self._to_field(corr)
+        nz = np.unravel_index(np.flatnonzero(c != 0), c.shape)
+        self.corr_index = np.ravel_multi_index(tuple(i + 1 for i in nz), shape)
+        self.corr_value = c[nz]
         self._factors: OrderedDict[float, tuple] = OrderedDict()
+
+    @property
+    def _edges(self) -> tuple:
+        """Index of the interior lines' edges, each at its low node."""
+        sl = [slice(1, -1)] * 3
+        sl[self.axis] = slice(0, -1)
+        return tuple(sl)
+
+    def _to_field(self, lines: np.ndarray) -> np.ndarray:
+        """View of line-major values (m, L) in the field layout, m along the
+        axis and the interior transverse sizes across it."""
+        t1, t2 = (self.shape[a] - 2 for a in range(3) if a != self.axis)
+        return np.moveaxis(lines.reshape(-1, t1, t2), 0, self.axis)
 
     def _lines(self, block: np.ndarray) -> np.ndarray:
         """View of a 3D block with this operator's axis first."""
         return np.moveaxis(block, self.axis, 0)
 
-    def _scatter(self, lines: np.ndarray, out: np.ndarray) -> None:
-        """Write interior-line values (n-2, L) into out's interior block."""
-        rows = self._lines(out[1:-1, 1:-1, 1:-1])
-        rows[...] = lines.reshape(rows.shape)
+    @property
+    def weights(self) -> np.ndarray:
+        """Edge coefficients W, line-major (n-1, L)."""
+        w = self._lines(self.flux_weights[self._edges])
+        return np.ascontiguousarray(w.reshape(self.n - 1, -1))
 
-    def _add_into(self, lines: np.ndarray, block: np.ndarray) -> None:
-        """Add interior-line values (n-2, L) into an interior block."""
-        rows = self._lines(block)
-        rows += lines.reshape(rows.shape)
+    @property
+    def corr(self) -> np.ndarray:
+        """Jump correction c, line-major (n-2, L)."""
+        c = np.zeros(self.shape)
+        c.ravel()[self.corr_index] = self.corr_value
+        lines = self._lines(c[1:-1, 1:-1, 1:-1])
+        return np.ascontiguousarray(lines.reshape(self.n - 2, -1))
 
-    def _apply_lines(self, v: np.ndarray, corr: bool) -> np.ndarray:
-        """A v (+ c) at the interior nodes of this axis's lines, (n-2, L)."""
-        sl = [slice(1, -1)] * 3
-        sl[self.axis] = slice(None)
-        lines = self._lines(v[tuple(sl)]).reshape(self.n, -1)
-        return apply_lines(self.diag, self.weights, self.corr if corr else 0.0, lines)
+    def apply_into(self, v: np.ndarray, out: np.ndarray, corr: bool = True) -> None:
+        """Write A v (+ c) into out, a flat array of the field's size, at
+        positions stride .. size-stride-1, with the faces of v as the
+        Dirichlet ends.  The interior nodes lie in that range; the face
+        nodes in it get finite values of no meaning."""
+        s = self.stride
+        w = self.flux_weights.reshape(-1)[:-s]
+        apply_flux(w, v.reshape(-1), s, out=out[s:-s])
+        if corr:
+            out[self.corr_index] += self.corr_value
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """delta2(v) = A v + c on every interior node; zeros elsewhere."""
-        full = np.zeros_like(v)
-        self._scatter(self._apply_lines(v, True), full)
+        full = np.empty_like(v)
+        self.apply_into(v, full.reshape(-1))
+        _reset_faces(full, 0.0)
         return full
 
     def _factor(self, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -144,15 +178,16 @@ class AxisOperator:
         out = np.empty_like(boundary)
         _reset_faces(out, boundary)
         inner = rhs[1:-1, 1:-1, 1:-1]
+        rows = self._lines(out[1:-1, 1:-1, 1:-1])
         if tau == 0.0:
-            out[1:-1, 1:-1, 1:-1] = inner
+            rows[...] = self._lines(inner)
             return out
         cp, inv, fold = self._factor(tau)
-        rows = self._lines(inner)
         b = np.empty_like(fold)
-        np.add(rows, fold.reshape(rows.shape), out=b.reshape(rows.shape))
+        lines = b.reshape(rows.shape)
+        np.add(self._lines(inner), fold.reshape(rows.shape), out=lines)
         ldlt_solve(cp, inv, b)
-        self._scatter(b, out)
+        rows[...] = lines
         return out
 
 
@@ -177,16 +212,22 @@ class SplitOperators:
         """Sum over the axes of delta2_a(v) = A_a v + c_a on the interior
         block, shape (n0-2, n1-2, n2-2), with the faces of v as Dirichlet
         ends.  corr=False leaves out the jump corrections c_a."""
-        out = np.zeros(tuple(n - 2 for n in self.shape))
-        for op in self.ops:
-            op._add_into(op._apply_lines(v, corr), out)
-        return out
+        out = np.empty(v.shape)
+        term = np.empty(v.size)
+        self.ops[0].apply_into(v, out.reshape(-1), corr)
+        # axis 0 has the largest stride, so its range lies inside the others'
+        s = self.ops[0].stride
+        inner = out.reshape(-1)[s:-s]
+        for op in self.ops[1:]:
+            op.apply_into(v, term, corr)
+            inner += term[s:-s]
+        return out[1:-1, 1:-1, 1:-1]
 
     def diag_sum(self) -> np.ndarray:
         """Sum over the axes of the diagonal of -A_a, on the interior block."""
         out = np.zeros(tuple(n - 2 for n in self.shape))
         for op in self.ops:
-            op._add_into(op.diag, out)
+            out += op._to_field(op.diag)
         return out
 
 
@@ -255,13 +296,15 @@ def build_split_operators(
     )
 
 
-def _reset_faces(v: np.ndarray, boundary: np.ndarray) -> None:
-    v[0, :, :] = boundary[0, :, :]
-    v[-1, :, :] = boundary[-1, :, :]
-    v[:, 0, :] = boundary[:, 0, :]
-    v[:, -1, :] = boundary[:, -1, :]
-    v[:, :, 0] = boundary[:, :, 0]
-    v[:, :, -1] = boundary[:, :, -1]
+def _reset_faces(v: np.ndarray, boundary) -> None:
+    """Set the six faces of v from boundary, a field or a scalar."""
+    b = np.broadcast_to(boundary, v.shape)
+    v[0, :, :] = b[0, :, :]
+    v[-1, :, :] = b[-1, :, :]
+    v[:, 0, :] = b[:, 0, :]
+    v[:, -1, :] = b[:, -1, :]
+    v[:, :, 0] = b[:, :, 0]
+    v[:, :, -1] = b[:, :, -1]
 
 
 def adi_step(u: np.ndarray, dt: float, split: SplitOperators) -> np.ndarray:
@@ -277,15 +320,14 @@ def adi_step(u: np.ndarray, dt: float, split: SplitOperators) -> np.ndarray:
     ox, oy, oz = split.ops
     v0 = _substep(u, split, dt, 1.0)
     dy = oy.apply(v0)
-    dz = oz.apply(v0)
-    rhs = dy + dz
-    rhs *= dt
-    rhs += v0
-    v1 = ox.solve(dt, rhs, split.boundary)
     dy *= dt
+    dz = oz.apply(v0)
+    dz *= dt
+    rhs = v0 + dy
+    rhs += dz
+    v1 = ox.solve(dt, rhs, split.boundary)
     v1 -= dy
     v2 = oy.solve(dt, v1, split.boundary)
-    dz *= dt
     v2 -= dz
     return oz.solve(dt, v2, split.boundary)
 

@@ -186,6 +186,39 @@ class TestRunLoop:
         np.testing.assert_array_equal(dumped.values, trace.final_field.values)
 
 
+class TestNonFiniteField:
+    """A non-finite value that a step writes away from the atom, where the
+    energy cannot see it, stops the march with a DivergenceError naming that
+    step; the field is scanned once a step, by the next step's substep or
+    after the last step."""
+
+    @pytest.mark.parametrize("scheme", ["ADI", "LOD"])
+    @pytest.mark.parametrize("bad_step", [3, 10])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_injected_value_is_typed_divergence(self, monkeypatch, scheme, bad_step, value):
+        cfg = _coarse_kirkwood(t_end=1.0)
+        cfg.scheme = scheme
+        original = driver._step_once
+        steps = []
+
+        def poisoned(u, dt, split, scheme):
+            steps.append(dt)
+            out = original(u, dt, split, scheme)
+            if len(steps) == bad_step:
+                out[1, 1, 1] = value
+            return out
+
+        monkeypatch.setattr(driver, "_step_once", poisoned)
+        with pytest.raises(DivergenceError, match="non-finite field value") as exc_info:
+            run(cfg)
+        exc = exc_info.value
+        assert not isinstance(exc, InitializationError)
+        assert (exc.step, exc.dt) == (bad_step, 0.1)
+        assert exc.t == pytest.approx(0.1 * bad_step)
+        # the next step's substep finds it; step 10 is the horizon's last
+        assert len(steps) == min(bad_step + 1, 10)
+
+
 class TestInitialCondition:
     def test_zero_kind_is_boundary_only(self):
         cfg = _coarse_kirkwood()

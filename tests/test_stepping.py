@@ -116,6 +116,34 @@ class TestNonlinearSubstep:
         with pytest.raises(ConfigError):
             nonlinear_substep(np.array([np.nan]), 1.0, 0.1, 1.0)
 
+    def test_infinite_field_rejected(self):
+        with pytest.raises(ConfigError):
+            nonlinear_substep(np.array([0.5, -np.inf]), 1.0, 0.1, 1.0)
+
+    def test_matches_closed_form_in_mpmath(self):
+        # 2 artanh(tanh(w/2) g), g = exp(-lam), at 50 digits in the form
+        # log((1 + x) / (1 - x)) with 1 - x = (1 - g) + 2 g / (e^|w| + 1),
+        # which cancels nothing for large |w| or small lam.
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        mags = np.geomspace(1e-12, 700.0, 57)
+        w = np.concatenate([mags, -mags])
+        eps = np.finfo(float).eps
+        for lam in np.geomspace(1e-12, 30.0, 37):
+            g = mp.exp(-mp.mpf(lam))
+            one_minus_g = -mp.expm1(-mp.mpf(lam))
+            exact = []
+            for wi in mags:
+                a = mp.mpf(wi)
+                x = mp.tanh(a / 2) * g
+                one_minus_x = one_minus_g + 2 * g / (mp.exp(a) + 1)
+                exact.append(float(mp.log((1 + x) / one_minus_x)))
+            exact = np.concatenate([exact, -np.array(exact)])
+            got = nonlinear_substep(w, lam, 1.0, 1.0)
+            bound = 4 * eps * np.maximum(np.abs(exact), 1.0)
+            assert np.all(np.abs(got - exact) <= bound), lam
+
     def test_linearized_matches_at_small_amplitude(self):
         # exp decay is the linearization of the tanh form near w=0
         w = np.array([1e-4])
