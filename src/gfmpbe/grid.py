@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -149,14 +150,16 @@ def trilinear(field: Field, p):
 
 
 def write_field_csv(field: Field, path) -> None:
-    """Write nodal values as `i,j,k,value` rows in C order."""
+    """Write nodal values as `i,j,k,value` rows in C order, each value as
+    its shortest round-trip repr.  Rows are joined a plane at a time."""
     nx, ny, nz = field.grid.shape
-    idx = np.indices((nx, ny, nz)).reshape(3, -1).T
+    jk = [f"{j},{k}," for j in range(ny) for k in range(nz)]
+    values = iter(map(repr, field.values.reshape(-1).tolist()))
     with open(path, "w") as f:
         f.write("i,j,k,value\n")
-        flat = field.values.reshape(-1)
-        for (i, j, k), val in zip(idx, flat):
-            f.write(f"{i},{j},{k},{float(val)!r}\n")
+        for i in range(nx):
+            rows = map(str.__add__, jk, itertools.islice(values, ny * nz))
+            f.write(f"{i}," + f"\n{i},".join(rows) + "\n")
 
 
 def write_field_binary(field: Field, path) -> None:

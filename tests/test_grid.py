@@ -153,6 +153,26 @@ class TestFieldIO:
         # C order: second row advances k.
         assert lines[2].split(",")[:3] == ["0", "0", "1"]
 
+    def test_csv_bytes_match_per_node_writer(self, tmp_path):
+        # The per-node loop the writer used to run, as the byte reference.
+        def per_node(field, path):
+            nx, ny, nz = field.grid.shape
+            idx = np.indices((nx, ny, nz)).reshape(3, -1).T
+            with open(path, "w") as f:
+                f.write("i,j,k,value\n")
+                for (i, j, k), val in zip(idx, field.values.reshape(-1)):
+                    f.write(f"{i},{j},{k},{float(val)!r}\n")
+
+        grid = Grid((-1.0, 0.5, 2.0), 0.25, (11, 4, 12))
+        values = np.random.default_rng(12).normal(size=grid.shape) * 1e3
+        special = [-0.0, 5e-324, 1.0 / 3.0, 1e300, -1e300, np.nan, np.inf, 1e-5, 1e16]
+        values.flat[: len(special)] = special
+        values[-1, -1, -len(special):] = special
+        f = Field(grid, values)
+        write_field_csv(f, tmp_path / "new.csv")
+        per_node(f, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
     def test_shape_mismatch_rejected(self):
         grid = Grid((0.0, 0.0, 0.0), 1.0, (4, 4, 4))
         with pytest.raises(ConfigError):
