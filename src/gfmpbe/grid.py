@@ -154,7 +154,7 @@ def write_field_csv(field: Field, path) -> None:
     its shortest round-trip repr.  Rows are joined a plane at a time."""
     nx, ny, nz = field.grid.shape
     jk = [f"{j},{k}," for j in range(ny) for k in range(nz)]
-    values = iter(map(repr, field.values.reshape(-1).tolist()))
+    values = map(repr, field.values.reshape(-1).tolist())
     with open(path, "w") as f:
         f.write("i,j,k,value\n")
         for i in range(nx):
