@@ -187,9 +187,10 @@ def thomas_solve(sys: LineSystem, dt: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (I - dt*A) x = rhs + dt*(c + Dirichlet fold) for interior nodes.
 
     rhs holds the explicit right-hand side at the interior nodes only; the
-    correction vector and the boundary couplings times bc_lo/bc_hi are folded
-    in here, scaled by dt.  dt = 0 returns rhs unchanged.  This is the
-    one-line case of the batched sweep kernel (ldlt_factor / ldlt_solve).
+    boundary couplings times bc_lo/bc_hi and the nonzero entries of the
+    correction vector are added here, scaled by dt.  dt = 0 returns rhs
+    unchanged.  This is the one-line case of the batched sweep kernel
+    (ldlt_factor / ldlt_solve).
     """
     rhs = np.asarray(rhs, dtype=float)
     m = sys.n_interior
@@ -199,11 +200,13 @@ def thomas_solve(sys: LineSystem, dt: float, rhs: np.ndarray) -> np.ndarray:
         raise ConfigError(f"time step must be nonnegative, got {dt}")
     if dt == 0.0:
         return rhs.copy()
-    # The fold of AxisOperator._factor, added in the same order.
-    b = dt * sys.corr
+    # The terms of AxisOperator.solve, added in the same order: the
+    # Dirichlet ends, then the nonzero corrections.
+    b = rhs.copy()
     b[0] += dt * (sys.w_lo * sys.bc_lo)
     b[-1] += dt * (sys.w_hi * sys.bc_hi)
-    np.add(rhs, b, out=b)
+    nz = np.flatnonzero(sys.corr)
+    b[nz] += dt * sys.corr[nz]
     ldlt_solve(*ldlt_factor(sys.diag, sys.off, dt), b)
     return b
 
@@ -216,20 +219,23 @@ def ldlt_factor(
     M is the stored negated operator: diag (m, ...) and off (m-1, ...), the
     line index first and any batch shape after it.  Returns the unit lower
     multipliers cp (m-1, ...), L[i+1, i] = cp[i], and the inverse pivots
-    inv (m, ...), inv = 1/D.  Diagonal dominance keeps pivots away from zero;
-    a pivot that vanishes anyway raises NumericalError.
+    inv (m, ...), inv = 1/D.  The pivots follow the two-op recurrence
+    D[i] = d[i] - o[i-1]^2 / D[i-1] on the squared off-diagonal, with one
+    row temporary; cp = o / D[:-1] and 1/D are whole-array passes after it.
+    Diagonal dominance keeps pivots away from zero; a pivot that vanishes
+    anyway raises NumericalError.
     """
-    d = 1.0 + tau * diag
+    piv = 1.0 + tau * diag
     o = tau * off
-    piv = np.empty_like(d)
-    cp = np.empty_like(o)
-    piv[0] = d[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(1, len(d)):
-            cp[i - 1] = o[i - 1] / piv[i - 1]
-            piv[i] = d[i] - o[i - 1] * cp[i - 1]
-    if np.any(np.abs(piv) < 1e-300):
-        raise NumericalError("zero pivot in tridiagonal solve")
+    o2 = o * o
+    rows = _rows(piv)
+    t = np.empty_like(rows[0])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for prev, sq, row in zip(rows, o2, rows[1:]):
+            np.subtract(row, np.divide(sq, prev, out=t), out=row)
+        if np.any(np.abs(piv) < 1e-300):
+            raise NumericalError("zero pivot in tridiagonal solve")
+        cp = np.divide(o, piv[:-1], out=o)
     return cp, np.reciprocal(piv, out=piv)
 
 
@@ -240,9 +246,15 @@ def ldlt_solve(cp: np.ndarray, inv: np.ndarray, b: np.ndarray) -> None:
     forward elimination, the scaling by the inverse pivots and the back
     substitution.  One row-sized temporary serves every row.
     """
-    t = np.empty_like(b[0])
-    for i in range(1, len(b)):
-        b[i] -= np.multiply(cp[i - 1], b[i - 1], out=t)
+    rows = _rows(b)
+    t = np.empty_like(rows[0])
+    for c, prev, row in zip(cp, rows, rows[1:]):
+        np.subtract(row, np.multiply(c, prev, out=t), out=row)
     b *= inv
-    for i in range(len(b) - 2, -1, -1):
-        b[i] -= np.multiply(cp[i], b[i + 1], out=t)
+    for c, nxt, row in zip(cp[::-1], rows[:0:-1], rows[-2::-1]):
+        np.subtract(row, np.multiply(c, nxt, out=t), out=row)
+
+
+def _rows(a: np.ndarray) -> list[np.ndarray]:
+    """The rows of a (m, ...) as writable views, also for one line."""
+    return list(a[:, None] if a.ndim == 1 else a)

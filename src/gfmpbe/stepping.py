@@ -7,13 +7,15 @@ compute_jumps.  The explicit apply is in flux form and runs in the field's
 own C-order layout: the edge weights sit at each edge's low node, so the
 flux W * diff(v) and its difference are whole-array passes over the flat
 field with the axis's stride, written straight into the result; the few
-nonzero jump corrections are added by index.  An implicit sweep gathers the
-right-hand side into line-major layout with the cached correction fold
-added in the same pass, runs one cached L D L^T solve over all lines in
-place (the gfm kernel, shared with the one-line solve), and scatters the
-lines back.  kappa^2 is zero inside the solute and one scalar in the
-solvent, so the substep runs once over the field with scalar coefficients
-and one log, and the inside nodes are copied back from a flat index.  Both
+nonzero jump corrections are added by index.  An implicit sweep copies the
+right-hand side into line-major layout, adds tau times the Dirichlet ends to
+the end rows and tau times the nonzero corrections by index, runs one L D L^T
+solve over all lines in place (the gfm kernel, shared with the one-line
+solve) and scatters the lines back.  Its factors are cached per tau; a new
+tau refactors from the line-major off-diagonal kept since construction.
+kappa^2 is zero inside the solute and one scalar in the solvent, so the
+substep runs once over the field with scalar coefficients and one log, and
+the inside nodes are copied back from a flat index.  Both
 schemes keep the six box faces pinned at the Dirichlet values through every
 stage.
 """
@@ -79,31 +81,39 @@ class AxisOperator:
       value on cut edges), zero on the edges of no interior line.  The
       first and last edge of each line couple it to the Dirichlet faces.
     - corr_index, corr_value: the nonzero entries of the jump correction c,
-      as flat C-order indices into the field.
+      as flat C-order indices into the field; corr_lines holds the same
+      entries' flat indices in the line-major (n-2, L) layout.
     - diag, (n-2, L), line-major: W_left + W_right, the diagonal of -A.
+    - off, (n-3, L), line-major: -W on the edges between interior nodes,
+      the off-diagonal of -A, kept so that a new tau refactors without
+      rebuilding it.
     - dir_lo, dir_hi, (L,): the end weights times the Dirichlet values.
 
-    The constructor takes assemble_lines' line-major arrays and keeps W and
-    c in the field layout only; weights and corr rebuild the line-major
-    (n-1, L) and (n-2, L) forms on access.  apply runs gfm.apply_flux on
-    the flat field with the axis's stride, straight into the result.
-    solve keeps an LRU cache of _FACTOR_CACHE_SIZE entries keyed by tau.
-    An entry holds three line-major arrays: the L D L^T multipliers cp, the
-    inverse pivots inv (gfm.ldlt_factor), and the fold tau * (corr +
-    Dirichlet ends), which is added to the right-hand side in the same pass
-    that gathers it into line layout.
+    The constructor takes assemble_lines' line-major arrays; weights and
+    corr rebuild the line-major (n-1, L) and (n-2, L) forms from the field
+    layout on access.  apply runs gfm.apply_flux on the flat field with the
+    axis's stride, straight into the result.  solve keeps an LRU cache of
+    _FACTOR_CACHE_SIZE entries keyed by tau, each the L D L^T multipliers cp
+    and inverse pivots inv of gfm.ldlt_factor.  The right-hand side is
+    copied into line layout and takes tau times the Dirichlet ends and tau
+    times the corrections there, in the order of gfm.thomas_solve.
     """
 
     def __init__(self, axis: int, shape: tuple, diag, weights, corr, dir_lo, dir_hi):
         self.axis, self.shape, self.n = axis, shape, shape[axis]
         self.stride = int(np.prod(shape[axis + 1 :]))
         self.diag, self.dir_lo, self.dir_hi = diag, dir_lo, dir_hi
+        self.off = -weights[1:-1]
         self.flux_weights = np.zeros(shape)
         self.flux_weights[self._edges] = self._to_field(weights)
         c = self._to_field(corr)
         nz = np.unravel_index(np.flatnonzero(c != 0), c.shape)
         self.corr_index = np.ravel_multi_index(tuple(i + 1 for i in nz), shape)
         self.corr_value = c[nz]
+        t = [a for a in range(3) if a != axis]
+        self.corr_lines = np.ravel_multi_index(
+            (nz[axis], nz[t[0]], nz[t[1]]), (self.n - 2, *(c.shape[a] for a in t))
+        )
         self._factors: OrderedDict[float, tuple] = OrderedDict()
 
     @property
@@ -155,17 +165,13 @@ class AxisOperator:
         _reset_faces(full, 0.0)
         return full
 
-    def _factor(self, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _factor(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
         entry = self._factors.get(tau)
         if entry is not None:
             self._factors.move_to_end(tau)
             return entry
         # I - tau*A = I + tau*M, M = -A: diag on the diagonal, -W off it.
-        cp, inv = ldlt_factor(self.diag, -self.weights[1:-1], tau)
-        fold = tau * self.corr
-        fold[0] += tau * self.dir_lo
-        fold[-1] += tau * self.dir_hi
-        entry = self._factors[tau] = (cp, inv, fold)
+        entry = self._factors[tau] = ldlt_factor(self.diag, self.off, tau)
         if len(self._factors) > _FACTOR_CACHE_SIZE:
             self._factors.popitem(last=False)
         return entry
@@ -173,7 +179,10 @@ class AxisOperator:
     def solve(self, tau: float, rhs: np.ndarray, boundary: np.ndarray) -> np.ndarray:
         """Implicit sweep: rhs read at interior nodes, faces set from boundary.
 
-        Solves (I - tau*A) x = rhs + tau*(c + Dirichlet fold) on every line.
+        Solves (I - tau*A) x = rhs + tau*(c + Dirichlet fold) on every line:
+        the right-hand side is copied into line layout, tau times the
+        Dirichlet ends is added to the end rows and tau times the nonzero
+        corrections at corr_lines, in the order of gfm.thomas_solve.
         """
         out = np.empty_like(boundary)
         _reset_faces(out, boundary)
@@ -182,10 +191,13 @@ class AxisOperator:
         if tau == 0.0:
             rows[...] = self._lines(inner)
             return out
-        cp, inv, fold = self._factor(tau)
-        b = np.empty_like(fold)
+        cp, inv = self._factor(tau)
+        b = np.empty(self.diag.shape)
         lines = b.reshape(rows.shape)
-        np.add(self._lines(inner), fold.reshape(rows.shape), out=lines)
+        lines[...] = self._lines(inner)
+        b[0] += tau * self.dir_lo
+        b[-1] += tau * self.dir_hi
+        b.reshape(-1)[self.corr_lines] += tau * self.corr_value
         ldlt_solve(cp, inv, b)
         rows[...] = lines
         return out

@@ -1,10 +1,21 @@
 """Tests for line assembly, the Thomas solver, and operator application."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gfmpbe.errors import AssemblyError, ConfigError, NumericalError
-from gfmpbe.gfm import JumpData, LineSystem, apply_operator, assemble_line, thomas_solve
+from gfmpbe.gfm import (
+    JumpData,
+    LineSystem,
+    apply_operator,
+    assemble_line,
+    ldlt_factor,
+    ldlt_solve,
+    thomas_solve,
+)
 from gfmpbe.grid import Field, Grid, build_grid
 from gfmpbe.molecule import Atom, AtomSet, PhysicalParams, dirichlet_boundary
 from gfmpbe.stepping import AxisOperator, build_split_operators, compute_jumps
@@ -212,6 +223,108 @@ class TestThomas:
         field = np.ones((5, 3, 3))
         with pytest.raises(NumericalError):
             op.solve(1.0, field, np.zeros((5, 3, 3)))
+
+    def test_sweep_matches_with_corrections_on_line_ends(self):
+        # A correction on a line's first or last interior node lands on the
+        # entry that also takes the Dirichlet end: the batched sweep and
+        # thomas_solve add the end first and the correction after it.
+        rng = np.random.default_rng(17)
+        systems = []
+        for line in range(12):
+            corr = np.zeros(5)
+            corr[[0, -1]] = rng.normal(size=2) * 10.0 ** rng.integers(-4, 5, size=2)
+            corr[2] = rng.normal() if line % 3 == 0 else 0.0
+            systems.append(replace(self._random_system(rng, n=7), corr=corr))
+        shape = (5, 7, 6)  # along axis 1, 3 x 4 interior lines
+        op = AxisOperator(1, shape, *_stacked(systems))
+        assert set(op.corr_lines // 12) == {0, 2, 4}
+        rhs = rng.normal(size=shape) * 10.0 ** rng.integers(-4, 5, size=shape)
+        for tau in (0.01, 0.3, 2.5):
+            got = op.solve(tau, rhs, np.zeros(shape))
+            for line, sys in enumerate(systems):
+                i0, i2 = divmod(line, 4)
+                want = thomas_solve(sys, tau, rhs[i0 + 1, 1:-1, i2 + 1])
+                np.testing.assert_array_equal(got[i0 + 1, 1:-1, i2 + 1], want)
+
+    # 1 + diag[0] = 0 zeroes the first pivot; 1 + diag[1] = 1 / (1 + diag[0])
+    # zeroes the second, so that the rows after it divide by zero.
+    @pytest.mark.parametrize("diag", [[-1.0, 2.0, 2.0, 2.0], [1.0, -0.5, 2.0, 2.0]])
+    def test_zero_pivot_raises_and_warns_nothing(self, diag):
+        sys = LineSystem(
+            diag=np.array(diag),
+            off=np.array([-1.0, -1.0, -1.0]),
+            corr=np.zeros(4),
+            bc_lo=0.0,
+            bc_hi=0.0,
+            w_lo=1.0,
+            w_hi=1.0,
+            h=1.0,
+        )
+        regular = _uniform_line(n=6)
+        op = AxisOperator(2, (3, 4, 6), *_stacked([regular, sys]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="zero pivot"):
+                thomas_solve(sys, 1.0, np.ones(4))
+            with pytest.raises(NumericalError, match="zero pivot"):
+                op.solve(1.0, np.ones((3, 4, 6)), np.zeros((3, 4, 6)))
+
+
+def _three_op_factor(diag, off, tau):
+    """The L D L^T factors by the three-op row recurrence, cp[i-1] =
+    o[i-1] / D[i-1] and D[i] = d[i] - o[i-1] * cp[i-1]; returns cp, 1/D and
+    the growth bound of the two forms' difference (see below)."""
+    d, o = 1.0 + tau * diag, tau * off
+    piv, cp = np.empty_like(d), np.empty_like(o)
+    piv[0] = d[0]
+    for i in range(1, len(d)):
+        cp[i - 1] = o[i - 1] / piv[i - 1]
+        piv[i] = d[i] - o[i - 1] * cp[i - 1]
+    # The two forms round the subtracted term o^2 / D[i-1] apart by a few
+    # of its ulps; D[i] holds that difference magnified by its cancellation
+    # rho = o^2 / |D[i-1] D[i]| and passes it on to the next row.
+    growth = np.ones_like(piv)
+    for i in range(1, len(d)):
+        rho = o[i - 1] ** 2 / np.abs(piv[i - 1] * piv[i])
+        growth[i] = 1.0 + rho * (1.0 + growth[i - 1])
+    return cp, 1.0 / piv, growth
+
+
+class TestLdltFactor:
+    """The two-op pivot recurrence on random diagonally dominant batches,
+    against the three-op recurrence and a dense solve."""
+
+    @pytest.mark.parametrize("margin", [2.0, 1.0], ids=["strict", "weak"])
+    @pytest.mark.parametrize(
+        "m, batch", [(2, (1,)), (9, (7,)), (40, (3, 5)), (120, (64,))]
+    )
+    def test_matches_three_op_recurrence_and_dense_solve(self, margin, m, batch):
+        rng = np.random.default_rng(m)
+        shape = (m - 1, *batch)
+        off = rng.uniform(0.01, 80.0, shape) * rng.choice([-1.0, 1.0], shape)
+        row_sum = np.zeros((m, *batch))
+        row_sum[1:] += np.abs(off)
+        row_sum[:-1] += np.abs(off)
+        diag = margin * row_sum + rng.uniform(0.0, 5.0, (m, *batch))
+        for tau in (1e-6, 0.01, 0.7, 40.0, 1e4):
+            cp, inv = ldlt_factor(diag, off, tau)
+            cp3, inv3, growth = _three_op_factor(diag, off, tau)
+            # With the diagonal twice the row sum the cancellation is mild
+            # and the forms agree within 4 ulps; at bare dominance, within 4
+            # ulps of the growth bound.
+            ulps = 4.0 if margin == 2.0 else 4.0 * growth
+            assert np.all(np.abs(inv - inv3) <= ulps * np.spacing(np.abs(inv3)))
+            ulps = 4.0 if margin == 2.0 else 4.0 * growth[:-1]
+            assert np.all(np.abs(cp - cp3) <= ulps * np.spacing(np.abs(cp3)))
+            b = rng.normal(size=(m, *batch))
+            x = b.copy()
+            ldlt_solve(cp, inv, x)
+            for line in np.ndindex(*batch):
+                at = (slice(None), *line)
+                mat = np.diag(1.0 + tau * diag[at])
+                mat += np.diag(tau * off[at], 1) + np.diag(tau * off[at], -1)
+                want = np.linalg.solve(mat, b[at])
+                assert np.abs(x[at] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestApplyOperator:

@@ -277,6 +277,18 @@ class TestBatchedSweeps:
         again = op.solve(0.3, rhs, split.boundary)
         np.testing.assert_array_equal(first, again)
 
+    def test_refactor_after_eviction_matches_fresh_operator(self):
+        *_, split = _two_sphere_problem()
+        *_, fresh = _two_sphere_problem()
+        rhs = np.random.default_rng(6).normal(size=split.shape)
+        for op, new in zip(split.ops, fresh.ops):
+            op.solve(0.3, rhs, split.boundary)
+            for k in range(stepping._FACTOR_CACHE_SIZE):
+                op.solve(0.4 + 0.1 * k, rhs, split.boundary)
+            assert 0.3 not in op._factors
+            got = op.solve(0.3, rhs, split.boundary)
+            np.testing.assert_array_equal(got, new.solve(0.3, rhs, fresh.boundary))
+
 
 def _axis_dense(grid, data, params, jumps, bvals, axis):
     """Dense negated operator M = -A plus correction and Dirichlet fold.
