@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.ndimage import distance_transform_edt
@@ -318,10 +319,13 @@ class _SesDistance:
     spheres.  Where the inward radial ray from the deepest sphere exits into
     free space the depth is exact; where that exit is blocked by another
     inflated sphere it falls back to the lattice distance to the nearest
-    exterior node (an upper bound on the true depth).
+    exterior node (an upper bound on the true depth).  The k-d tree of the
+    exterior nodes that point queries need is built on the first psi_points
+    call; classification on the lattice never builds it.
     """
 
     def __init__(self, grid: Grid, atoms: AtomSet, probe_radius: float):
+        self.grid = grid
         self.centers = atoms.centers
         self.sas_r = atoms.radii + probe_radius
         self.probe_radius = probe_radius
@@ -342,8 +346,13 @@ class _SesDistance:
         exact = self._radial_exit_clear(nodes[sas_inside], deepest[sas_inside])
         self.node_signed = depth.copy()
         self.node_signed[sas_inside] = np.where(exact, depth[sas_inside], edt[sas_inside])
-        outside_pts = nodes[~sas_inside].reshape(-1, 3)
-        self._tree = cKDTree(outside_pts) if len(outside_pts) else None
+        self._sas_inside = sas_inside
+
+    @cached_property
+    def _tree(self) -> cKDTree | None:
+        """k-d tree of the nodes outside the inflated union, or None."""
+        outside_pts = self.grid.nodes()[~self._sas_inside]
+        return cKDTree(outside_pts) if len(outside_pts) else None
 
     def _radial_exit_clear(self, points: np.ndarray, ia: np.ndarray) -> np.ndarray:
         """True where the radial exit point of the deepest sphere is uncovered."""

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from gfmpbe import surface
 from gfmpbe.errors import AssemblyError, ConfigError, FormatError
 from gfmpbe.grid import Grid, build_grid
 from gfmpbe.molecule import Atom, AtomSet
@@ -145,6 +146,14 @@ class TestSesGrid:
         sph = classify_sphere(GRID17, (0.1, 0.2, -0.3), 1.8)
         np.testing.assert_array_equal(ses.inside, sph.inside)
         assert set(ses.crossings) == set(sph.crossings)
+
+    def test_only_refinement_builds_the_tree(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(surface, "cKDTree", lambda pts: built.append(len(pts)))
+        classify_ses_grid(GRID17, self._atoms(), probe_radius=1.4)
+        assert built == []
+        classify_ses_grid(GRID17, self._atoms(), probe_radius=1.4, refine=True)
+        assert len(built) == 1
 
     def test_single_atom_refined_thetas_match_sphere(self):
         one = AtomSet([Atom((0.1, 0.2, -0.3), 1.0, 1.8)])
