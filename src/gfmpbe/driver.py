@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import time
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -161,31 +162,47 @@ def _step_once(u: np.ndarray, dt: float, split: SplitOperators, scheme: str) -> 
 
 
 def _check_finite(u: np.ndarray, step: int, t=None, dt=None) -> None:
-    """DivergenceError on a non-finite u, naming step and, when given, t
-    and dt."""
+    """DivergenceError on a non-finite u, naming step, max|u| and, when
+    given, t and dt."""
     if not np.all(np.isfinite(u)):
-        raise DivergenceError("non-finite field value", step, t, dt)
+        raise _divergence("non-finite field value", u, step, t, dt)
 
 
 def _checked_energy(u: np.ndarray, problem: Problem, step: int, t=None, dt=None) -> float:
     """Solvation energy of u; DivergenceError on a runaway energy, naming
-    step and, when given, t and dt."""
+    step, max|u| and, when given, t and dt."""
     e = solvation_energy(Field(problem.grid, u), problem.atoms, problem.params)
     if not math.isfinite(e) or abs(e) > ENERGY_GUARD:
-        raise DivergenceError(f"runaway energy {e}", step, t, dt)
+        raise _divergence(f"runaway energy {e}", u, step, t, dt)
     return e
 
 
-def initial_condition(kind: str, problem: Problem, scheme: str = "ADI") -> Field:
+def _divergence(message: str, u: np.ndarray, step: int, t, dt) -> DivergenceError:
+    """DivergenceError naming step, t, dt and max|u| over the entries of u
+    that are not NaN (NaN when all are)."""
+    mag = np.abs(u[~np.isnan(u)])
+    peak = float(mag.max()) if mag.size else math.nan
+    return DivergenceError(message, step, t, dt, peak)
+
+
+def initial_condition(kind: str, problem: Problem, scheme: str | None = None) -> Field:
     """Starting field: zeros, or the steady state of the linearized problem.
 
     "lpb" solves the discrete linearized steady state on the interior nodes,
     (sum_a M_a + kappa^2) u = sum_a (c_a + Dirichlet_a) with M_a = -A_a the
     axis operators, by Jacobi-preconditioned conjugate gradients (_jacobi_cg)
-    applied matrix-free.  The result does not depend on scheme, which stays
-    in the signature for the callers.  A non-finite field, a runaway energy
-    or a solve that misses its tolerance raises InitializationError.
+    applied matrix-free.  A non-finite field, a runaway energy or a solve
+    that misses its tolerance raises InitializationError.
+
+    scheme is deprecated: the result does not depend on it, and passing it
+    emits a DeprecationWarning.
     """
+    if scheme is not None:
+        warnings.warn(
+            "initial_condition's scheme argument is deprecated and ignored",
+            DeprecationWarning,
+            stacklevel=2,
+        )
     u = problem.boundary.values.copy()
     if kind == "zero":
         return Field(problem.grid, u)
@@ -286,7 +303,7 @@ def _march(cfg: RunConfig, policy, problem: Problem | None) -> EnergyTrace:
     Schedule) until it gives a stop_reason."""
     if problem is None:
         problem = build_problem(cfg)
-    u = initial_condition(cfg.ic, problem, cfg.scheme).values
+    u = initial_condition(cfg.ic, problem).values
     energy = solvation_energy(Field(problem.grid, u), problem.atoms, problem.params)
     rows = [TraceRow(0, 0.0, policy.dt, math.nan, math.nan, energy, math.nan)]
     t = 0.0
@@ -513,7 +530,7 @@ def scaling_study(
         h = 2.0 * box_half / (n - 1)
         cfg = kirkwood_config(h=h, scheme=scheme, ic="zero", box_half=box_half)
         problem = build_problem(cfg)
-        u = initial_condition("zero", problem, scheme).values
+        u = initial_condition("zero", problem).values
         times = []
         for _ in range(steps):
             t0 = time.perf_counter()

@@ -1,6 +1,7 @@
 """Tests for problem assembly, the run loop, schedules, studies, and exports."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,8 @@ class TestRunLoop:
         assert "t=" in str(exc_info.value) and "dt=0.1" in str(exc_info.value)
         assert exc_info.value.dt == 0.1
         assert exc_info.value.t == pytest.approx(0.1 * exc_info.value.step)
+        assert exc_info.value.max_abs_u > 1.0
+        assert str(exc_info.value).endswith(f", max|u|={exc_info.value.max_abs_u:g})")
 
     def test_schedule_runaway_energy_is_typed_divergence(self):
         base = _coarse_kirkwood(t_end=2.0)
@@ -217,6 +220,30 @@ class TestNonFiniteField:
         assert exc.t == pytest.approx(0.1 * bad_step)
         # the next step's substep finds it; step 10 is the horizon's last
         assert len(steps) == min(bad_step + 1, 10)
+        # an inf is the largest |u|; a NaN is left out of it
+        if np.isinf(value):
+            assert exc.max_abs_u == np.inf
+        else:
+            assert 0 < exc.max_abs_u < np.inf
+        assert str(exc).endswith(f"dt=0.1, max|u|={exc.max_abs_u:g})")
+
+    def test_max_abs_u_leaves_out_nan(self, monkeypatch):
+        cfg = _coarse_kirkwood(t_end=1.0)
+        original = driver._step_once
+
+        def poisoned(u, dt, split, scheme):
+            out = original(u, dt, split, scheme)
+            out[1, 1, 1] = np.nan
+            out[1, 1, 2] = -1e200
+            return out
+
+        monkeypatch.setattr(driver, "_step_once", poisoned)
+        with pytest.raises(DivergenceError) as exc_info:
+            run(cfg)
+        exc = exc_info.value
+        assert str(exc).startswith("non-finite field value (step 1, t=0.1, dt=0.1, ")
+        assert exc.max_abs_u == 1e200
+        assert str(exc).endswith(", max|u|=1e+200)")
 
 
 class TestInitialCondition:
@@ -335,9 +362,18 @@ class TestLinearizedSteadyState:
 
     def test_scheme_does_not_change_the_result(self):
         prob = build_problem(_two_sphere_config())
-        adi = initial_condition("lpb", prob, "ADI").values
-        lod = initial_condition("lpb", prob, "LOD").values
+        with pytest.warns(DeprecationWarning, match="scheme"):
+            adi = initial_condition("lpb", prob, "ADI").values
+        with pytest.warns(DeprecationWarning, match="scheme"):
+            lod = initial_condition("lpb", prob, "LOD").values
         np.testing.assert_array_equal(adi, lod)
+
+    def test_march_passes_no_scheme(self):
+        cfg = _coarse_kirkwood(t_end=0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            run(cfg)
+            scaling_study([9, 11], steps=3)
 
     def test_missed_tolerance_is_initialization_error(self, monkeypatch):
         monkeypatch.setattr(driver, "CG_MAXITER", 1)
