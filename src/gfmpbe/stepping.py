@@ -110,9 +110,9 @@ class AxisOperator:
         nz = np.unravel_index(np.flatnonzero(c != 0), c.shape)
         self.corr_index = np.ravel_multi_index(tuple(i + 1 for i in nz), shape)
         self.corr_value = c[nz]
-        t = [a for a in range(3) if a != axis]
+        t1, t2 = (a for a in range(3) if a != axis)
         self.corr_lines = np.ravel_multi_index(
-            (nz[axis], nz[t[0]], nz[t[1]]), (self.n - 2, *(c.shape[a] for a in t))
+            (nz[axis], nz[t1], nz[t2]), (self.n - 2, c.shape[t1], c.shape[t2])
         )
         self._factors: OrderedDict[float, tuple] = OrderedDict()
 
