@@ -17,7 +17,7 @@ from .driver import (
     run_schedule,
     scaling_study,
 )
-from .errors import ConfigError, DivergenceError
+from .errors import AssemblyError, ConfigError, DivergenceError
 from .molecule import PhysicalParams, parse_atoms
 
 _CONTROLLER_NAMES = {
@@ -267,7 +267,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, AssemblyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:

@@ -28,8 +28,6 @@ KINDS = (
     "NonincreasingPID",
 )
 
-_PID_KINDS = ("PID1", "PID2", "FastPID", "NonincreasingPID")
-
 _T_EPS = 1e-12
 """Slack when comparing times against the horizon or switch points."""
 

@@ -45,14 +45,19 @@ class DivergenceError(GfmpbeError):
     """The pseudo-time iteration produced a non-finite or runaway field; t and
     dt, when given, are the time reached by the failing step and its size,
     and max_abs_u the largest |u| of that step's field, NaN entries left
-    out."""
+    out.  Pickling rebuilds the error from its constructor arguments."""
 
     def __init__(self, message: str, step: int, t=None, dt=None, max_abs_u=None):
         where = f"step {step}" if t is None else f"step {step}, t={t:g}, dt={dt:g}"
         if max_abs_u is not None:
             where += f", max|u|={max_abs_u:g}"
         super().__init__(f"{message} ({where})")
+        self._message = message
         self.step, self.t, self.dt, self.max_abs_u = step, t, dt, max_abs_u
+
+    def __reduce__(self):
+        args = (self._message, self.step, self.t, self.dt, self.max_abs_u)
+        return type(self), args
 
 
 class InitializationError(DivergenceError):

@@ -7,20 +7,20 @@ plus the Cartesian location of the cut).  InterfaceData holds the flags as
 one boolean array and the crossings as four arrays in canonical
 (axis, i, j, k) order, so assembly reads them without one Python object per
 cut edge.  Three generators are provided, each computing its crossings with
-whole-array numpy: an analytic sphere, a union of atom spheres (van der
-Waals), and a probe-rolled molecular surface built from a signed distance to
-the solvent-accessible surface.
+whole-array numpy: an analytic sphere and a union of atom spheres (van der
+Waals), both cut at the exact roots along each edge, and a probe-rolled
+molecular surface.  That surface is a level set on the grid: its node levels
+come from a signed distance to the solvent-accessible surface, and each cut
+is the linear interpolation of the levels at the edge's two nodes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.ndimage import distance_transform_edt
-from scipy.spatial import cKDTree
 
 from .errors import AssemblyError, ConfigError, FormatError
 from .grid import Grid
@@ -36,8 +36,6 @@ CLASSIFY_TOL = 1e-12
 
 _T_TOL = 1e-9
 """Tolerance in edge-fraction units when chaining coverage intervals."""
-
-_BISECT_ITERS = 48
 
 
 @dataclass(frozen=True)
@@ -312,117 +310,72 @@ def classify_union(grid: Grid, atoms: AtomSet) -> InterfaceData:
     return _classified(grid, inside, fraction)
 
 
-class _SesDistance:
-    """Signed distance to the solvent-accessible surface, probe-sharpened.
+def _radial_exit_clear(points, ia, centers, sas_r) -> np.ndarray:
+    """True where the radial exit point of each point's deepest inflated
+    sphere ia is not covered by another inflated sphere."""
+    ca = centers[ia]
+    ra = sas_r[ia]
+    dvec = points - ca
+    dn = np.sqrt((dvec**2).sum(axis=1))
+    safe = np.where(dn > CLASSIFY_TOL, dn, 1.0)
+    unit = dvec / safe[:, None]
+    unit[dn <= CLASSIFY_TOL] = (1.0, 0.0, 0.0)
+    exit_pts = ca + ra[:, None] * unit
+    blocked = np.zeros(len(points), dtype=bool)
+    for k in range(len(centers)):
+        dk = np.sqrt(((exit_pts - centers[k]) ** 2).sum(axis=1))
+        blocked |= (dk < sas_r[k] - CLASSIFY_TOL) & (ia != k)
+    return ~blocked
 
-    Positive values are depths inside the union of probe-inflated atom
-    spheres.  Where the inward radial ray from the deepest sphere exits into
-    free space the depth is exact; where that exit is blocked by another
-    inflated sphere it falls back to the lattice distance to the nearest
-    exterior node (an upper bound on the true depth).  The k-d tree of the
-    exterior nodes that point queries need is built on the first psi_points
-    call; classification on the lattice never builds it.
+
+def _ses_levels(grid: Grid, atoms: AtomSet, probe_radius: float):
+    """Node levels (vdw_signed, psi) of the probe-rolled surface.
+
+    vdw_signed is the signed distance to the union of the atom spheres.  psi
+    is the probe-sharpened depth inside the union of probe-inflated spheres,
+    minus probe_radius, so psi >= 0 at the nodes the probe cannot reach.
+    Where the inward radial ray from the deepest inflated sphere exits into
+    free space the depth is exact; where another inflated sphere blocks that
+    exit it is the lattice distance to the nearest exterior node (an upper
+    bound on the true depth).
     """
-
-    def __init__(self, grid: Grid, atoms: AtomSet, probe_radius: float):
-        self.grid = grid
-        self.centers = atoms.centers
-        self.sas_r = atoms.radii + probe_radius
-        self.probe_radius = probe_radius
-        nodes = grid.nodes()
-        depth = np.full(grid.shape, -np.inf)
-        deepest = np.zeros(grid.shape, dtype=int)
-        vdw = np.full(grid.shape, np.inf)
-        for ia, (center, radius) in enumerate(zip(atoms.centers, atoms.radii)):
-            d = _node_distance(grid, center)
-            np.minimum(vdw, d - radius, out=vdw)
-            v = (radius + probe_radius) - d
-            upd = v > depth
-            depth[upd] = v[upd]
-            deepest[upd] = ia
-        self.vdw_signed = vdw
-        sas_inside = depth > -CLASSIFY_TOL
-        edt = distance_transform_edt(sas_inside, sampling=(grid.h,) * 3)
-        exact = self._radial_exit_clear(nodes[sas_inside], deepest[sas_inside])
-        self.node_signed = depth.copy()
-        self.node_signed[sas_inside] = np.where(exact, depth[sas_inside], edt[sas_inside])
-        self._sas_inside = sas_inside
-
-    @cached_property
-    def _tree(self) -> cKDTree | None:
-        """k-d tree of the nodes outside the inflated union, or None."""
-        outside_pts = self.grid.nodes()[~self._sas_inside]
-        return cKDTree(outside_pts) if len(outside_pts) else None
-
-    def _radial_exit_clear(self, points: np.ndarray, ia: np.ndarray) -> np.ndarray:
-        """True where the radial exit point of the deepest sphere is uncovered."""
-        ca = self.centers[ia]
-        ra = self.sas_r[ia]
-        dvec = points - ca
-        dn = np.sqrt((dvec**2).sum(axis=1))
-        safe = np.where(dn > CLASSIFY_TOL, dn, 1.0)
-        unit = dvec / safe[:, None]
-        unit[dn <= CLASSIFY_TOL] = (1.0, 0.0, 0.0)
-        exit_pts = ca + ra[:, None] * unit
-        blocked = np.zeros(len(points), dtype=bool)
-        for k in range(len(self.centers)):
-            dk = np.sqrt(((exit_pts - self.centers[k]) ** 2).sum(axis=1))
-            blocked |= (dk < self.sas_r[k] - CLASSIFY_TOL) & (ia != k)
-        return ~blocked
-
-    def psi_points(self, x: np.ndarray) -> np.ndarray:
-        """Level values at points (m, 3), consistent with the lattice values
-        node_signed - probe_radius; inside the surface where psi >= 0."""
-        d = np.sqrt(((x[:, None, :] - self.centers) ** 2).sum(axis=-1))
-        vals = self.sas_r - d
-        ia = np.argmax(vals, axis=1)
-        depth = vals[np.arange(len(x)), ia]
-        s = depth.copy()
-        if self._tree is not None:
-            # Covered points whose radial exit is blocked take the lattice
-            # distance to the nearest exterior node.
-            deep = np.flatnonzero(depth > -CLASSIFY_TOL)
-            far = deep[~self._radial_exit_clear(x[deep], ia[deep])]
-            s[far] = self._tree.query(x[far])[0]
-        return s - self.probe_radius
-
-
-def _bisect_flip(p0, axis, h, low_inside, indicator) -> np.ndarray:
-    """Bisect the edges with low nodes p0 (m, 3) for the fraction where
-    indicator(points) flips from its low-end value low_inside."""
-    t_lo, t_hi = np.zeros(len(p0)), np.ones(len(p0))
-    p = p0.copy()
-    for _ in range(_BISECT_ITERS):
-        tm = 0.5 * (t_lo + t_hi)
-        p[:, axis] = p0[:, axis] + tm * h
-        low_side = indicator(p) == low_inside
-        t_lo = np.where(low_side, tm, t_lo)
-        t_hi = np.where(low_side, t_hi, tm)
-    return 0.5 * (t_lo + t_hi)
+    centers = atoms.centers
+    sas_r = atoms.radii + probe_radius
+    depth = np.full(grid.shape, -np.inf)
+    deepest = np.zeros(grid.shape, dtype=int)
+    vdw = np.full(grid.shape, np.inf)
+    for ia, (center, radius) in enumerate(zip(centers, atoms.radii)):
+        d = _node_distance(grid, center)
+        np.minimum(vdw, d - radius, out=vdw)
+        v = (radius + probe_radius) - d
+        upd = v > depth
+        depth[upd] = v[upd]
+        deepest[upd] = ia
+    sas_inside = depth > -CLASSIFY_TOL
+    edt = distance_transform_edt(sas_inside, sampling=(grid.h,) * 3)
+    points = grid.nodes()[sas_inside]
+    exact = _radial_exit_clear(points, deepest[sas_inside], centers, sas_r)
+    depth[sas_inside] = np.where(exact, depth[sas_inside], edt[sas_inside])
+    return vdw, depth - probe_radius
 
 
 def classify_ses_grid(
-    grid: Grid, atoms: AtomSet, probe_radius: float = 1.4, refine: bool = False
+    grid: Grid, atoms: AtomSet, probe_radius: float = 1.4
 ) -> InterfaceData:
     """Classify the probe-rolled molecular surface of a solute.
 
     A node is inside when it lies inside an atom sphere or at depth at least
-    probe_radius inside the probe-inflated union.  With refine=False crossing
-    fractions come from linear interpolation of the level values; with
-    refine=True each mixed edge is bisected on the continuous level function.
+    probe_radius inside the probe-inflated union.  Crossing fractions come
+    from linear interpolation of the node levels psi along each mixed edge.
     """
     if probe_radius < 0:
         raise ConfigError(f"probe radius must be nonnegative, got {probe_radius}")
     if probe_radius == 0.0:
         return classify_union(grid, atoms)
-    dist = _SesDistance(grid, atoms, probe_radius)
-    psi = dist.node_signed - probe_radius
-    inside = (dist.vdw_signed < CLASSIFY_TOL) | (psi > -CLASSIFY_TOL)
+    vdw_signed, psi = _ses_levels(grid, atoms, probe_radius)
+    inside = (vdw_signed < CLASSIFY_TOL) | (psi > -CLASSIFY_TOL)
 
     def fraction(axis, idx, p0):
-        if refine:
-            level_inside = lambda x: dist.psi_points(x) > -CLASSIFY_TOL
-            return _bisect_flip(p0, axis, grid.h, inside[tuple(idx.T)], level_inside)
         psi_lo = psi[tuple(idx.T)]
         denom = -np.diff(psi, axis=axis)[tuple(idx.T)]  # psi_lo - psi_hi
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -6,6 +6,8 @@ import sys
 import pytest
 
 from gfmpbe.cli import build_parser, main
+from gfmpbe.grid import Grid
+from gfmpbe.surface import classify_sphere, export_interface
 
 
 @pytest.fixture
@@ -72,6 +74,26 @@ class TestSolve:
         two.write_text("0 0 0 1.0 1.5\n2.5 0 0 -1.0 1.2\n")
         rc = main(_solve_args(str(two)))
         assert rc == 2
+
+    def test_inconsistent_imported_interface_is_config_error(
+        self, atom_file, tmp_path, capsys
+    ):
+        # theta 1e-9 parses, but the operator assembly rejects it as below
+        # the clamp range: exit 2 with a one-line message, no traceback.
+        path = tmp_path / "bad.srf"
+        sphere = classify_sphere(Grid((-2.0,) * 3, 0.5, (9, 9, 9)), (0, 0, 0), 1.7)
+        export_interface(sphere, path)
+        lines = path.read_text().splitlines()
+        row = next(n for n, line in enumerate(lines) if line.startswith("cross"))
+        parts = lines[row].split()
+        parts[5] = "1e-09"
+        lines[row] = " ".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["solve", "--atoms", atom_file, "--surface", f"import:{path}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: theta 1e-09 outside clamp range")
+        assert "Traceback" not in err
 
     def test_divergence_exit_code(self, tmp_path, capsys):
         hot = tmp_path / "hot.txt"

@@ -1,6 +1,7 @@
 """Tests for problem assembly, the run loop, schedules, studies, and exports."""
 
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -187,6 +188,24 @@ class TestRunLoop:
         assert float(lines[2].split(",")[6]) == trace.rows[1].de
         dumped = read_field_binary(tmp_path / "field.bin")
         np.testing.assert_array_equal(dumped.values, trace.final_field.values)
+
+
+class TestDivergenceErrorPickling:
+    @pytest.mark.parametrize(
+        "exc",
+        [DivergenceError("x", 3, 0.3, 0.1, 2.0), InitializationError("y", 7)],
+        ids=["divergence", "initialization"],
+    )
+    def test_round_trip_keeps_message_and_context(self, exc):
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert str(back) == str(exc)
+        assert (back.step, back.t, back.dt, back.max_abs_u) == (
+            exc.step,
+            exc.t,
+            exc.dt,
+            exc.max_abs_u,
+        )
 
 
 class TestNonFiniteField:

@@ -2,11 +2,12 @@
 
 import math
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from gfmpbe import surface
 from gfmpbe.errors import AssemblyError, ConfigError, FormatError
 from gfmpbe.grid import Grid, build_grid
 from gfmpbe.molecule import Atom, AtomSet
@@ -147,20 +148,21 @@ class TestSesGrid:
         np.testing.assert_array_equal(ses.inside, sph.inside)
         assert set(ses.crossings) == set(sph.crossings)
 
-    def test_only_refinement_builds_the_tree(self, monkeypatch):
-        built = []
-        monkeypatch.setattr(surface, "cKDTree", lambda pts: built.append(len(pts)))
-        classify_ses_grid(GRID17, self._atoms(), probe_radius=1.4)
-        assert built == []
-        classify_ses_grid(GRID17, self._atoms(), probe_radius=1.4, refine=True)
-        assert len(built) == 1
-
-    def test_single_atom_refined_thetas_match_sphere(self):
-        one = AtomSet([Atom((0.1, 0.2, -0.3), 1.0, 1.8)])
-        ses = classify_ses_grid(GRID17, one, probe_radius=1.4, refine=True)
-        sph = classify_sphere(GRID17, (0.1, 0.2, -0.3), 1.8)
-        for key, c in ses.crossings.items():
-            assert c.theta == pytest.approx(sph.crossings[key].theta, abs=1e-6)
+    def test_single_atom_thetas_interpolate_node_levels(self):
+        # One atom: the level is psi = r - |x - c| at every node, and each
+        # cut is the linear interpolation of psi between the edge's nodes.
+        center, r = np.array([0.1, 0.2, -0.3]), 1.8
+        one = AtomSet([Atom(tuple(center), 1.0, r)])
+        data = classify_ses_grid(GRID17, one, probe_radius=1.4)
+        origin = np.asarray(GRID17.origin)
+        lo = origin + GRID17.h * data.index
+        hi = lo.copy()
+        hi[np.arange(len(hi)), data.axis] += GRID17.h
+        psi_lo = r - np.linalg.norm(lo - center, axis=1)
+        psi_hi = r - np.linalg.norm(hi - center, axis=1)
+        expect = np.clip(psi_lo / (psi_lo - psi_hi), THETA_MIN, 1.0 - THETA_MIN)
+        assert len(data.theta) > 200
+        np.testing.assert_allclose(data.theta, expect, rtol=0.0, atol=1e-12)
 
     def test_ses_fills_neck_between_close_spheres(self):
         # Two spheres 0.5 apart: the probe cannot reach their midpoint, so
@@ -200,12 +202,17 @@ class TestSesGrid:
         oracle = vdw | (sas & (edt >= rp - 1e-12))
         assert np.all(oracle | ~data.inside)
 
-    def test_refined_crossings_sit_on_level_set(self):
-        atoms = self._atoms()
-        data = classify_ses_grid(GRID17, atoms, probe_radius=1.4, refine=True)
-        # Bisection keeps theta strictly inside the edge.
-        for c in data.crossings.values():
-            assert 0.0 < c.theta < 1.0
+
+def test_import_leaves_scipy_spatial_and_sparse_unloaded():
+    # A fresh interpreter: importing the package must not pull in either.
+    code = (
+        "import sys, gfmpbe; "
+        "print(sorted({'scipy.spatial', 'scipy.sparse'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 class TestExhaustive17:
@@ -225,7 +232,6 @@ class TestExhaustive17:
             classify_sphere(grid, (0.1, -0.2, 0.0), 2.3),
             classify_union(grid, atoms),
             classify_ses_grid(grid, atoms, probe_radius=1.4),
-            classify_ses_grid(grid, atoms, probe_radius=1.4, refine=True),
         ):
             _assert_consistent(data)
             # Exhaustive edge sweep: crossing exactly where flags change.
