@@ -14,7 +14,15 @@ import numpy as np
 
 from .control import Controller, ControllerConfig, Schedule
 from .errors import ConfigError, DivergenceError, InitializationError
-from .grid import Field, Grid, build_grid, write_field_binary, write_field_csv
+from .grid import (
+    Field,
+    Grid,
+    TrilinearStencil,
+    build_grid,
+    trilinear_stencil,
+    write_field_binary,
+    write_field_csv,
+)
 from .molecule import (
     AtomSet,
     PhysicalParams,
@@ -74,7 +82,8 @@ class RunConfig:
 
 @dataclass
 class Problem:
-    """Assembled discrete problem ready to step."""
+    """Assembled discrete problem ready to step; stencil reads the field at
+    the atom centers for the energy."""
 
     grid: Grid
     data: InterfaceData
@@ -82,6 +91,7 @@ class Problem:
     params: PhysicalParams
     split: SplitOperators
     boundary: Field
+    stencil: TrilinearStencil
 
 
 @dataclass(frozen=True)
@@ -122,23 +132,27 @@ class EnergyTrace:
 
 
 def build_problem(cfg: RunConfig) -> Problem:
-    """Build grid, classify the surface, and assemble the axis operators."""
+    """Build grid, classify the surface, and assemble the axis operators.
+
+    An atom center outside the grid box raises DomainError before the
+    surface is classified."""
+    if cfg.surface == "sphere" and len(cfg.atoms) != 1:
+        raise ConfigError("sphere surface requires exactly one atom")
     if cfg.surface.startswith("import:"):
         data = import_interface(cfg.surface[len("import:") :])
         grid = data.grid
     else:
         grid = build_grid(cfg.atoms, cfg.h, cfg.probe_radius, box=cfg.box)
-        if cfg.surface == "sphere":
-            if len(cfg.atoms) != 1:
-                raise ConfigError("sphere surface requires exactly one atom")
-            data = classify_sphere(grid, cfg.atoms.centers[0], cfg.atoms.radii[0])
-        elif cfg.surface == "vdw":
-            data = classify_union(grid, cfg.atoms)
-        else:
-            data = classify_ses_grid(grid, cfg.atoms, cfg.probe_radius)
+    stencil = trilinear_stencil(grid, cfg.atoms.centers)
+    if cfg.surface == "sphere":
+        data = classify_sphere(grid, cfg.atoms.centers[0], cfg.atoms.radii[0])
+    elif cfg.surface == "vdw":
+        data = classify_union(grid, cfg.atoms)
+    elif cfg.surface == "ses-grid":
+        data = classify_ses_grid(grid, cfg.atoms, cfg.probe_radius)
     boundary = _boundary_field(grid, cfg.atoms, cfg.params)
     split = build_split_operators(data, cfg.atoms, cfg.params, boundary)
-    return Problem(grid, data, cfg.atoms, cfg.params, split, boundary)
+    return Problem(grid, data, cfg.atoms, cfg.params, split, boundary, stencil)
 
 
 def _boundary_field(grid: Grid, atoms: AtomSet, params: PhysicalParams) -> Field:
@@ -171,10 +185,16 @@ def _check_finite(u: np.ndarray, step: int, t=None, dt=None) -> None:
 def _checked_energy(u: np.ndarray, problem: Problem, step: int, t=None, dt=None) -> float:
     """Solvation energy of u; DivergenceError on a runaway energy, naming
     step, max|u| and, when given, t and dt."""
-    e = solvation_energy(Field(problem.grid, u), problem.atoms, problem.params)
+    e = _energy(u, problem)
     if not math.isfinite(e) or abs(e) > ENERGY_GUARD:
         raise _divergence(f"runaway energy {e}", u, step, t, dt)
     return e
+
+
+def _energy(u: np.ndarray, problem: Problem) -> float:
+    return solvation_energy(
+        Field(problem.grid, u), problem.atoms, problem.params, stencil=problem.stencil
+    )
 
 
 def _divergence(message: str, u: np.ndarray, step: int, t, dt) -> DivergenceError:
@@ -304,7 +324,7 @@ def _march(cfg: RunConfig, policy, problem: Problem | None) -> EnergyTrace:
     if problem is None:
         problem = build_problem(cfg)
     u = initial_condition(cfg.ic, problem).values
-    energy = solvation_energy(Field(problem.grid, u), problem.atoms, problem.params)
+    energy = _energy(u, problem)
     rows = [TraceRow(0, 0.0, policy.dt, math.nan, math.nan, energy, math.nan)]
     t = 0.0
     step = 0

@@ -232,7 +232,7 @@ def ldlt_factor(
     t = np.empty_like(rows[0])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for prev, sq, row in zip(rows, o2, rows[1:]):
-            np.subtract(row, np.divide(sq, prev, out=t), out=row)
+            np.subtract(row, np.divide(sq, prev, t), row)
         if np.any(np.abs(piv) < 1e-300):
             raise NumericalError("zero pivot in tridiagonal solve")
         cp = np.divide(o, piv[:-1], out=o)
@@ -244,15 +244,17 @@ def ldlt_solve(cp: np.ndarray, inv: np.ndarray, b: np.ndarray) -> None:
 
     b has the line index first, like the factors; the three passes are the
     forward elimination, the scaling by the inverse pivots and the back
-    substitution.  One row-sized temporary serves every row.
+    substitution.  One row-sized temporary serves every row.  The per-row
+    calls pass their outputs positionally, which numpy parses faster than
+    the out keyword; on short rows the call, not the arithmetic, is the cost.
     """
     rows = _rows(b)
     t = np.empty_like(rows[0])
     for c, prev, row in zip(cp, rows, rows[1:]):
-        np.subtract(row, np.multiply(c, prev, out=t), out=row)
+        np.subtract(row, np.multiply(c, prev, t), row)
     b *= inv
     for c, nxt, row in zip(cp[::-1], rows[:0:-1], rows[-2::-1]):
-        np.subtract(row, np.multiply(c, nxt, out=t), out=row)
+        np.subtract(row, np.multiply(c, nxt, t), row)
 
 
 def _rows(a: np.ndarray) -> list[np.ndarray]:

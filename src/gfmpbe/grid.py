@@ -117,35 +117,67 @@ def build_grid(
     return Grid(tuple(float(v) for v in lo), h, tuple(int(v) + 1 for v in n_cells))
 
 
+_CORNER_OFFSETS = np.array(
+    [(dx, dy, dz) for dz in (0, 1) for dy in (0, 1) for dx in (0, 1)]
+)
+"""Offsets of a cell's eight corners from its low corner, dx fastest."""
+
+
+@dataclass(frozen=True, eq=False)
+class TrilinearStencil:
+    """Trilinear weights of fixed points on one grid.
+
+    corners (8, m) holds the flat C-order node indices of each point's cell
+    corners, ordered by dx + 2*dy + 4*dz; frac (2, 3, m) holds the
+    complements 1 - f and the fractions f along each axis.
+    """
+
+    grid: Grid
+    corners: np.ndarray
+    frac: np.ndarray
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        """Interpolated values (m,) of a nodal array on the stencil's grid."""
+        v = np.take(values, self.corners).reshape(4, 2, -1)
+        (gx, gy, gz), (fx, fy, fz) = self.frac
+        # x, then y, then z: c00 = v000*(1-fx) + v100*fx, ...
+        c = v[:, 0] * gx + v[:, 1] * fx
+        c = c.reshape(2, 2, -1)
+        c = c[:, 0] * gy + c[:, 1] * fy
+        return c[0] * gz + c[1] * fz
+
+
+def trilinear_stencil(grid: Grid, p) -> TrilinearStencil:
+    """Trilinear stencil of (3,) or (m, 3) points inside the grid box.
+
+    A 1e-9*h overhang is forgiven and clamped; a point beyond it raises
+    DomainError.
+    """
+    pts = np.atleast_2d(np.asarray(p, dtype=float))
+    rel = (pts - np.asarray(grid.origin)) / grid.h
+    n = np.array(grid.shape)
+    tol = 1e-9
+    out = np.any((rel < -tol) | (rel > (n - 1) + tol), axis=1)
+    if out.any():
+        bad = tuple(float(c) for c in pts[out][0])
+        raise DomainError(
+            f"point {bad} lies outside the grid box {grid.origin} to {grid.upper}"
+        )
+    cell = np.clip(np.floor(rel).astype(int), 0, n - 2)
+    frac = np.clip(rel - cell, 0.0, 1.0).T
+    corners = cell[None] + _CORNER_OFFSETS[:, None]
+    flat = np.ravel_multi_index(tuple(np.moveaxis(corners, -1, 0)), grid.shape)
+    return TrilinearStencil(grid, flat, np.stack([1 - frac, frac]))
+
+
 def trilinear(field: Field, p):
     """Trilinear interpolation of a nodal field at (3,) or (m, 3) points.
 
     Points must lie inside the grid box (a 1e-9*h overhang is forgiven and
     clamped).  Raises DomainError otherwise.
     """
-    g = field.grid
-    pts = np.asarray(p, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    rel = (pts - np.asarray(g.origin)) / g.h
-    n = np.array(g.shape)
-    tol = 1e-9
-    if np.any(rel < -tol) or np.any(rel > (n - 1) + tol):
-        bad = pts[np.any((rel < -tol) | (rel > (n - 1) + tol), axis=1)][0]
-        raise DomainError(f"point {tuple(bad)} lies outside the grid box")
-    cell = np.clip(np.floor(rel).astype(int), 0, n - 2)
-    frac = np.clip(rel - cell, 0.0, 1.0)
-    i, j, k = cell[:, 0], cell[:, 1], cell[:, 2]
-    fx, fy, fz = frac[:, 0], frac[:, 1], frac[:, 2]
-    v = field.values
-    c00 = v[i, j, k] * (1 - fx) + v[i + 1, j, k] * fx
-    c10 = v[i, j + 1, k] * (1 - fx) + v[i + 1, j + 1, k] * fx
-    c01 = v[i, j, k + 1] * (1 - fx) + v[i + 1, j, k + 1] * fx
-    c11 = v[i, j + 1, k + 1] * (1 - fx) + v[i + 1, j + 1, k + 1] * fx
-    c0 = c00 * (1 - fy) + c10 * fy
-    c1 = c01 * (1 - fy) + c11 * fy
-    out = c0 * (1 - fz) + c1 * fz
+    single = np.ndim(p) == 1
+    out = trilinear_stencil(field.grid, p)(field.values)
     return float(out[0]) if single else out
 
 

@@ -206,13 +206,21 @@ def dirichlet_boundary(atoms: AtomSet, p, params: PhysicalParams):
     return float(val[0]) if single else val
 
 
-def solvation_energy(u: "Field", atoms: AtomSet, params: PhysicalParams) -> float:
+def solvation_energy(
+    u: "Field", atoms: AtomSet, params: PhysicalParams, stencil=None
+) -> float:
     """Electrostatic solvation free energy in kcal/mol.
 
     E_sol = 1/2 * kBT * sum_i q_i * u(r_i), with u interpolated trilinearly
-    at the atom centers.  Every center must lie inside the grid.
+    at the atom centers.  Every center must lie inside the grid.  stencil,
+    when given, is grid.trilinear_stencil(u.grid, atoms.centers), built once
+    for a field that is read many times.
     """
-    from .grid import trilinear
+    if stencil is None:
+        from .grid import trilinear_stencil
 
-    vals = trilinear(u, atoms.centers)
+        stencil = trilinear_stencil(u.grid, atoms.centers)
+    elif stencil.grid is not u.grid and stencil.grid != u.grid:
+        raise ConfigError("stencil grid does not match the field's grid")
+    vals = stencil(u.values)
     return 0.5 * params.kbt_kcal * float((atoms.charges * vals).sum())

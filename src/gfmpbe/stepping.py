@@ -11,13 +11,16 @@ nonzero jump corrections are added by index.  An implicit sweep copies the
 right-hand side into line-major layout, adds tau times the Dirichlet ends to
 the end rows and tau times the nonzero corrections by index, runs one L D L^T
 solve over all lines in place (the gfm kernel, shared with the one-line
-solve) and scatters the lines back.  Its factors are cached per tau; a new
+solve) and scatters the lines back; the line-major view is a transpose by a
+permutation stored with the operator.  Its factors are cached per tau; a new
 tau refactors from the line-major off-diagonal kept since construction.
 kappa^2 is zero inside the solute and one scalar in the solvent, so the
-substep runs once over the field with scalar coefficients and one log, and
-the inside nodes are copied back from a flat index.  Both
-schemes keep the six box faces pinned at the Dirichlet values through every
-stage.
+substep runs once over the field with one log and its coefficients as
+Python floats, and the inside nodes are copied back from a flat index.
+Both schemes keep the six box faces pinned at the Dirichlet values through
+every stage, four slice assignments a reset.  A small grid takes a step in
+about a millisecond, so these fixed per-call costs count as much as the
+arithmetic there.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from .surface import InterfaceData, RowMap
 
 _FACTOR_CACHE_SIZE = 4
 
+_TINY = float(np.finfo(float).tiny)
+
 
 def nonlinear_substep(w: np.ndarray, kappa_sq, dt: float, strength: float) -> np.ndarray:
     """Exact solution of dw/dt = -strength * kappa^2 * sinh(w) over dt.
@@ -44,10 +49,13 @@ def nonlinear_substep(w: np.ndarray, kappa_sq, dt: float, strength: float) -> np
     em*(1+g))), w0), em = exp(-|w0|), which neither overflows for large
     |w0| nor loses the sign.  1-g is floored at the smallest normal float,
     so that the ratio stays finite.  Nodes with kappa^2 = 0 are returned
-    bit-identical.  kappa_sq may be a scalar, which keeps every coefficient
-    a scalar.  A non-finite w raises ConfigError.
+    bit-identical.  kappa_sq may be a scalar, as SplitOperators passes it:
+    then every coefficient is a Python float, with the array path's
+    arithmetic.  A non-finite w raises ConfigError.
     """
     w = np.asarray(w, dtype=float)
+    if np.ndim(kappa_sq) == 0:
+        return _scalar_substep(w, strength * float(kappa_sq) * dt, dt, strength)
     lam = np.asarray(strength * np.asarray(kappa_sq, dtype=float) * dt)
     if dt < 0 or strength < 0 or np.any(lam < 0):
         raise ConfigError("substep requires dt, strength, kappa^2 all nonnegative")
@@ -68,6 +76,28 @@ def nonlinear_substep(w: np.ndarray, kappa_sq, dt: float, strength: float) -> np
     if np.any(lam <= 0):
         np.copyto(mag, w, where=lam <= 0)
     return mag
+
+
+def _scalar_substep(w: np.ndarray, lam: float, dt: float, strength: float) -> np.ndarray:
+    """nonlinear_substep for one decay rate lam: the same arithmetic, with g,
+    1-g and 1+g as Python floats taken from numpy's exp and expm1."""
+    if dt < 0 or strength < 0 or lam < 0:
+        raise ConfigError("substep requires dt, strength, kappa^2 all nonnegative")
+    if not np.all(np.isfinite(w)):
+        raise ConfigError("non-finite field entering nonlinear substep")
+    if lam <= 0:
+        return w.copy()
+    g = float(np.exp(-lam))
+    omg = max(float(-np.expm1(-lam)), _TINY)
+    opg = 1.0 + g
+    em = np.copysign(w, -1.0)
+    np.exp(em, out=em)
+    den = em * opg
+    den += omg
+    em *= omg
+    em += opg
+    em /= den
+    return np.copysign(np.log(em, out=em), w, out=em)
 
 
 class AxisOperator:
@@ -114,6 +144,7 @@ class AxisOperator:
         self.corr_lines = np.ravel_multi_index(
             (nz[axis], nz[t1], nz[t2]), (self.n - 2, c.shape[t1], c.shape[t2])
         )
+        self._perm = (axis, t1, t2)
         self._factors: OrderedDict[float, tuple] = OrderedDict()
 
     @property
@@ -131,7 +162,7 @@ class AxisOperator:
 
     def _lines(self, block: np.ndarray) -> np.ndarray:
         """View of a 3D block with this operator's axis first."""
-        return np.moveaxis(block, self.axis, 0)
+        return block.transpose(self._perm)
 
     @property
     def weights(self) -> np.ndarray:
@@ -309,14 +340,22 @@ def build_split_operators(
 
 
 def _reset_faces(v: np.ndarray, boundary) -> None:
-    """Set the six faces of v from boundary, a field or a scalar."""
-    b = np.broadcast_to(boundary, v.shape)
-    v[0, :, :] = b[0, :, :]
-    v[-1, :, :] = b[-1, :, :]
-    v[:, 0, :] = b[:, 0, :]
-    v[:, -1, :] = b[:, -1, :]
-    v[:, :, 0] = b[:, :, 0]
-    v[:, :, -1] = b[:, :, -1]
+    """Set the six faces of v from boundary, a field of v's shape or a scalar.
+
+    The two faces of axis 0, and those of axis 1, are each set through one
+    slice of step n - 1.  The faces of axis 2 are set one at a time: a step
+    along the last axis would give numpy an inner loop of two elements.
+    """
+    scalar = np.ndim(boundary) == 0
+    n0, n1, _ = v.shape
+    every = slice(None)
+    for faces in (
+        slice(None, None, n0 - 1),
+        (every, slice(None, None, n1 - 1)),
+        (every, every, 0),
+        (every, every, -1),
+    ):
+        v[faces] = boundary if scalar else boundary[faces]
 
 
 def adi_step(u: np.ndarray, dt: float, split: SplitOperators) -> np.ndarray:

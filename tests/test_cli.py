@@ -95,6 +95,29 @@ class TestSolve:
         assert err.startswith("error: theta 1e-09 outside clamp range")
         assert "Traceback" not in err
 
+    def test_atom_outside_the_box_is_config_error(self, tmp_path, capsys):
+        far = tmp_path / "far.txt"
+        far.write_text("5.2 0 0 1.0 1.5\n")
+        rc = main(_solve_args(str(far)))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: point (5.2, 0.0, 0.0) lies outside the grid box")
+        assert "Traceback" not in err and "np.float64" not in err
+
+    def test_wall_time_covers_the_whole_run(self, atom_file, capsys):
+        # lpb start: build and CG run before the march, outside trace.wall_time
+        args = _solve_args(atom_file)
+        args[args.index("--ic") + 1] = "lpb"
+        assert main(args) == 0
+        times = {}
+        for line in capsys.readouterr().out.splitlines():
+            key, _, value = line.partition(": ")
+            if key in ("wall time", "march time"):
+                times[key] = float(value.removesuffix(" s"))
+        assert set(times) == {"wall time", "march time"}
+        assert times["wall time"] >= times["march time"]
+        assert times["wall time"] > 0.0
+
     def test_divergence_exit_code(self, tmp_path, capsys):
         hot = tmp_path / "hot.txt"
         hot.write_text("0 0 0 1e6 1.7\n")
@@ -131,7 +154,9 @@ class TestKirkwood:
             ["kirkwood", "--h", "2.0", "--dt", "0.1", "--tend", "0.3", "--ic", "zero"]
         )
         assert rc == 0
-        assert "final energy:" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "final energy:" in out
+        assert "march time:" in out
 
 
 class TestConvergence:
@@ -180,6 +205,7 @@ class TestSchedule:
         out = capsys.readouterr().out
         assert "final energy:" in out
         assert "stopped: horizon" in out.splitlines()
+        assert "march time:" in out
 
     def test_bad_switch_spec(self, capsys):
         rc = main(["schedule", "--switch", "nonsense", "--h", "2.0"])

@@ -3,6 +3,7 @@
 import math
 import pickle
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,8 +25,8 @@ from gfmpbe.driver import (
     run_schedule,
     scaling_study,
 )
-from gfmpbe.errors import ConfigError, DivergenceError, InitializationError
-from gfmpbe.grid import Field, read_field_binary, write_field_binary
+from gfmpbe.errors import ConfigError, DivergenceError, DomainError, InitializationError
+from gfmpbe.grid import Field, read_field_binary, trilinear_stencil, write_field_binary
 from gfmpbe.molecule import Atom, AtomSet, PhysicalParams, solvation_energy
 from gfmpbe.surface import export_interface
 
@@ -588,6 +589,40 @@ class TestProblemAssembly:
         direct = run(cfg, problem=prob)
         imported = run(cfg_imp)
         assert imported.final_energy == direct.final_energy
+
+    @pytest.mark.parametrize("surface", ["sphere", "ses-grid"])
+    def test_atom_outside_the_box_fails_at_build(self, monkeypatch, surface):
+        def never(*args, **kwargs):
+            raise AssertionError("surface classified before the box check")
+
+        for name in ("classify_sphere", "classify_ses_grid"):
+            monkeypatch.setattr(driver, name, never)
+        atoms = AtomSet([Atom((5.2, 0.0, 0.0), 1.0, 1.5)])
+        cfg = RunConfig(atoms=atoms, h=0.5, surface=surface, box=(-4.0,) * 3 + (4.0,) * 3)
+        with pytest.raises(DomainError, match=r"point \(5\.2, 0\.0, 0\.0\)") as exc:
+            build_problem(cfg)
+        assert "np.float64" not in str(exc.value)
+
+    @pytest.mark.parametrize("scheme", ["ADI", "LOD"])
+    def test_final_energy_is_the_energy_of_the_final_field(self, scheme):
+        cfg = replace(_coarse_kirkwood(t_end=0.3), ic="lpb", scheme=scheme)
+        problem = build_problem(cfg)
+        trace = run(cfg, problem=problem)
+        u = trace.final_field
+        assert trace.final_energy == solvation_energy(u, cfg.atoms, cfg.params)
+        stencil = trilinear_stencil(u.grid, cfg.atoms.centers)
+        assert trace.final_energy == solvation_energy(
+            u, cfg.atoms, cfg.params, stencil=stencil
+        )
+
+    def test_stencil_of_another_grid_rejected(self):
+        cfg = _coarse_kirkwood()
+        problem = build_problem(cfg)
+        other = build_problem(replace(cfg, box=(-4.5,) * 3 + (4.5,) * 3))
+        with pytest.raises(ConfigError, match="stencil grid"):
+            solvation_energy(
+                problem.boundary, cfg.atoms, cfg.params, stencil=other.stencil
+            )
 
     def test_config_validation(self):
         atoms = AtomSet([Atom((0.0, 0.0, 0.0), 1.0, 2.0)])

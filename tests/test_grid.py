@@ -12,6 +12,7 @@ from gfmpbe.grid import (
     build_grid,
     read_field_binary,
     trilinear,
+    trilinear_stencil,
     write_field_binary,
     write_field_csv,
 )
@@ -124,6 +125,79 @@ class TestTrilinear:
     def test_boundary_overhang_forgiven(self):
         f = Field(self.grid, np.ones((5, 5, 5)))
         assert trilinear(f, (1.0 + 1e-13, 0.0, 0.0)) == pytest.approx(1.0)
+
+
+def _trilinear_ref(field, p):
+    """Trilinear interpolation as eight gathers, x then y then z: the
+    arithmetic the stencil must reproduce."""
+    g = field.grid
+    pts = np.asarray(p, dtype=float)
+    single = pts.ndim == 1
+    if single:
+        pts = pts[None, :]
+    rel = (pts - np.asarray(g.origin)) / g.h
+    n = np.array(g.shape)
+    cell = np.clip(np.floor(rel).astype(int), 0, n - 2)
+    frac = np.clip(rel - cell, 0.0, 1.0)
+    i, j, k = cell[:, 0], cell[:, 1], cell[:, 2]
+    fx, fy, fz = frac[:, 0], frac[:, 1], frac[:, 2]
+    v = field.values
+    c00 = v[i, j, k] * (1 - fx) + v[i + 1, j, k] * fx
+    c10 = v[i, j + 1, k] * (1 - fx) + v[i + 1, j + 1, k] * fx
+    c01 = v[i, j, k + 1] * (1 - fx) + v[i + 1, j, k + 1] * fx
+    c11 = v[i, j + 1, k + 1] * (1 - fx) + v[i + 1, j + 1, k + 1] * fx
+    c0 = c00 * (1 - fy) + c10 * fy
+    c1 = c01 * (1 - fy) + c11 * fy
+    out = c0 * (1 - fz) + c1 * fz
+    return float(out[0]) if single else out
+
+
+class TestTrilinearStencil:
+    """The stencil reproduces the eight-gather interpolation bit for bit."""
+
+    def setup_method(self):
+        self.grid = Grid((-1.0, -0.5, 0.25), 0.25, (6, 9, 7))
+        rng = np.random.default_rng(11)
+        self.field = Field(self.grid, rng.normal(scale=50.0, size=self.grid.shape))
+
+    def _points(self, m):
+        rng = np.random.default_rng(12)
+        return np.asarray(self.grid.origin) + rng.uniform(
+            0.0, 1.0, (m, 3)
+        ) * (np.array(self.grid.shape) - 1) * self.grid.h
+
+    def test_batch(self):
+        pts = self._points(200)
+        got = trilinear(self.field, pts)
+        want = _trilinear_ref(self.field, pts)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        stencil = trilinear_stencil(self.grid, pts)
+        np.testing.assert_array_equal(stencil(self.field.values), got)
+
+    def test_single_points_and_nodes(self):
+        nodes = self.grid.nodes().reshape(-1, 3)[::7]
+        for p in list(self._points(20)) + list(nodes):
+            got = trilinear(self.field, p)
+            assert isinstance(got, float)
+            assert got == _trilinear_ref(self.field, p)
+
+    def test_overhang_is_clamped(self):
+        lo, hi = np.asarray(self.grid.origin), np.asarray(self.grid.upper)
+        eps = 1e-9 * self.grid.h * 0.5
+        pts = np.array([lo - eps, hi + eps, [lo[0] - eps, 0.3, hi[2] + eps], hi, lo])
+        got = trilinear(self.field, pts)
+        np.testing.assert_array_equal(got, _trilinear_ref(self.field, pts))
+        np.testing.assert_allclose(
+            got[:2], [self.field.values[0, 0, 0], self.field.values[-1, -1, -1]],
+            rtol=1e-12,
+        )
+
+    def test_outside_names_the_point_in_plain_floats(self):
+        pts = self._points(3)
+        pts[1] = (5.2, 0.0, 0.5)
+        with pytest.raises(DomainError, match=r"point \(5\.2, 0\.0, 0\.5\)") as exc:
+            trilinear_stencil(self.grid, pts)
+        assert "np.float64" not in str(exc.value)
 
 
 class TestFieldIO:

@@ -619,3 +619,76 @@ class TestJumpArrays:
                 compute_jumps(data, atoms, params)
             with pytest.raises(AssemblyError, match=f"on crossing {key}"):
                 build_split_operators(data, atoms, params, Field(grid, bvals))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+class TestScalarKappaSubstep:
+    """A scalar kappa^2 runs the substep with float coefficients; the result
+    equals the array path of np.full(w.shape, kappa^2) bit for bit."""
+
+    @staticmethod
+    def _field():
+        rng = np.random.default_rng(29)
+        w = rng.normal(scale=3.0, size=(6, 7, 8))
+        w.flat[:9] = [700.0, -700.0, 699.5, -712.3, 0.0, -0.0, 1e-300, -5e-324, 40.0]
+        w.flat[9:20] = rng.uniform(-710.0, 710.0, 11)
+        return w
+
+    @pytest.mark.parametrize(
+        "kappa_sq, dt, strength",
+        [
+            (1.0, 0.07, 1.0),
+            (1.2730354, 0.013, 0.5),
+            (3.0, 2.0, 1.0),
+            (1e-12, 1e-3, 1.0),
+            (50.0, 40.0, 0.5),
+        ],
+    )
+    @pytest.mark.parametrize("kind", [float, np.float64, np.asarray])
+    def test_equals_array_path(self, kappa_sq, dt, strength, kind):
+        w = self._field()
+        got = nonlinear_substep(w, kind(kappa_sq), dt, strength)
+        want = nonlinear_substep(w, np.full(w.shape, kappa_sq), dt, strength)
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("kappa_sq, dt", [(0.0, 0.1), (1.0, 0.0)])
+    def test_zero_rate_returns_an_equal_copy(self, kappa_sq, dt):
+        w = self._field()
+        out = nonlinear_substep(w, kappa_sq, dt, 1.0)
+        assert not np.shares_memory(out, w)
+        np.testing.assert_array_equal(_bits(out), _bits(w))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kappa_sq", [0.0, 1.0])
+    def test_non_finite_field_rejected(self, bad, kappa_sq):
+        w = self._field()
+        w[3, 2, 1] = bad
+        with pytest.raises(ConfigError, match="non-finite"):
+            nonlinear_substep(w, kappa_sq, 0.1, 1.0)
+
+    def test_negative_kappa_rejected(self):
+        with pytest.raises(ConfigError, match="nonnegative"):
+            nonlinear_substep(np.zeros(3), -1.0, 0.1, 1.0)
+
+
+class TestResetFaces:
+    """The face reset equals six slice assignments, one a face."""
+
+    @pytest.mark.parametrize("shape", [(4, 5, 7), (9, 4, 6)])
+    @pytest.mark.parametrize("boundary", ["field", 0.0, -2.5])
+    def test_matches_six_slice_assignments(self, shape, boundary):
+        rng = np.random.default_rng(41)
+        b = rng.normal(size=shape) if boundary == "field" else boundary
+        v = rng.normal(size=shape)
+        want = v.copy()
+        for axis in range(3):
+            for end in (0, -1):
+                face = [slice(None)] * 3
+                face[axis] = end
+                face = tuple(face)
+                want[face] = b[face] if np.ndim(b) else b
+        stepping._reset_faces(v, b)
+        np.testing.assert_array_equal(_bits(v), _bits(want))
