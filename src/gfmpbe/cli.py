@@ -193,21 +193,22 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    """One row a controller on one shared problem: wall(s) times the member's
+    run, its initial condition and march; march(s) is the march alone."""
     cfg = _base_config(args)
     problem = build_problem(cfg)
-    ref = run(reference_config(cfg), problem=problem)
-    print(f"{'controller':>18}  {'energy':>14}  {'steps':>6}  {'wall(s)':>8}")
-    print(f"{'reference(0.01)':>18}  {ref.final_energy:>14.6f}  "
-          f"{ref.steps:>6}  {ref.wall_time:>8.2f}")
+    members = [("reference(0.01)", reference_config(cfg))]
     for name in sorted(_CONTROLLER_NAMES):
         kind = _CONTROLLER_NAMES[name]
         ctrl = ControllerConfig.for_kind(kind)
         if kind == "Constant":
             ctrl = replace(ctrl, dt0=0.01, dt_min=0.01)
-        member = replace(cfg, controller=ctrl)
-        trace = run(member, problem=problem)
-        print(f"{name:>18}  {trace.final_energy:>14.6f}  "
-              f"{trace.steps:>6}  {trace.wall_time:>8.2f}")
+        members.append((name, replace(cfg, controller=ctrl)))
+    print(f"{'controller':>18}  {'energy':>14}  {'steps':>6}  {'wall(s)':>8}  {'march(s)':>8}")
+    for name, member in members:
+        trace, wall = _timed(run, member, problem)
+        print(f"{name:>18}  {trace.final_energy:>14.6f}  {trace.steps:>6}  "
+              f"{wall:>8.2f}  {trace.wall_time:>8.2f}")
     return 0
 
 

@@ -330,24 +330,28 @@ def _march(cfg: RunConfig, policy, problem: Problem | None) -> EnergyTrace:
     step = 0
     start = time.perf_counter()
     reason = policy.stop_reason(t, None)
-    while reason is None:
-        dt = policy.dt
-        try:
-            u_new = _step_once(u, dt, problem.split, cfg.scheme)
-        except ConfigError:
-            # The step's substep scans u, the field of the last row, so that
-            # the loop need not scan it again.
-            _check_finite(u, step, rows[-1].t, rows[-1].dt)
-            raise
-        step += 1
-        t += dt
-        e_new = _checked_energy(u_new, problem, step, t, dt)
-        de = abs(e_new - energy)
-        policy.observe(u_new, u, e_new, energy)
-        st = policy.state
-        rows.append(TraceRow(step, t, dt, st.last_error, st.last_factor, e_new, de))
-        u, energy = u_new, e_new
-        reason = policy.stop_reason(t, de)
+    try:
+        while reason is None:
+            dt = policy.dt
+            try:
+                u_new = _step_once(u, dt, problem.split, cfg.scheme)
+            except ConfigError:
+                # The step's substep scans u, the field of the last row, so
+                # that the loop need not scan it again.
+                _check_finite(u, step, rows[-1].t, rows[-1].dt)
+                raise
+            step += 1
+            t += dt
+            e_new = _checked_energy(u_new, problem, step, t, dt)
+            de = abs(e_new - energy)
+            policy.observe(u_new, u, e_new, energy)
+            st = policy.state
+            rows.append(TraceRow(step, t, dt, st.last_error, st.last_factor, e_new, de))
+            u, energy = u_new, e_new
+            reason = policy.stop_reason(t, de)
+    finally:
+        # A kept Problem holds no step workspace between runs.
+        problem.split._release_workspace()
     _check_finite(u, step, rows[-1].t, rows[-1].dt)
     wall = time.perf_counter() - start
     trace = EnergyTrace(rows, energy, step, wall, Field(problem.grid, u), reason)

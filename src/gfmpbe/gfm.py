@@ -151,7 +151,9 @@ def assemble_line(
     return LineSystem(diag[:, 0], -w[1:-1], corr[:, 0], bc_lo, bc_hi, w_lo, w_hi, h)
 
 
-def apply_flux(weights, v: np.ndarray, stride: int = 1, out=None) -> np.ndarray:
+def apply_flux(
+    weights, v: np.ndarray, stride: int = 1, out=None, *, work=None
+) -> np.ndarray:
     """A v in flux form on flat data: the flux F = W * (v[s:] - v[:-s])
     through each edge, then A v = F[s:] - F[:-s] at positions s .. len(v)-s-1,
     with s = stride.  Three whole-array passes.
@@ -160,9 +162,10 @@ def apply_flux(weights, v: np.ndarray, stride: int = 1, out=None) -> np.ndarray:
     On one line (s = 1) the ends of v are the Dirichlet values; on a C-order
     field s is the stride of the axis, and W is zero on the edges of no
     line, so the faces enter as Dirichlet ends.  The correction c is added
-    by the caller.  The result goes into out when it is given.
+    by the caller.  The result goes into out when it is given, and the flux
+    into work, len(v) - s floats, when that is given.
     """
-    flux = np.subtract(v[stride:], v[:-stride])
+    flux = np.subtract(v[stride:], v[:-stride], out=work)
     flux *= weights
     return np.subtract(flux[stride:], flux[:-stride], out=out)
 
@@ -219,24 +222,38 @@ def ldlt_factor(
     M is the stored negated operator: diag (m, ...) and off (m-1, ...), the
     line index first and any batch shape after it.  Returns the unit lower
     multipliers cp (m-1, ...), L[i+1, i] = cp[i], and the inverse pivots
-    inv (m, ...), inv = 1/D.  The pivots follow the two-op recurrence
-    D[i] = d[i] - o[i-1]^2 / D[i-1] on the squared off-diagonal, with one
-    row temporary; cp = o / D[:-1] and 1/D are whole-array passes after it.
-    Diagonal dominance keeps pivots away from zero; a pivot that vanishes
-    anyway raises NumericalError.
+    inv (m, ...), inv = 1/D.  This is ldlt_factor_into on tau*off.
     """
-    piv = 1.0 + tau * diag
-    o = tau * off
-    o2 = o * o
+    return ldlt_factor_into(diag, np.multiply(off, tau), tau)
+
+
+def ldlt_factor_into(
+    diag: np.ndarray, o: np.ndarray, tau: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """ldlt_factor with the scaled off-diagonal o = tau*off given, which is
+    overwritten with cp; returns (cp, inv) with cp the array o.
+
+    The pivots are built in the array that becomes inv and follow the two-op
+    recurrence D[i] = d[i] - o[i-1]^2 / D[i-1] on the squared off-diagonal,
+    with one row temporary; cp = o / D[:-1] and 1/D are whole-array passes
+    after it.  One scratch array of diag's shape holds o^2 and then the
+    zero-pivot test.  Diagonal dominance keeps pivots away from zero; a
+    pivot that vanishes anyway (|D| < 1e-300) raises NumericalError.
+    """
+    piv = np.multiply(diag, tau)
+    piv += 1.0
+    scratch = np.empty_like(piv)
+    o2 = np.multiply(o, o, out=scratch[:-1])
     rows = _rows(piv)
     t = np.empty_like(rows[0])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for prev, sq, row in zip(rows, o2, rows[1:]):
             np.subtract(row, np.divide(sq, prev, t), row)
-        if np.any(np.abs(piv) < 1e-300):
+        # fmin skips NaN, so this raises exactly where some |D| < 1e-300.
+        if np.fmin.reduce(np.abs(piv, out=scratch), axis=None, initial=np.inf) < 1e-300:
             raise NumericalError("zero pivot in tridiagonal solve")
-        cp = np.divide(o, piv[:-1], out=o)
-    return cp, np.reciprocal(piv, out=piv)
+        np.divide(o, piv[:-1], out=o)
+    return o, np.reciprocal(piv, out=piv)
 
 
 def ldlt_solve(cp: np.ndarray, inv: np.ndarray, b: np.ndarray) -> None:

@@ -13,7 +13,8 @@ the end rows and tau times the nonzero corrections by index, runs one L D L^T
 solve over all lines in place (the gfm kernel, shared with the one-line
 solve) and scatters the lines back; the line-major view is a transpose by a
 permutation stored with the operator.  Its factors are cached per tau; a new
-tau refactors from the line-major off-diagonal kept since construction.
+tau reads the off-diagonal -tau*W from the edge weights through that
+transpose, so no line-major copy of the weights is kept.
 kappa^2 is zero inside the solute and one scalar in the solvent, so the
 substep runs once over the field with one log and its coefficients as
 Python floats, and the inside nodes are copied back from a flat index.
@@ -21,17 +22,30 @@ Both schemes keep the six box faces pinned at the Dirichlet values through
 every stage, four slice assignments a reset.  A small grid takes a step in
 about a millisecond, so these fixed per-call costs count as much as the
 arithmetic there.
+
+Memory: the grid size a machine can hold is set by the field-sized arrays
+alive at once, so an ADI step allocates one new field, its result, and
+builds every stage in it: apply and solve write into the out array they are
+given, and a sweep overwrites its own right-hand side.  The other
+field-sized arrays (dt*d2y(v0), dt*d2z(v0), the substep's temporary, the
+apply's flux and the sweep's line-major right-hand side) come from
+SplitOperators._workspace, made on the first step and kept between steps
+(allocating them afresh each step made the allocator return them to the
+system and fault them back in), and freed by SplitOperators._release_workspace
+when the driver's march returns.  A LOD step allocates two fields, the
+results of its two substeps.  Because the workspace is shared by every step
+of a split, one split must not be stepped from two threads at once.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import AssemblyError, ConfigError
-from .gfm import JumpData, apply_flux, assemble_lines, ldlt_factor, ldlt_solve
+from .gfm import JumpData, apply_flux, assemble_lines, ldlt_factor_into, ldlt_solve
 from .grid import Field
 from .molecule import AtomSet, PhysicalParams, green_gradient, green_potential
 from .surface import InterfaceData, RowMap
@@ -41,7 +55,9 @@ _FACTOR_CACHE_SIZE = 4
 _TINY = float(np.finfo(float).tiny)
 
 
-def nonlinear_substep(w: np.ndarray, kappa_sq, dt: float, strength: float) -> np.ndarray:
+def nonlinear_substep(
+    w: np.ndarray, kappa_sq, dt: float, strength: float, *, work=None
+) -> np.ndarray:
     """Exact solution of dw/dt = -strength * kappa^2 * sinh(w) over dt.
 
     Closed form tanh(w/2) = tanh(w0/2) * g with g = exp(-strength*kappa^2*dt),
@@ -51,11 +67,13 @@ def nonlinear_substep(w: np.ndarray, kappa_sq, dt: float, strength: float) -> np
     so that the ratio stays finite.  Nodes with kappa^2 = 0 are returned
     bit-identical.  kappa_sq may be a scalar, as SplitOperators passes it:
     then every coefficient is a Python float, with the array path's
-    arithmetic.  A non-finite w raises ConfigError.
+    arithmetic.  A non-finite w raises ConfigError.  work, a float array of
+    the result's shape, holds the denominator's temporary when it is given;
+    the result is always a new array.
     """
     w = np.asarray(w, dtype=float)
     if np.ndim(kappa_sq) == 0:
-        return _scalar_substep(w, strength * float(kappa_sq) * dt, dt, strength)
+        return _scalar_substep(w, strength * float(kappa_sq) * dt, dt, strength, work)
     lam = np.asarray(strength * np.asarray(kappa_sq, dtype=float) * dt)
     if dt < 0 or strength < 0 or np.any(lam < 0):
         raise ConfigError("substep requires dt, strength, kappa^2 all nonnegative")
@@ -67,7 +85,7 @@ def nonlinear_substep(w: np.ndarray, kappa_sq, dt: float, strength: float) -> np
     em = np.copysign(np.broadcast_to(w, np.broadcast_shapes(w.shape, lam.shape)), -1.0)
     np.exp(em, out=em)
     # (1+g + em*(1-g)) / ((1-g) + em*(1+g)), in place
-    den = em * opg
+    den = np.multiply(em, opg, out=work)
     den += omg
     em *= omg
     em += opg
@@ -78,7 +96,9 @@ def nonlinear_substep(w: np.ndarray, kappa_sq, dt: float, strength: float) -> np
     return mag
 
 
-def _scalar_substep(w: np.ndarray, lam: float, dt: float, strength: float) -> np.ndarray:
+def _scalar_substep(
+    w: np.ndarray, lam: float, dt: float, strength: float, work=None
+) -> np.ndarray:
     """nonlinear_substep for one decay rate lam: the same arithmetic, with g,
     1-g and 1+g as Python floats taken from numpy's exp and expm1."""
     if dt < 0 or strength < 0 or lam < 0:
@@ -92,7 +112,7 @@ def _scalar_substep(w: np.ndarray, lam: float, dt: float, strength: float) -> np
     opg = 1.0 + g
     em = np.copysign(w, -1.0)
     np.exp(em, out=em)
-    den = em * opg
+    den = np.multiply(em, opg, out=work)
     den += omg
     em *= omg
     em += opg
@@ -114,9 +134,6 @@ class AxisOperator:
       as flat C-order indices into the field; corr_lines holds the same
       entries' flat indices in the line-major (n-2, L) layout.
     - diag, (n-2, L), line-major: W_left + W_right, the diagonal of -A.
-    - off, (n-3, L), line-major: -W on the edges between interior nodes,
-      the off-diagonal of -A, kept so that a new tau refactors without
-      rebuilding it.
     - dir_lo, dir_hi, (L,): the end weights times the Dirichlet values.
 
     The constructor takes assemble_lines' line-major arrays; weights and
@@ -124,18 +141,26 @@ class AxisOperator:
     layout on access.  apply runs gfm.apply_flux on the flat field with the
     axis's stride, straight into the result.  solve keeps an LRU cache of
     _FACTOR_CACHE_SIZE entries keyed by tau, each the L D L^T multipliers cp
-    and inverse pivots inv of gfm.ldlt_factor.  The right-hand side is
-    copied into line layout and takes tau times the Dirichlet ends and tau
-    times the corrections there, in the order of gfm.thomas_solve.
+    and inverse pivots inv of gfm.ldlt_factor_into.  A new tau reads the
+    off-diagonal -tau*W of the edges between interior nodes from
+    flux_weights through the line-major transpose, straight into the array
+    that becomes cp; no line-major copy of W is kept.  The right-hand side
+    is copied into line layout and takes tau times the Dirichlet ends and
+    tau times the corrections there, in the order of gfm.thomas_solve.
+
+    apply and solve take an optional out array for the result.  The flux
+    temporary of apply and the line-major buffer of solve come from a flat
+    scratch array of the field's size that SplitOperators._workspace lends to
+    its three operators, or are allocated per call when none is lent; while
+    one is lent, two threads must not call apply or solve at once.
     """
 
     def __init__(self, axis: int, shape: tuple, diag, weights, corr, dir_lo, dir_hi):
         self.axis, self.shape, self.n = axis, shape, shape[axis]
         self.stride = int(np.prod(shape[axis + 1 :]))
         self.diag, self.dir_lo, self.dir_hi = diag, dir_lo, dir_hi
-        self.off = -weights[1:-1]
         self.flux_weights = np.zeros(shape)
-        self.flux_weights[self._edges] = self._to_field(weights)
+        self.flux_weights[self._edges()] = self._to_field(weights)
         c = self._to_field(corr)
         nz = np.unravel_index(np.flatnonzero(c != 0), c.shape)
         self.corr_index = np.ravel_multi_index(tuple(i + 1 for i in nz), shape)
@@ -145,13 +170,18 @@ class AxisOperator:
             (nz[axis], nz[t1], nz[t2]), (self.n - 2, c.shape[t1], c.shape[t2])
         )
         self._perm = (axis, t1, t2)
+        # W on the edges between interior nodes, line-major: a view, which a
+        # factorization reads -tau*W through.
+        self._inner_weights = self._lines(self.flux_weights[self._edges(1, -2)])
         self._factors: OrderedDict[float, tuple] = OrderedDict()
+        self._work: np.ndarray | None = None
 
-    @property
-    def _edges(self) -> tuple:
-        """Index of the interior lines' edges, each at its low node."""
+    def _edges(self, lo: int = 0, hi: int = -1) -> tuple:
+        """Index of the interior lines' edges lo .. n+hi-1, each at its low
+        node: all of them by default, (1, -2) for those between interior
+        nodes."""
         sl = [slice(1, -1)] * 3
-        sl[self.axis] = slice(0, -1)
+        sl[self.axis] = slice(lo, hi)
         return tuple(sl)
 
     def _to_field(self, lines: np.ndarray) -> np.ndarray:
@@ -164,10 +194,14 @@ class AxisOperator:
         """View of a 3D block with this operator's axis first."""
         return block.transpose(self._perm)
 
+    def _scratch(self, size: int) -> np.ndarray:
+        """size floats of the lent scratch array, or new ones."""
+        return np.empty(size) if self._work is None else self._work[:size]
+
     @property
     def weights(self) -> np.ndarray:
         """Edge coefficients W, line-major (n-1, L)."""
-        w = self._lines(self.flux_weights[self._edges])
+        w = self._lines(self.flux_weights[self._edges()])
         return np.ascontiguousarray(w.reshape(self.n - 1, -1))
 
     @property
@@ -185,37 +219,58 @@ class AxisOperator:
         nodes in it get finite values of no meaning."""
         s = self.stride
         w = self.flux_weights.reshape(-1)[:-s]
-        apply_flux(w, v.reshape(-1), s, out=out[s:-s])
+        apply_flux(w, v.reshape(-1), s, out=out[s:-s], work=self._scratch(w.size))
         if corr:
             out[self.corr_index] += self.corr_value
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """delta2(v) = A v + c on every interior node; zeros elsewhere."""
-        full = np.empty_like(v)
-        self.apply_into(v, full.reshape(-1))
-        _reset_faces(full, 0.0)
-        return full
+    def apply(self, v: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+        """delta2(v) = A v + c on every interior node; zeros elsewhere.
+
+        The result goes into out, a C-contiguous array of v's shape, when it
+        is given, and is returned.
+        """
+        if out is None:
+            out = np.empty_like(v)
+        elif out.shape != v.shape or not out.flags.c_contiguous:
+            raise ConfigError("apply's out must be a C-contiguous array of v's shape")
+        self.apply_into(v, out.reshape(-1))
+        _reset_faces(out, 0.0)
+        return out
 
     def _factor(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
         entry = self._factors.get(tau)
         if entry is not None:
             self._factors.move_to_end(tau)
             return entry
-        # I - tau*A = I + tau*M, M = -A: diag on the diagonal, -W off it.
-        entry = self._factors[tau] = ldlt_factor(self.diag, self.off, tau)
+        # I - tau*A = I + tau*M, M = -A: diag on the diagonal, -W off it, so
+        # the scaled off-diagonal is -tau*W (negation is exact).
+        w = self._inner_weights
+        o = np.empty((self.n - 3, self.diag.shape[1]))
+        np.multiply(w, -tau, out=o.reshape(w.shape))
+        entry = self._factors[tau] = ldlt_factor_into(self.diag, o, tau)
         if len(self._factors) > _FACTOR_CACHE_SIZE:
             self._factors.popitem(last=False)
         return entry
 
-    def solve(self, tau: float, rhs: np.ndarray, boundary: np.ndarray) -> np.ndarray:
+    def solve(
+        self,
+        tau: float,
+        rhs: np.ndarray,
+        boundary: np.ndarray,
+        *,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Implicit sweep: rhs read at interior nodes, faces set from boundary.
 
         Solves (I - tau*A) x = rhs + tau*(c + Dirichlet fold) on every line:
         the right-hand side is copied into line layout, tau times the
         Dirichlet ends is added to the end rows and tau times the nonzero
-        corrections at corr_lines, in the order of gfm.thomas_solve.
+        corrections at corr_lines, in the order of gfm.thomas_solve.  The
+        result goes into out, an array of boundary's shape, when it is
+        given, and is returned; out may be rhs itself.
         """
-        out = np.empty_like(boundary)
+        if out is None:
+            out = np.empty_like(boundary)
         _reset_faces(out, boundary)
         inner = rhs[1:-1, 1:-1, 1:-1]
         rows = self._lines(out[1:-1, 1:-1, 1:-1])
@@ -223,7 +278,7 @@ class AxisOperator:
             rows[...] = self._lines(inner)
             return out
         cp, inv = self._factor(tau)
-        b = np.empty(self.diag.shape)
+        b = self._scratch(self.diag.size).reshape(self.diag.shape)
         lines = b.reshape(rows.shape)
         lines[...] = self._lines(inner)
         b[0] += tau * self.dir_lo
@@ -240,16 +295,44 @@ class SplitOperators:
 
     kappa^2 is the scalar kappa_sq on solvent nodes and zero on the solute
     nodes listed in inside, as flat C-order indices into the field.
+
+    The steps take their field-sized scratch from _workspace, which keeps
+    the arrays from one step to the next: allocating them afresh each step
+    costs page faults once the allocator has returned them to the system.
+    The driver's march calls _release_workspace when it returns.  A split is
+    therefore not safe to step from two threads at once.
     """
 
     ops: tuple[AxisOperator, AxisOperator, AxisOperator]
     kappa_sq: float
     inside: np.ndarray
     boundary: np.ndarray
+    _pool: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.ops[0].shape
+
+    def _workspace(self, count: int) -> list[np.ndarray]:
+        """count scratch arrays of the field's shape, kept between calls.
+
+        The first call also lends the three axis operators one flat scratch
+        array of the field's size, for the apply's flux and the sweep's
+        line-major right-hand side; _release_workspace frees them all.
+        """
+        if not self._pool:
+            work = np.empty(int(np.prod(self.shape)))
+            for op in self.ops:
+                op._work = work
+        while len(self._pool) < count:
+            self._pool.append(np.empty(self.shape))
+        return self._pool[:count]
+
+    def _release_workspace(self) -> None:
+        """Free the arrays of _workspace; the next step allocates them anew."""
+        self._pool.clear()
+        for op in self.ops:
+            op._work = None
 
     def delta2_sum(self, v: np.ndarray, corr: bool = True) -> np.ndarray:
         """Sum over the axes of delta2_a(v) = A_a v + c_a on the interior
@@ -365,40 +448,51 @@ def adi_step(u: np.ndarray, dt: float, split: SplitOperators) -> np.ndarray:
     Stage 2: (1 - dt*d2y) v**  = v* - dt * d2y(v0)
     Stage 3: (1 - dt*d2z) v''' = v** - dt * d2z(v0)
     with v0 the post-substep field and every d2 including its corrections.
+    The substep's result is the step's one new field: each stage's
+    right-hand side is built in it and each sweep writes over its own
+    right-hand side.  dt*d2y(v0) and dt*d2z(v0) live in the workspace.
     """
     if dt <= 0:
         raise ConfigError(f"time step must be positive, got {dt}")
     ox, oy, oz = split.ops
-    v0 = _substep(u, split, dt, 1.0)
-    dy = oy.apply(v0)
+    dy, dz = split._workspace(2)
+    v = _substep(u, split, dt, 1.0, dy)
+    oy.apply(v, out=dy)
     dy *= dt
-    dz = oz.apply(v0)
+    oz.apply(v, out=dz)
     dz *= dt
-    rhs = v0 + dy
-    rhs += dz
-    v1 = ox.solve(dt, rhs, split.boundary)
-    v1 -= dy
-    v2 = oy.solve(dt, v1, split.boundary)
-    v2 -= dz
-    return oz.solve(dt, v2, split.boundary)
+    v += dy
+    v += dz
+    ox.solve(dt, v, split.boundary, out=v)
+    v -= dy
+    oy.solve(dt, v, split.boundary, out=v)
+    v -= dz
+    return oz.solve(dt, v, split.boundary, out=v)
 
 
 def lod_step(u: np.ndarray, dt: float, split: SplitOperators) -> np.ndarray:
-    """One LOD step: half-strength substep, three CN sweeps, half substep."""
+    """One LOD step: half-strength substep, three CN sweeps, half substep.
+
+    Each sweep writes over the field it started from; the right-hand side
+    and the substeps' temporary live in the workspace.
+    """
     if dt <= 0:
         raise ConfigError(f"time step must be positive, got {dt}")
-    v = _substep(u, split, dt, 0.5)
+    (d,) = split._workspace(1)
+    v = _substep(u, split, dt, 0.5, d)
     half = 0.5 * dt
     for op in split.ops:
-        d = op.apply(v)
+        op.apply(v, out=d)
         d *= half
         d += v
-        v = op.solve(half, d, split.boundary)
-    return _substep(v, split, dt, 0.5)
+        op.solve(half, d, split.boundary, out=v)
+    return _substep(v, split, dt, 0.5, d)
 
 
-def _substep(u: np.ndarray, split: SplitOperators, dt: float, strength: float) -> np.ndarray:
-    v = nonlinear_substep(u, split.kappa_sq, dt, strength)
+def _substep(
+    u: np.ndarray, split: SplitOperators, dt: float, strength: float, work: np.ndarray
+) -> np.ndarray:
+    v = nonlinear_substep(u, split.kappa_sq, dt, strength, work=work)
     np.put(v, split.inside, np.take(u, split.inside))
     _reset_faces(v, split.boundary)
     return v

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from gfmpbe import cli
 from gfmpbe.cli import build_parser, main
 from gfmpbe.grid import Grid
 from gfmpbe.surface import classify_sphere, export_interface
@@ -222,6 +223,17 @@ class TestCompareControllers:
         assert "reference(0.01)" in out
         for name in ("constant", "manual1", "nipid"):
             assert name in out
+
+    def test_wall_column_covers_each_run(self, capsys):
+        # lpb start: each member's CG runs before its march
+        rc = main(["compare-controllers", "--h", "2.0", "--tend", "6.0", "--ic", "lpb"])
+        assert rc == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.split() == ["controller", "energy", "steps", "wall(s)", "march(s)"]
+        assert len(rows) == 1 + len(cli._CONTROLLER_NAMES)
+        for row in rows:
+            wall, march = (float(v) for v in row.split()[-2:])
+            assert wall >= march
 
 
 class TestScaling:

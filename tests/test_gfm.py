@@ -13,6 +13,7 @@ from gfmpbe.gfm import (
     apply_operator,
     assemble_line,
     ldlt_factor,
+    ldlt_factor_into,
     ldlt_solve,
     thomas_solve,
 )
@@ -325,6 +326,36 @@ class TestLdltFactor:
                 mat += np.diag(tau * off[at], 1) + np.diag(tau * off[at], -1)
                 want = np.linalg.solve(mat, b[at])
                 assert np.abs(x[at] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestFactorInPlace:
+    """ldlt_factor_into builds cp in the scaled off-diagonal it is given; its
+    zero-pivot test reuses the o^2 scratch and keeps the comparison's
+    meaning: |D| < 1e-300 on any line raises, a NaN pivot does not."""
+
+    def test_overwrites_o_with_cp(self):
+        rng = np.random.default_rng(71)
+        off = -rng.uniform(0.5, 2.0, (8, 5))
+        diag = rng.uniform(5.0, 6.0, (9, 5))
+        cp, inv = ldlt_factor(diag, off, 0.3)
+        o = off * 0.3
+        got = ldlt_factor_into(diag, o, 0.3)
+        assert got[0] is o
+        np.testing.assert_array_equal(got[0].view(np.uint64), cp.view(np.uint64))
+        np.testing.assert_array_equal(got[1].view(np.uint64), inv.view(np.uint64))
+
+    def test_zero_pivot_on_one_line_raises(self):
+        diag = np.full((4, 3), 2.0)
+        diag[0, 1] = -1.0
+        off = np.full((3, 3), -0.5)
+        with pytest.raises(NumericalError, match="zero pivot"):
+            ldlt_factor(diag, off, 1.0)
+        with pytest.raises(NumericalError, match="zero pivot"):
+            ldlt_factor(diag[:, 1], off[:, 1], 1.0)
+
+    def test_nan_pivot_is_not_a_zero_pivot(self):
+        cp, inv = ldlt_factor(np.array([np.nan, 2.0, 2.0]), np.array([-0.5, -0.5]), 1.0)
+        assert np.isnan(inv).all() and np.isnan(cp).all()
 
 
 class TestApplyOperator:

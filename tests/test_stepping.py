@@ -1,5 +1,6 @@
 """Tests for the nonlinear substep, batched sweeps, and the two split schemes."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 import re
 
 from gfmpbe import gfm, stepping
-from gfmpbe.driver import RunConfig, build_problem, kirkwood_config
-from gfmpbe.errors import AssemblyError, ConfigError
+from gfmpbe.control import ControllerConfig
+from gfmpbe.driver import RunConfig, build_problem, kirkwood_config, run
+from gfmpbe.errors import AssemblyError, ConfigError, NumericalError
 from gfmpbe.gfm import apply_operator, assemble_line, thomas_solve
 from gfmpbe.grid import Field, build_grid
 from gfmpbe.molecule import Atom, AtomSet, PhysicalParams, dirichlet_boundary
@@ -490,9 +492,9 @@ def _first_apply_input(monkeypatch, step, u, dt, split):
     seen = []
     original = AxisOperator.apply
 
-    def recording(op, v):
+    def recording(op, v, **kwargs):
         seen.append(v.copy())
-        return original(op, v)
+        return original(op, v, **kwargs)
 
     monkeypatch.setattr(AxisOperator, "apply", recording)
     step(u, dt, split)
@@ -530,7 +532,8 @@ class TestStepSubstep:
 class TestLayerCalls:
     """Each step reaches the substep, apply and sweep layers a fixed number
     of times, with the sweep's boundary passed as its fourth positional
-    argument; per-layer timings from outside rely on both."""
+    argument and out as its only keyword; per-layer timings from outside
+    rely on both."""
 
     @pytest.mark.parametrize(
         "step, linearized, expected",
@@ -553,7 +556,7 @@ class TestLayerCalls:
             return wrapper
 
         def boundary_positional(args, kwargs):
-            assert len(args) == 4 and not kwargs
+            assert len(args) == 4 and set(kwargs) <= {"out"}
             assert args[3] is split.boundary
 
         monkeypatch.setattr(
@@ -692,3 +695,160 @@ class TestResetFaces:
                 want[face] = b[face] if np.ndim(b) else b
         stepping._reset_faces(v, b)
         np.testing.assert_array_equal(_bits(v), _bits(want))
+
+
+class TestOutKeyword:
+    """apply and solve into a given array equal the allocating calls bit for
+    bit, with and without the workspace lent to the operators."""
+
+    @pytest.mark.parametrize("lent", [False, True], ids=["own", "lent"])
+    def test_apply_into_out(self, lent):
+        *_, split = _two_sphere_problem()
+        if lent:
+            split._workspace(1)
+        v = np.random.default_rng(51).normal(size=split.shape)
+        for op in split.ops:
+            want = op.apply(v)
+            buf = np.full(split.shape, np.nan)
+            got = op.apply(v, out=buf)
+            assert got is buf
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("lent", [False, True], ids=["own", "lent"])
+    @pytest.mark.parametrize("tau", [0.0, 0.05, 1.7])
+    def test_solve_into_out_and_into_rhs(self, lent, tau):
+        *_, split = _two_sphere_problem()
+        if lent:
+            split._workspace(1)
+        rhs = np.random.default_rng(52).normal(size=split.shape)
+        for op in split.ops:
+            want = op.solve(tau, rhs, split.boundary)
+            buf = np.full(split.shape, np.nan)
+            got = op.solve(tau, rhs, split.boundary, out=buf)
+            assert got is buf
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+            inplace = rhs.copy()
+            got = op.solve(tau, inplace, split.boundary, out=inplace)
+            assert got is inplace
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    def test_apply_rejects_an_out_it_cannot_fill(self):
+        *_, split = _two_sphere_problem()
+        v = np.zeros(split.shape)
+        for bad in (np.zeros(split.shape[::-1]), np.zeros(split.shape, order="F")):
+            with pytest.raises(ConfigError, match="C-contiguous"):
+                split.ops[0].apply(v, out=bad)
+
+
+class TestStepWorkspace:
+    """The steps take their scratch from the split's workspace; their inputs
+    and earlier results are never written."""
+
+    @staticmethod
+    def _start(bvals, seed):
+        u = np.random.default_rng(seed).normal(scale=0.5, size=bvals.shape)
+        _reset_faces_ref(u, bvals)
+        return u
+
+    @pytest.mark.parametrize("step", [adi_step, lod_step])
+    def test_input_and_earlier_results_untouched(self, step):
+        *_, bvals, split = _two_sphere_problem()
+        u = self._start(bvals, 61)
+        u0 = u.copy()
+        first = step(u, 0.05, split)
+        np.testing.assert_array_equal(_bits(u), _bits(u0))
+        kept = first.copy()
+        second = step(first, 0.05, split)
+        again = step(u, 0.05, split)
+        np.testing.assert_array_equal(_bits(first), _bits(kept))
+        np.testing.assert_array_equal(_bits(again), _bits(kept))
+        results = (first, second, again)
+        for i, a in enumerate(results):
+            assert not any(np.shares_memory(a, b) for b in results[i + 1 :])
+            assert not any(np.shares_memory(a, w) for w in split._workspace(2))
+            assert not any(np.shares_memory(a, op._work) for op in split.ops)
+
+    @pytest.mark.parametrize("step", [adi_step, lod_step])
+    def test_two_problems_stepped_alternately(self, step):
+        def march(split, u, n=3):
+            for _ in range(n):
+                u = step(u, 0.05, split)
+            return u
+
+        *_, b1, s1 = _two_sphere_problem()
+        *_, b2, s2 = _two_sphere_problem(kappa_sq=0.4, h=0.45)
+        u1, u2 = self._start(b1, 62), self._start(b2, 63)
+        alone1, alone2 = march(s1, u1), march(s2, u2)
+        *_, t1 = _two_sphere_problem()
+        *_, t2 = _two_sphere_problem(kappa_sq=0.4, h=0.45)
+        for _ in range(3):
+            u1 = step(u1, 0.05, t1)
+            u2 = step(u2, 0.05, t2)
+        np.testing.assert_array_equal(_bits(u1), _bits(alone1))
+        np.testing.assert_array_equal(_bits(u2), _bits(alone2))
+
+    def test_run_releases_the_workspace(self):
+        ctrl = ControllerConfig(kind="Constant", dt0=0.01, t_end=0.05)
+        cfg = kirkwood_config(h=1.0, controller=ctrl, ic="zero", box_half=4.0)
+        problem = build_problem(cfg)
+        run(cfg, problem=problem)
+        assert problem.split._pool == []
+        assert all(op._work is None for op in problem.split.ops)
+
+    def test_zero_pivot_raises_from_a_pooled_sweep(self):
+        *_, bvals, split = _two_sphere_problem()
+        op = split.ops[0]
+        op.diag[0, 0] = -1.0  # 1 + tau * diag = 0 at tau = 1
+        with pytest.raises(NumericalError, match="zero pivot"):
+            adi_step(self._start(bvals, 64), 1.0, split)
+        assert 1.0 not in op._factors
+        rhs = self._start(bvals, 65)
+        with pytest.raises(NumericalError, match="zero pivot"):
+            op.solve(1.0, rhs, split.boundary, out=rhs)
+
+
+class TestStepMemory:
+    """Field-sized arrays a step holds, from tracemalloc on a 33^3 Kirkwood
+    problem: the peak over three steps minus the bytes live before them (the
+    built problem and the start field) and the factor cache's bytes, in
+    field sizes.  An ADI step makes one new field and LOD two; each holds
+    its workspace (two arrays for ADI, one for LOD) and the operators' lent
+    scratch, and a factorization adds one line-major scratch array."""
+
+    @pytest.mark.parametrize("step, bound", [(adi_step, 6.0), (lod_step, 4.5)])
+    def test_peak_over_three_steps(self, step, bound):
+        problem = build_problem(kirkwood_config(h=0.5, ic="zero"))
+        assert problem.grid.shape == (33, 33, 33)
+        tracemalloc.start()
+        try:
+            u = problem.boundary.values.copy()
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(3):
+                u = step(u, 0.01, problem.split)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cache = sum(
+            a.nbytes for op in problem.split.ops for f in op._factors.values() for a in f
+        )
+        assert (peak - before - cache) / u.nbytes <= bound
+
+    def test_built_operators_hold_no_off_diagonal(self):
+        problem = build_problem(kirkwood_config(h=0.5, ic="zero"))
+        tracemalloc.start()
+        try:
+            split = build_split_operators(
+                problem.data, problem.atoms, problem.params, problem.boundary
+            )
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        held = split.inside.nbytes + split.boundary.nbytes
+        for op in split.ops:
+            held += sum(
+                a.nbytes
+                for a in (op.flux_weights, op.diag, op.dir_lo, op.dir_hi)
+                + (op.corr_index, op.corr_value, op.corr_lines)
+            )
+        off = min((op.n - 3) * op.diag.shape[1] * 8 for op in split.ops)
+        assert live - held < off / 10
