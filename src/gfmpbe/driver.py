@@ -166,6 +166,8 @@ def _boundary_field(grid: Grid, atoms: AtomSet, params: PhysicalParams) -> Field
     pts = np.stack([grid.axis_coords(a)[i] for a, i in enumerate(face)], axis=-1)
     values = np.zeros(grid.shape)
     values[mask] = dirichlet_boundary(atoms, pts, params)
+    # the split holds a view of these values in place of a copy
+    values.flags.writeable = False
     return Field(grid, values)
 
 
@@ -212,7 +214,9 @@ def initial_condition(kind: str, problem: Problem, scheme: str | None = None) ->
     (sum_a M_a + kappa^2) u = sum_a (c_a + Dirichlet_a) with M_a = -A_a the
     axis operators, by Jacobi-preconditioned conjugate gradients (_jacobi_cg)
     applied matrix-free.  A non-finite field, a runaway energy or a solve
-    that misses its tolerance raises InitializationError.
+    that misses its tolerance raises InitializationError.  kappa^2 is the
+    split's scalar and solute index, and the matrix-vector products run in
+    the split's step workspace, which is released on return.
 
     scheme is deprecated: the result does not depend on it, and passing it
     emits a DeprecationWarning.
@@ -230,21 +234,32 @@ def initial_condition(kind: str, problem: Problem, scheme: str | None = None) ->
         raise ConfigError(f"unknown initial condition kind {kind!r}")
     split = problem.split
     interior = u[1:-1, 1:-1, 1:-1]
-    kappa = np.full(split.shape, split.kappa_sq)
-    kappa.flat[split.inside] = 0.0
-    kappa = kappa[1:-1, 1:-1, 1:-1].ravel()
+    # kappa^2 on the interior nodes is kappa_sq but at the solute's nodes,
+    # listed here as flat indices into the interior block.
+    at = np.unravel_index(split.inside, split.shape)
+    on = np.all([(i > 0) & (i < n - 1) for i, n in zip(at, split.shape)], axis=0)
+    solute = np.ravel_multi_index(tuple(i[on] - 1 for i in at), interior.shape)
     v = np.zeros(split.shape)
+    block = v[1:-1, 1:-1, 1:-1]
+    try:
+        work = split._workspace(2)
 
-    def matvec(x):
-        v[1:-1, 1:-1, 1:-1] = x.reshape(interior.shape)
-        y = kappa * x
-        block = y.reshape(interior.shape)
-        block -= split.delta2_sum(v, corr=False)
-        return y
+        def matvec(p, q):
+            block[...] = p.reshape(interior.shape)
+            np.multiply(p, split.kappa_sq, out=q)
+            q[solute] = p[solute] * 0.0
+            q3 = q.reshape(interior.shape)
+            q3 -= split.delta2_sum(v, corr=False, work=work)
 
-    b = split.delta2_sum(u).ravel()
-    inv_diag = 1.0 / (split.diag_sum().ravel() + kappa)
-    x, iterations, rel = _jacobi_cg(matvec, b, inv_diag)
+        r = split.delta2_sum(u, work=work).ravel()
+        d = split.diag_sum().ravel()
+        kept = d[solute]
+        d += split.kappa_sq
+        d[solute] = kept
+        inv_diag = np.divide(1.0, d, out=d)
+        x, iterations, rel = _jacobi_cg(matvec, r, inv_diag)
+    finally:
+        split._release_workspace()
     interior[...] = x.reshape(interior.shape)
     try:
         _check_finite(u, iterations)
@@ -267,27 +282,32 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
-def _jacobi_cg(matvec, b: np.ndarray, inv_diag: np.ndarray):
+def _jacobi_cg(matvec, r: np.ndarray, inv_diag: np.ndarray):
     """Conjugate gradients from x = 0 for an SPD operator, preconditioned by
     the inverse diagonal inv_diag.
 
-    Stops when the recursively updated residual r satisfies ||r|| / ||b|| <=
-    CG_RTOL (2-norms) or after CG_MAXITER iterations; returns x, the
-    iteration count and ||r|| / ||b||.
+    r holds the right-hand side b on entry and is overwritten with the
+    residual.  matvec(p, q) writes the operator times p into q.  Stops when
+    the recursively updated residual satisfies ||r|| / ||b|| <= CG_RTOL
+    (2-norms) or after CG_MAXITER iterations; returns x, the iteration
+    count and ||r|| / ||b||.  Besides r and x it holds three vectors, z, p
+    and q; the steps alpha*p and alpha*q are built in z and q, which the
+    iteration overwrites next.
     """
-    x = np.zeros_like(b)
-    r = b.copy()
-    b_norm = math.sqrt(_dot(b, b)) or 1.0
-    rel = math.sqrt(_dot(r, r)) / b_norm
+    x = np.zeros_like(r)
+    rr = _dot(r, r)
+    b_norm = math.sqrt(rr) or 1.0
+    rel = math.sqrt(rr) / b_norm
     z = inv_diag * r
     p = z.copy()
+    q = np.empty_like(r)
     rz = _dot(r, z)
     iterations = 0
     while rel > CG_RTOL and iterations < CG_MAXITER:
-        q = matvec(p)
+        matvec(p, q)
         alpha = rz / _dot(p, q)
-        x += alpha * p
-        r -= alpha * q
+        x += np.multiply(p, alpha, out=z)
+        r -= np.multiply(q, alpha, out=q)
         np.multiply(inv_diag, r, out=z)
         rz, rz_old = _dot(r, z), rz
         p *= rz / rz_old

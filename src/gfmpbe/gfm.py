@@ -151,22 +151,31 @@ def assemble_line(
     return LineSystem(diag[:, 0], -w[1:-1], corr[:, 0], bc_lo, bc_hi, w_lo, w_hi, h)
 
 
+_NO_CUTS = (np.empty(0, dtype=np.intp), np.empty(0))
+
+
 def apply_flux(
-    weights, v: np.ndarray, stride: int = 1, out=None, *, work=None
+    weights, v: np.ndarray, stride: int = 1, out=None, *, work=None, cuts=_NO_CUTS
 ) -> np.ndarray:
     """A v in flux form on flat data: the flux F = W * (v[s:] - v[:-s])
     through each edge, then A v = F[s:] - F[:-s] at positions s .. len(v)-s-1,
     with s = stride.  Three whole-array passes.
 
-    weights (len(v) - s,) holds the W of the edge from position p to p + s.
-    On one line (s = 1) the ends of v are the Dirichlet values; on a C-order
-    field s is the stride of the axis, and W is zero on the edges of no
-    line, so the faces enter as Dirichlet ends.  The correction c is added
-    by the caller.  The result goes into out when it is given, and the flux
-    into work, len(v) - s floats, when that is given.
+    weights (len(v) - s,) holds the W of the edge from position p to p + s,
+    except at the edges named by cuts = (at, w), whose W is w: their
+    differences are set aside before the whole-array product and
+    multiplied by w after it.  On one line (s = 1) the ends of v are the
+    Dirichlet values.  On a C-order field s is the stride of the axis; the
+    flux through an edge that belongs to no line reaches only the faces.
+    The correction c is added by the caller.  The result goes into out when
+    it is given, and the flux into work, len(v) - s floats, when that is
+    given.
     """
+    at, w = cuts
     flux = np.subtract(v[stride:], v[:-stride], out=work)
+    kept = flux[at]
     flux *= weights
+    flux[at] = np.multiply(kept, w, out=kept)
     return np.subtract(flux[stride:], flux[:-stride], out=out)
 
 
@@ -228,19 +237,20 @@ def ldlt_factor(
 
 
 def ldlt_factor_into(
-    diag: np.ndarray, o: np.ndarray, tau: float
+    diag: np.ndarray, o: np.ndarray, tau: float, out=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """ldlt_factor with the scaled off-diagonal o = tau*off given, which is
     overwritten with cp; returns (cp, inv) with cp the array o.
 
-    The pivots are built in the array that becomes inv and follow the two-op
+    The pivots are built in the array that becomes inv, out when it is
+    given (which may be diag itself), and follow the two-op
     recurrence D[i] = d[i] - o[i-1]^2 / D[i-1] on the squared off-diagonal,
     with one row temporary; cp = o / D[:-1] and 1/D are whole-array passes
     after it.  One scratch array of diag's shape holds o^2 and then the
     zero-pivot test.  Diagonal dominance keeps pivots away from zero; a
     pivot that vanishes anyway (|D| < 1e-300) raises NumericalError.
     """
-    piv = np.multiply(diag, tau)
+    piv = np.multiply(diag, tau, out=out)
     piv += 1.0
     scratch = np.empty_like(piv)
     o2 = np.multiply(o, o, out=scratch[:-1])

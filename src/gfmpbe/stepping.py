@@ -3,18 +3,20 @@
 The 3D operator splits into per-axis modified second differences (gfm
 module).  Each axis's lines are assembled once, all together, from the
 interface's node mask and crossing arrays and the jump arrays of
-compute_jumps.  The explicit apply is in flux form and runs in the field's
-own C-order layout: the edge weights sit at each edge's low node, so the
-flux W * diff(v) and its difference are whole-array passes over the flat
-field with the axis's stride, written straight into the result; the few
-nonzero jump corrections are added by index.  An implicit sweep copies the
-right-hand side into line-major layout, adds tau times the Dirichlet ends to
-the end rows and tau times the nonzero corrections by index, runs one L D L^T
-solve over all lines in place (the gfm kernel, shared with the one-line
-solve) and scatters the lines back; the line-major view is a transpose by a
-permutation stored with the operator.  Its factors are cached per tau; a new
-tau reads the off-diagonal -tau*W from the edge weights through that
-transpose, so no line-major copy of the weights is kept.
+compute_jumps.  An uncut edge's weight is eps(low node)/h^2 on every axis,
+so the three operators share one field of it, E, and each keeps only its
+cut edges' weights and the diagonal entries next to them.  The explicit
+apply is in flux form and runs in the field's own C-order layout: the flux
+E * diff(v), with the cut edges' fluxes set over it, and its difference
+are whole-array passes over the flat field with the axis's stride, written
+straight into the result; the few nonzero jump corrections are added by
+index.  An implicit sweep copies the right-hand side into line-major
+layout, adds tau times the Dirichlet ends to the end rows and tau times
+the nonzero corrections by index, runs one L D L^T solve over all lines in
+place (the gfm kernel, shared with the one-line solve) and scatters the
+lines back; the line-major view is a transpose by a permutation stored
+with the operator.  Its factors are cached per tau; a new tau reads the
+off-diagonal and the pivots from E through that transpose.
 kappa^2 is zero inside the solute and one scalar in the solvent, so the
 substep runs once over the field with one log and its coefficients as
 Python floats, and the inside nodes are copied back from a flat index.
@@ -34,7 +36,11 @@ SplitOperators._workspace, made on the first step and kept between steps
 system and fault them back in), and freed by SplitOperators._release_workspace
 when the driver's march returns.  A LOD step allocates two fields, the
 results of its two substeps.  Because the workspace is shared by every step
-of a split, one split must not be stepped from two threads at once.
+of a split, one split must not be stepped from two threads at once.  A
+built split holds two fields, E and a read-only view of the problem's
+boundary field, besides arrays sized by the crossings, the lines and the
+solute nodes; at 65^3 (tracemalloc) the built problem takes 4.9 MiB and
+the march peaks at 28.7 MiB, 323 -> 228 MiB at 129^3.
 """
 
 from __future__ import annotations
@@ -51,6 +57,9 @@ from .molecule import AtomSet, PhysicalParams, green_gradient, green_potential
 from .surface import InterfaceData, RowMap
 
 _FACTOR_CACHE_SIZE = 4
+
+_CHECK_FLOATS = 8192
+"""Floats of the temporary with which AxisOperator checks its diag."""
 
 _TINY = float(np.finfo(float).tiny)
 
@@ -126,27 +135,33 @@ class AxisOperator:
     With n nodes along the axis and L interior lines (C order of the two
     transverse axes), the operator holds:
 
-    - flux_weights, in the field's shape: the coefficient W of the edge
-      from each node to its neighbour up the axis (the ghost-fluid harmonic
-      value on cut edges), zero on the edges of no interior line.  The
-      first and last edge of each line couple it to the Dirichlet faces.
+    - edge_coeff, E, read-only in the field's shape and shared by the three
+      operators of a split: eps(side of p)/h^2, the weight W of every uncut
+      edge from node p up any axis.
+    - the cut edges, those of interior lines whose W is not E at their low
+      node, with their W; the node fixes, the interior nodes next to a cut
+      edge or whose diagonal of -A is not W_left + W_right, with that
+      diagonal.
     - corr_index, corr_value: the nonzero entries of the jump correction c,
       as flat C-order indices into the field; corr_lines holds the same
       entries' flat indices in the line-major (n-2, L) layout.
-    - diag, (n-2, L), line-major: W_left + W_right, the diagonal of -A.
     - dir_lo, dir_hi, (L,): the end weights times the Dirichlet values.
 
-    The constructor takes assemble_lines' line-major arrays; weights and
-    corr rebuild the line-major (n-1, L) and (n-2, L) forms from the field
-    layout on access.  apply runs gfm.apply_flux on the flat field with the
-    axis's stride, straight into the result.  solve keeps an LRU cache of
-    _FACTOR_CACHE_SIZE entries keyed by tau, each the L D L^T multipliers cp
-    and inverse pivots inv of gfm.ldlt_factor_into.  A new tau reads the
-    off-diagonal -tau*W of the edges between interior nodes from
-    flux_weights through the line-major transpose, straight into the array
-    that becomes cp; no line-major copy of W is kept.  The right-hand side
-    is copied into line layout and takes tau times the Dirichlet ends and
-    tau times the corrections there, in the order of gfm.thomas_solve.
+    The constructor takes assemble_lines' line-major arrays and finds the
+    cut edges and node fixes by comparing them with edge_coeff, so it holds
+    exactly the arrays it is given; built alone it takes its own weights in
+    the field layout as E.  diag, weights and corr rebuild the line-major
+    arrays for readers (diag once, kept read-only); the kernels read none
+    of them.  apply runs gfm.apply_flux on the flat field with the axis's
+    stride, E as its weights and the cut edges as its cuts.  solve keeps an
+    LRU cache of _FACTOR_CACHE_SIZE entries keyed by tau, each the L D L^T
+    multipliers cp and inverse pivots inv of gfm.ldlt_factor_into.  A new
+    tau writes -tau*E of the edges between interior nodes into the array
+    that becomes cp and E_left + E_right into the one that becomes inv, both
+    through the line-major transpose, then the cut edges and node fixes
+    over them.  The right-hand side is copied into line layout and takes
+    tau times the Dirichlet ends and tau times the corrections there, in
+    the order of gfm.thomas_solve.
 
     apply and solve take an optional out array for the result.  The flux
     temporary of apply and the line-major buffer of solve come from a flat
@@ -155,33 +170,77 @@ class AxisOperator:
     one is lent, two threads must not call apply or solve at once.
     """
 
-    def __init__(self, axis: int, shape: tuple, diag, weights, corr, dir_lo, dir_hi):
+    def __init__(
+        self,
+        axis: int,
+        shape: tuple,
+        diag,
+        weights,
+        corr,
+        dir_lo,
+        dir_hi,
+        edge_coeff=None,
+    ):
         self.axis, self.shape, self.n = axis, shape, shape[axis]
         self.stride = int(np.prod(shape[axis + 1 :]))
-        self.diag, self.dir_lo, self.dir_hi = diag, dir_lo, dir_hi
-        self.flux_weights = np.zeros(shape)
-        self.flux_weights[self._edges()] = self._to_field(weights)
-        c = self._to_field(corr)
-        nz = np.unravel_index(np.flatnonzero(c != 0), c.shape)
-        self.corr_index = np.ravel_multi_index(tuple(i + 1 for i in nz), shape)
-        self.corr_value = c[nz]
+        self.dir_lo, self.dir_hi = dir_lo, dir_hi
         t1, t2 = (a for a in range(3) if a != axis)
-        self.corr_lines = np.ravel_multi_index(
-            (nz[axis], nz[t1], nz[t2]), (self.n - 2, c.shape[t1], c.shape[t2])
-        )
         self._perm = (axis, t1, t2)
-        # W on the edges between interior nodes, line-major: a view, which a
-        # factorization reads -tau*W through.
-        self._inner_weights = self._lines(self.flux_weights[self._edges(1, -2)])
+        if edge_coeff is None:
+            edge_coeff = np.zeros(shape)
+            edge_coeff[self._edges()] = self._to_field(weights)
+            edge_coeff.flags.writeable = False
+        self.edge_coeff = edge_coeff
+        # E on the interior lines' edges, line-major (n-1, t1, t2): a view.
+        self._edge_lines = e = self._lines(edge_coeff[self._edges()])
+        # Cut edges, node fixes and corrections, as flat indices into the
+        # line-major layouts and, for apply, into the field.
+        lines = e[0].size
+        w = np.reshape(weights, e.shape)
+        cut = np.flatnonzero(w != e)
+        self._cut_w = w.reshape(-1)[cut]
+        self._cut_index = self._field_index(cut, 0)
+        pos = cut // lines
+        inner = (pos > 0) & (pos < self.n - 2)
+        self._inner_cut_index = cut[inner] - lines
+        self._inner_cut_w = self._cut_w[inner]
+        # Every node next to a cut edge takes a fix.  Both edges of any
+        # other node carry E, so it needs one only where diag is not
+        # W_left + W_right; that check runs a few rows at a time, since a
+        # temporary of diag's size costs more in page faults than in sums.
+        d = np.reshape(diag, (self.n - 2, lines))
+        w2 = w.reshape(self.n - 1, lines)
+        fix = [cut[pos > 0] - lines, cut[pos < self.n - 2]]
+        rows = max(1, _CHECK_FLOATS // lines)
+        for i in range(0, self.n - 2, rows):
+            j = min(i + rows, self.n - 2)
+            odd = np.flatnonzero(d[i:j] != w2[i:j] + w2[i + 1 : j + 1])
+            fix.append(odd + i * lines)
+        self._fix_index = np.concatenate(fix)
+        self._fix_diag = d.reshape(-1)[self._fix_index]
+        c = np.reshape(corr, -1)
+        self.corr_lines = np.flatnonzero(c != 0)
+        self.corr_value = c[self.corr_lines]
+        self.corr_index = self._field_index(self.corr_lines, 1)
+        self._diag: np.ndarray | None = None
         self._factors: OrderedDict[float, tuple] = OrderedDict()
         self._work: np.ndarray | None = None
 
-    def _edges(self, lo: int = 0, hi: int = -1) -> tuple:
-        """Index of the interior lines' edges lo .. n+hi-1, each at its low
-        node: all of them by default, (1, -2) for those between interior
-        nodes."""
+    def _field_index(self, at: np.ndarray, first: int) -> np.ndarray:
+        """Flat C-order field indices of the entries at, flat indices into a
+        line-major array whose row 0 lies at position first on the axis."""
+        _, t1, t2 = self._edge_lines.shape
+        pos, line = np.divmod(at, t1 * t2)
+        a1, a2 = np.divmod(line, t2)
+        index = [a1 + 1, a2 + 1]
+        index.insert(self.axis, pos + first)
+        return np.ravel_multi_index(index, self.shape)
+
+    def _edges(self) -> tuple:
+        """Index of the interior lines' edges 0 .. n-2, each at its low
+        node."""
         sl = [slice(1, -1)] * 3
-        sl[self.axis] = slice(lo, hi)
+        sl[self.axis] = slice(0, -1)
         return tuple(sl)
 
     def _to_field(self, lines: np.ndarray) -> np.ndarray:
@@ -198,11 +257,31 @@ class AxisOperator:
         """size floats of the lent scratch array, or new ones."""
         return np.empty(size) if self._work is None else self._work[:size]
 
+    def _new_diag(self) -> np.ndarray:
+        """The diagonal W_left + W_right of -A in a new line-major (n-2, L)
+        array."""
+        e = self._edge_lines
+        d = np.add(e[:-1], e[1:], out=np.empty(e[1:].shape))
+        d = d.reshape(self.n - 2, -1)
+        d.reshape(-1)[self._fix_index] = self._fix_diag
+        return d
+
+    @property
+    def diag(self) -> np.ndarray:
+        """Diagonal W_left + W_right of -A, line-major (n-2, L), read-only;
+        built on the first read and kept."""
+        if self._diag is None:
+            self._diag = self._new_diag()
+            self._diag.flags.writeable = False
+        return self._diag
+
     @property
     def weights(self) -> np.ndarray:
         """Edge coefficients W, line-major (n-1, L)."""
-        w = self._lines(self.flux_weights[self._edges()])
-        return np.ascontiguousarray(w.reshape(self.n - 1, -1))
+        w = self.edge_coeff.copy()
+        w.flat[self._cut_index] = self._cut_w
+        lines = self._lines(w[self._edges()])
+        return np.ascontiguousarray(lines.reshape(self.n - 1, -1))
 
     @property
     def corr(self) -> np.ndarray:
@@ -218,8 +297,15 @@ class AxisOperator:
         Dirichlet ends.  The interior nodes lie in that range; the face
         nodes in it get finite values of no meaning."""
         s = self.stride
-        w = self.flux_weights.reshape(-1)[:-s]
-        apply_flux(w, v.reshape(-1), s, out=out[s:-s], work=self._scratch(w.size))
+        e = self.edge_coeff.reshape(-1)[:-s]
+        apply_flux(
+            e,
+            v.reshape(-1),
+            s,
+            out=out[s:-s],
+            work=self._scratch(e.size),
+            cuts=(self._cut_index, self._cut_w),
+        )
         if corr:
             out[self.corr_index] += self.corr_value
 
@@ -242,12 +328,14 @@ class AxisOperator:
         if entry is not None:
             self._factors.move_to_end(tau)
             return entry
-        # I - tau*A = I + tau*M, M = -A: diag on the diagonal, -W off it, so
-        # the scaled off-diagonal is -tau*W (negation is exact).
-        w = self._inner_weights
-        o = np.empty((self.n - 3, self.diag.shape[1]))
-        np.multiply(w, -tau, out=o.reshape(w.shape))
-        entry = self._factors[tau] = ldlt_factor_into(self.diag, o, tau)
+        # I - tau*A = I + tau*M, M = -A: the diagonal of -A on the diagonal,
+        # -W off it, so the scaled off-diagonal is -tau*W (negation is exact).
+        e = self._edge_lines
+        o = np.multiply(e[1:-1], -tau, out=np.empty(e[1:-1].shape))
+        o = o.reshape(self.n - 3, -1)
+        o.reshape(-1)[self._inner_cut_index] = self._inner_cut_w * -tau
+        piv = self._new_diag()
+        entry = self._factors[tau] = ldlt_factor_into(piv, o, tau, out=piv)
         if len(self._factors) > _FACTOR_CACHE_SIZE:
             self._factors.popitem(last=False)
         return entry
@@ -278,7 +366,7 @@ class AxisOperator:
             rows[...] = self._lines(inner)
             return out
         cp, inv = self._factor(tau)
-        b = self._scratch(self.diag.size).reshape(self.diag.shape)
+        b = self._scratch(inner.size).reshape(self.n - 2, -1)
         lines = b.reshape(rows.shape)
         lines[...] = self._lines(inner)
         b[0] += tau * self.dir_lo
@@ -295,12 +383,19 @@ class SplitOperators:
 
     kappa^2 is the scalar kappa_sq on solvent nodes and zero on the solute
     nodes listed in inside, as flat C-order indices into the field.
+    boundary holds the Dirichlet face values, read-only; build_split_operators
+    makes it a view of the boundary field it is given, so a built problem
+    holds them once.  The field-sized data of a built split are that and
+    the three operators' shared edge_coeff; the rest is sized by the
+    crossings, the lines and the solute nodes.
 
     The steps take their field-sized scratch from _workspace, which keeps
     the arrays from one step to the next: allocating them afresh each step
     costs page faults once the allocator has returned them to the system.
-    The driver's march calls _release_workspace when it returns.  A split is
-    therefore not safe to step from two threads at once.
+    The driver's march calls _release_workspace when it returns, and so
+    does the LPB start, which borrows the workspace for its matrix-vector
+    products.  A split is therefore not safe to step from two threads at
+    once.
     """
 
     ops: tuple[AxisOperator, AxisOperator, AxisOperator]
@@ -334,12 +429,14 @@ class SplitOperators:
         for op in self.ops:
             op._work = None
 
-    def delta2_sum(self, v: np.ndarray, corr: bool = True) -> np.ndarray:
+    def delta2_sum(self, v: np.ndarray, corr: bool = True, *, work=None) -> np.ndarray:
         """Sum over the axes of delta2_a(v) = A_a v + c_a on the interior
         block, shape (n0-2, n1-2, n2-2), with the faces of v as Dirichlet
-        ends.  corr=False leaves out the jump corrections c_a."""
-        out = np.empty(v.shape)
-        term = np.empty(v.size)
+        ends.  corr=False leaves out the jump corrections c_a.  work, two
+        arrays of the field's shape such as _workspace(2) gives, holds the
+        sum and one axis's term; the result is then a view into work[0]."""
+        out, term = work if work is not None else (np.empty(v.shape), np.empty(v.shape))
+        term = term.reshape(-1)
         self.ops[0].apply_into(v, out.reshape(-1), corr)
         # axis 0 has the largest stride, so its range lies inside the others'
         s = self.ops[0].stride
@@ -353,7 +450,7 @@ class SplitOperators:
         """Sum over the axes of the diagonal of -A_a, on the interior block."""
         out = np.zeros(tuple(n - 2 for n in self.shape))
         for op in self.ops:
-            out += op._to_field(op.diag)
+            out += op._to_field(op._new_diag())
         return out
 
 
@@ -391,17 +488,23 @@ def build_split_operators(
     """Assemble the three axis operators and the kappa^2 = 0 node index.
 
     boundary must be a field on the same grid whose face values hold the
-    Dirichlet data; interior values are ignored.  Each axis's interior lines
-    are assembled at once from the crossing arrays, in C order of the two
-    transverse axes; crossings on the boundary transverse lines belong to no
-    interior line.
+    Dirichlet data; interior values are ignored.  The split keeps a
+    read-only view of boundary's values, not a copy, so they must not be
+    written afterwards.  Each axis's interior lines are assembled at once
+    from the crossing arrays, in C order of the two transverse axes;
+    crossings on the boundary transverse lines belong to no interior line.
+    The three operators share one read-only edge_coeff field.
     """
     if boundary.grid != data.grid:
         raise ConfigError("boundary field grid does not match interface grid")
     data.validate()
     jumps = compute_jumps(data, atoms, params)
-    shape, idx = data.grid.shape, data.index
+    shape, idx, h = data.grid.shape, data.index, data.grid.h
     eps = (params.eps_in, params.eps_out)
+    # assemble_lines' uncut weight, eps(low node)/h^2, at every node
+    edge_coeff = np.where(data.inside, *eps)
+    edge_coeff *= 1.0 / (h * h)
+    edge_coeff.flags.writeable = False
     ops = []
     for axis in range(3):
         t = [a for a in range(3) if a != axis]
@@ -412,13 +515,15 @@ def build_split_operators(
         block = np.moveaxis(data.inside, axis, 0)[:, 1:-1, 1:-1]
         inside = block.reshape(shape[axis], -1)
         bc = np.moveaxis(boundary.values, axis, 0)[[0, -1], 1:-1, 1:-1].reshape(2, -1)
-        arrays = assemble_lines(axis, inside, eps, cuts, bc, data.grid.h)
-        ops.append(AxisOperator(axis, shape, *arrays))
+        arrays = assemble_lines(axis, inside, eps, cuts, bc, h)
+        ops.append(AxisOperator(axis, shape, *arrays, edge_coeff=edge_coeff))
+    held = boundary.values.view()
+    held.flags.writeable = False
     return SplitOperators(
         ops=tuple(ops),
         kappa_sq=float(params.kappa_sq),
         inside=np.flatnonzero(data.inside),
-        boundary=boundary.values.copy(),
+        boundary=held,
     )
 
 

@@ -274,6 +274,20 @@ class TestInitialCondition:
         np.testing.assert_array_equal(u.values, prob.boundary.values)
         assert np.all(u.values[1:-1, 1:-1, 1:-1] == 0.0)
 
+    @pytest.mark.parametrize("kind", ["zero", "lpb"])
+    def test_boundary_is_one_read_only_array(self, kind):
+        prob = build_problem(_coarse_kirkwood())
+        held = (prob.boundary.values, prob.split.boundary)
+        assert np.shares_memory(*held)
+        assert not any(a.flags.writeable for a in held)
+        with pytest.raises(ValueError, match="read-only"):
+            prob.boundary.values[0, 0, 0] = 1.0
+        u = initial_condition(kind, prob).values
+        assert u.flags.writeable and not np.shares_memory(u, prob.boundary.values)
+        # the LPB start lends its matrix-vector products the step workspace
+        # and gives it back
+        assert prob.split._pool == []
+
     def test_unknown_kind_rejected(self):
         cfg = _coarse_kirkwood()
         prob = build_problem(cfg)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gfmpbe import gfm, stepping
 from gfmpbe.errors import AssemblyError, ConfigError, NumericalError
 from gfmpbe.gfm import (
     JumpData,
@@ -573,18 +574,32 @@ class TestBatchedAssembly:
     """Whole-array assembly against one assemble_line call per line."""
 
     @pytest.mark.parametrize("case", ["sphere", "union", "ses", "sliver"])
-    def test_bit_identical_to_per_line(self, case):
+    def test_bit_identical_to_per_line(self, case, monkeypatch):
         data, atoms = _oracle_case(case)
         params = PhysicalParams(eps_in=2.0, eps_out=80.0, kappa_sq=1.0)
         bvals = _face_values(data.grid, atoms, params)
+        assembled = []
+
+        def recording(*args):
+            assembled.append(gfm.assemble_lines(*args))
+            return assembled[-1]
+
+        monkeypatch.setattr(stepping, "assemble_lines", recording)
         split = build_split_operators(data, atoms, params, Field(data.grid, bvals))
         jumps = compute_jumps(data, atoms, params)
+        # The operators keep one shared edge field and rebuild the arrays
+        # of assemble_lines from it for their readers.
+        edge = split.ops[0].edge_coeff
+        assert all(op.edge_coeff is edge for op in split.ops)
+        assert not edge.flags.writeable
+        names = ("diag", "weights", "corr", "dir_lo", "dir_hi")
         for axis, op in enumerate(split.ops):
-            want = _per_line_arrays(data, params, jumps, bvals, axis)
             got = (op.diag, op.weights, op.corr, op.dir_lo, op.dir_hi)
-            for name, g, w in zip(("diag", "weights", "corr", "dir_lo", "dir_hi"), got, want):
-                assert g.shape == w.shape, name
-                assert np.array_equal(g, w), (axis, name)
+            per_line = _per_line_arrays(data, params, jumps, bvals, axis)
+            for want in (per_line, assembled[axis]):
+                for name, g, w in zip(names, got, want):
+                    assert g.shape == w.shape, name
+                    assert np.array_equal(g, w), (axis, name)
 
     def test_sliver_nodes_take_both_corrections(self):
         data, atoms = _oracle_case("sliver")

@@ -12,7 +12,13 @@ import re
 
 from gfmpbe import gfm, stepping
 from gfmpbe.control import ControllerConfig
-from gfmpbe.driver import RunConfig, build_problem, kirkwood_config, run
+from gfmpbe.driver import (
+    RunConfig,
+    build_problem,
+    initial_condition,
+    kirkwood_config,
+    run,
+)
 from gfmpbe.errors import AssemblyError, ConfigError, NumericalError
 from gfmpbe.gfm import apply_operator, assemble_line, thomas_solve
 from gfmpbe.grid import Field, build_grid
@@ -266,6 +272,25 @@ class TestBatchedSweeps:
             got = -split.delta2_sum(on.astype(float), corr=False)
             diag[on[inner]] = got[on[inner]]
         assert np.array_equal(split.diag_sum(), diag)
+
+    def test_operator_built_alone_matches_the_shared_one(self):
+        # Alone, an operator takes its own weights as the edge field; the
+        # shared field and its cut edges give the same apply and sweeps.
+        *_, split = _two_sphere_problem()
+        rng = np.random.default_rng(8)
+        v, rhs = rng.normal(size=(2, *split.shape))
+        for op in split.ops:
+            alone = AxisOperator(
+                op.axis, op.shape, op.diag, op.weights, op.corr, op.dir_lo, op.dir_hi
+            )
+            assert alone.edge_coeff is not op.edge_coeff
+            assert len(alone._cut_w) == len(alone._fix_diag) == 0 < len(op._cut_w)
+            np.testing.assert_array_equal(_bits(alone.apply(v)), _bits(op.apply(v)))
+            for tau in (0.05, 1.7):
+                np.testing.assert_array_equal(
+                    _bits(alone.solve(tau, rhs, split.boundary)),
+                    _bits(op.solve(tau, rhs, split.boundary)),
+                )
 
     def test_factor_cache_reuse_is_exact(self):
         grid, data, params, jumps, bvals, split = _two_sphere_problem()
@@ -798,7 +823,15 @@ class TestStepWorkspace:
     def test_zero_pivot_raises_from_a_pooled_sweep(self):
         *_, bvals, split = _two_sphere_problem()
         op = split.ops[0]
-        op.diag[0, 0] = -1.0  # 1 + tau * diag = 0 at tau = 1
+        diag = op.diag.copy()
+        diag[0, 0] = -1.0  # 1 + tau * diag = 0 at tau = 1
+        # The sweep reads the diagonal from the shared edge coefficients and
+        # the node fixes the constructor derives from the diag it is given.
+        op = AxisOperator(
+            0, split.shape, diag, op.weights, op.corr, op.dir_lo, op.dir_hi,
+            edge_coeff=op.edge_coeff,
+        )
+        split.ops = (op, *split.ops[1:])
         with pytest.raises(NumericalError, match="zero pivot"):
             adi_step(self._start(bvals, 64), 1.0, split)
         assert 1.0 not in op._factors
@@ -834,6 +867,10 @@ class TestStepMemory:
         assert (peak - before - cache) / u.nbytes <= bound
 
     def test_built_operators_hold_no_off_diagonal(self):
+        """The built split holds one float field of its own, the three
+        operators' shared edge coefficients; it shares the boundary field
+        with the problem, and the rest is sized by the crossings, the
+        solute nodes and the lines' Dirichlet ends."""
         problem = build_problem(kirkwood_config(h=0.5, ic="zero"))
         tracemalloc.start()
         try:
@@ -843,12 +880,27 @@ class TestStepMemory:
             live = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        held = split.inside.nbytes + split.boundary.nbytes
-        for op in split.ops:
-            held += sum(
-                a.nbytes
-                for a in (op.flux_weights, op.diag, op.dir_lo, op.dir_hi)
-                + (op.corr_index, op.corr_value, op.corr_lines)
-            )
-        off = min((op.n - 3) * op.diag.shape[1] * 8 for op in split.ops)
-        assert live - held < off / 10
+        assert np.shares_memory(split.boundary, problem.boundary.values)
+        held = split.inside.nbytes
+        held += sum(a.nbytes for op in split.ops for a in (op.dir_lo, op.dir_hi))
+        field = problem.boundary.values.nbytes
+        # cut edges, node fixes and corrections: a few indices and values each
+        per_crossing = 48 * 8
+        crossings = len(problem.data.theta)
+        assert live - held <= field + per_crossing * crossings
+
+    def test_lpb_start_peak_within_three_adi_steps(self):
+        """The LPB start's peak above the built problem is no higher than
+        that of three ADI steps from its result, factor cache included."""
+        problem = build_problem(kirkwood_config(h=0.5))
+        tracemalloc.start()
+        try:
+            u = initial_condition("lpb", problem).values
+            lpb = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            for _ in range(3):
+                u = adi_step(u, 0.01, problem.split)
+            adi = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lpb <= adi
