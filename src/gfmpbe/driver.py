@@ -216,7 +216,10 @@ def initial_condition(kind: str, problem: Problem, scheme: str | None = None) ->
     applied matrix-free.  A non-finite field, a runaway energy or a solve
     that misses its tolerance raises InitializationError.  kappa^2 is the
     split's scalar and solute index, and the matrix-vector products run in
-    the split's step workspace, which is released on return.
+    the split's step workspace, which is released on return.  The
+    right-hand side is read from the boundary field itself, and the start
+    field, a copy of it, is made after the solve, so that the solve's peak
+    holds one field fewer.
 
     scheme is deprecated: the result does not depend on it, and passing it
     emits a DeprecationWarning.
@@ -227,31 +230,30 @@ def initial_condition(kind: str, problem: Problem, scheme: str | None = None) ->
             DeprecationWarning,
             stacklevel=2,
         )
-    u = problem.boundary.values.copy()
     if kind == "zero":
-        return Field(problem.grid, u)
+        return Field(problem.grid, problem.boundary.values.copy())
     if kind != "lpb":
         raise ConfigError(f"unknown initial condition kind {kind!r}")
     split = problem.split
-    interior = u[1:-1, 1:-1, 1:-1]
+    interior_shape = tuple(n - 2 for n in split.shape)
     # kappa^2 on the interior nodes is kappa_sq but at the solute's nodes,
     # listed here as flat indices into the interior block.
     at = np.unravel_index(split.inside, split.shape)
     on = np.all([(i > 0) & (i < n - 1) for i, n in zip(at, split.shape)], axis=0)
-    solute = np.ravel_multi_index(tuple(i[on] - 1 for i in at), interior.shape)
+    solute = np.ravel_multi_index(tuple(i[on] - 1 for i in at), interior_shape)
     v = np.zeros(split.shape)
     block = v[1:-1, 1:-1, 1:-1]
     try:
         work = split._workspace(2)
 
         def matvec(p, q):
-            block[...] = p.reshape(interior.shape)
+            block[...] = p.reshape(interior_shape)
             np.multiply(p, split.kappa_sq, out=q)
             q[solute] = p[solute] * 0.0
-            q3 = q.reshape(interior.shape)
+            q3 = q.reshape(interior_shape)
             q3 -= split.delta2_sum(v, corr=False, work=work)
 
-        r = split.delta2_sum(u, work=work).ravel()
+        r = split.delta2_sum(problem.boundary.values, work=work).ravel()
         d = split.diag_sum().ravel()
         kept = d[solute]
         d += split.kappa_sq
@@ -260,7 +262,8 @@ def initial_condition(kind: str, problem: Problem, scheme: str | None = None) ->
         x, iterations, rel = _jacobi_cg(matvec, r, inv_diag)
     finally:
         split._release_workspace()
-    interior[...] = x.reshape(interior.shape)
+    u = problem.boundary.values.copy()
+    u[1:-1, 1:-1, 1:-1] = x.reshape(interior_shape)
     try:
         _check_finite(u, iterations)
         _checked_energy(u, problem, iterations)

@@ -237,20 +237,19 @@ def ldlt_factor(
 
 
 def ldlt_factor_into(
-    diag: np.ndarray, o: np.ndarray, tau: float, out=None
+    diag: np.ndarray, o: np.ndarray, tau: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """ldlt_factor with the scaled off-diagonal o = tau*off given, which is
     overwritten with cp; returns (cp, inv) with cp the array o.
 
-    The pivots are built in the array that becomes inv, out when it is
-    given (which may be diag itself), and follow the two-op
+    The pivots are built in a new array that becomes inv and follow the two-op
     recurrence D[i] = d[i] - o[i-1]^2 / D[i-1] on the squared off-diagonal,
     with one row temporary; cp = o / D[:-1] and 1/D are whole-array passes
     after it.  One scratch array of diag's shape holds o^2 and then the
     zero-pivot test.  Diagonal dominance keeps pivots away from zero; a
     pivot that vanishes anyway (|D| < 1e-300) raises NumericalError.
     """
-    piv = np.multiply(diag, tau, out=out)
+    piv = np.multiply(diag, tau)
     piv += 1.0
     scratch = np.empty_like(piv)
     o2 = np.multiply(o, o, out=scratch[:-1])

@@ -15,8 +15,12 @@ layout, adds tau times the Dirichlet ends to the end rows and tau times
 the nonzero corrections by index, runs one L D L^T solve over all lines in
 place (the gfm kernel, shared with the one-line solve) and scatters the
 lines back; the line-major view is a transpose by a permutation stored
-with the operator.  Its factors are cached per tau; a new tau reads the
-off-diagonal and the pivots from E through that transpose.
+with the operator.  Its factors are cached per tau.  Most lines carry no
+cut edge and one E along their length, so their systems are equal: the
+three operators share one factor table that holds the tau-independent
+diagonal and off-diagonal of each distinct line once, the three axes'
+columns side by side.  A new tau factors the whole table in one row loop
+and each axis expands its columns to every line by one take per array.
 kappa^2 is zero inside the solute and one scalar in the solvent, so the
 substep runs once over the field with one log and its coefficients as
 Python floats, and the inside nodes are copied back from a flat index.
@@ -39,8 +43,11 @@ results of its two substeps.  Because the workspace is shared by every step
 of a split, one split must not be stepped from two threads at once.  A
 built split holds two fields, E and a read-only view of the problem's
 boundary field, besides arrays sized by the crossings, the lines and the
-solute nodes; at 65^3 (tracemalloc) the built problem takes 4.9 MiB and
-the march peaks at 28.7 MiB, 323 -> 228 MiB at 129^3.
+solute nodes; the factor table, built on the first factorization or diag
+read, is sized by the distinct lines, and a factorization's scratch by the
+table.  At 65^3 (tracemalloc) the built problem takes 4.9 MiB, the ADI
+march peaks at 27.9 MiB and the lpb start at 25.5 MiB, and the ADI march
+at 129^3 at 221 MiB.
 """
 
 from __future__ import annotations
@@ -129,6 +136,107 @@ def _scalar_substep(
     return np.copysign(np.log(em, out=em), w, out=em)
 
 
+class _FactorTable:
+    """The tau-independent line systems of the distinct lines of one or more
+    axis operators, and their L D L^T factors for the last tau.
+
+    A line with no cut edge, no node fix and the same E on all its edges is
+    fixed by its length and that E, so it shares one column with every
+    such line of its operator and E; every other line has a column of its
+    own.  The columns of all members sit side by side: the diagonal (m, K)
+    and the off-diagonal weights (m-1, K), m the longest member's interior
+    node count, with a shorter member's rows padded with diagonal 0 and
+    weight 0, so that their pivots are 1.  One gfm.ldlt_factor_into row
+    loop thus factors every member for a new tau, and _take expands a
+    member's columns to its line-major layout.  The steps give the three
+    sweeps of a split the same tau, so the factors of the last tau are kept
+    until every member has taken them.
+
+    sources holds each member's axis length n, E on its lines' edges
+    (n-1, t1, t2), and its cut edges' and node fixes' flat line-major
+    indices and values; the columns are found and filled on the first read.
+    The table holds these arrays, never the operators, so that operators
+    that share it are freed without the garbage collector.
+    """
+
+    def __init__(self, sources: list[tuple]):
+        self.sources = sources
+        self._cols: list[np.ndarray] | None = None
+        self._last: tuple | None = None
+
+    @classmethod
+    def share(cls, ops) -> None:
+        """Give the operators ops one table over their sources."""
+        table = cls([op._table.sources[op._member] for op in ops])
+        for member, op in enumerate(ops):
+            op._table, op._member = table, member
+
+    def _build(self) -> None:
+        blocks, self._cols = [], []
+        for n, e, cut, cut_w, fix, fix_diag in self.sources:
+            _, t1, t2 = e.shape
+            lines = t1 * t2
+            # a node beside a cut edge has a fix, so this marks the cut lines
+            own = ~(e[1:] == e[0]).all(axis=0).reshape(-1)
+            own[fix % lines] = True
+            mine = np.flatnonzero(own)
+            # equal bits, so that -0.0 and 0.0 keep apart
+            bits = e[0].reshape(-1)[~own].view(np.int64)
+            bits, shared = np.unique(bits, return_inverse=True)
+            col = np.empty(lines, dtype=np.intp)
+            col[~own] = shared
+            col[mine] = np.arange(len(bits), len(bits) + len(mine))
+            # E on the distinct lines' edges gives the diagonal, as on every
+            # line with no node fix; the cut edges' weights then go over it.
+            w = np.empty((n - 1, len(bits) + len(mine)))
+            w[:, : len(bits)] = bits.view(float)
+            w[:, len(bits) :] = e[:, mine // t2, mine % t2]
+            d = np.add(w[:-1], w[1:])
+            pos, line = np.divmod(fix, lines)
+            d[pos, col[line]] = fix_diag
+            pos, line = np.divmod(cut, lines)
+            w[pos, col[line]] = cut_w
+            self._cols.append(col + sum(b.shape[1] for b, _ in blocks))
+            blocks.append((d, w[1:-1]))
+        rows = max(len(d) for d, _ in blocks)
+        self._d = np.zeros((rows, sum(d.shape[1] for d, _ in blocks)))
+        self._w = np.zeros((rows - 1, self._d.shape[1]))
+        start = 0
+        for d, w in blocks:
+            end = start + d.shape[1]
+            self._d[: len(d), start:end] = d
+            self._w[: len(w), start:end] = w
+            start = end
+
+    def _take(self, member: int, table: np.ndarray, less: int) -> np.ndarray:
+        """Rows 0 .. n-less-1 of a table array at member's lines, (n-less, L)."""
+        n = self.sources[member][0]
+        return np.take(table[: n - less], self._cols[member], axis=1)
+
+    def diag(self, member: int) -> np.ndarray:
+        """Member's diagonal of -A in a new line-major (n-2, L) array."""
+        if self._cols is None:
+            self._build()
+        return self._take(member, self._d, 2)
+
+    def factors(self, member: int, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        """Member's factors (cp, inv) of I - tau*A, line-major (n-3, L) and
+        (n-2, L), from the table's factors of tau: those of the last tau or
+        new ones.  -A has the diagonal of -A on it and -W off it, so the
+        scaled off-diagonal is -tau*W (negation is exact)."""
+        if self._last is None or self._last[0] != tau:
+            if self._cols is None:
+                self._build()
+            o = np.multiply(self._w, -tau)
+            waiting = set(range(len(self.sources)))
+            self._last = (tau, *ldlt_factor_into(self._d, o, tau), waiting)
+        _, cp, inv, waiting = self._last
+        waiting.discard(member)
+        if not waiting:
+            self._last = None
+        return self._take(member, cp, 3), self._take(member, inv, 2)
+
+
 class AxisOperator:
     """Batched line systems along one axis, over interior transverse indices.
 
@@ -155,13 +263,13 @@ class AxisOperator:
     of them.  apply runs gfm.apply_flux on the flat field with the axis's
     stride, E as its weights and the cut edges as its cuts.  solve keeps an
     LRU cache of _FACTOR_CACHE_SIZE entries keyed by tau, each the L D L^T
-    multipliers cp and inverse pivots inv of gfm.ldlt_factor_into.  A new
-    tau writes -tau*E of the edges between interior nodes into the array
-    that becomes cp and E_left + E_right into the one that becomes inv, both
-    through the line-major transpose, then the cut edges and node fixes
-    over them.  The right-hand side is copied into line layout and takes
-    tau times the Dirichlet ends and tau times the corrections there, in
-    the order of gfm.thomas_solve.
+    multipliers cp and inverse pivots inv of every line, line-major.  A new
+    tau takes them from the operator's _FactorTable, which factors the
+    distinct lines of all its member operators at once; build_split_operators
+    gives the three operators of a split one table, and an operator built
+    alone has a table of its own.  The right-hand side is copied into line
+    layout and takes tau times the Dirichlet ends and tau times the
+    corrections there, in the order of gfm.thomas_solve.
 
     apply and solve take an optional out array for the result.  The flux
     temporary of apply and the line-major buffer of solve come from a flat
@@ -201,9 +309,6 @@ class AxisOperator:
         self._cut_w = w.reshape(-1)[cut]
         self._cut_index = self._field_index(cut, 0)
         pos = cut // lines
-        inner = (pos > 0) & (pos < self.n - 2)
-        self._inner_cut_index = cut[inner] - lines
-        self._inner_cut_w = self._cut_w[inner]
         # Every node next to a cut edge takes a fix.  Both edges of any
         # other node carry E, so it needs one only where diag is not
         # W_left + W_right; that check runs a few rows at a time, since a
@@ -225,6 +330,8 @@ class AxisOperator:
         self._diag: np.ndarray | None = None
         self._factors: OrderedDict[float, tuple] = OrderedDict()
         self._work: np.ndarray | None = None
+        source = (self.n, e, cut, self._cut_w, self._fix_index, self._fix_diag)
+        self._table, self._member = _FactorTable([source]), 0
 
     def _field_index(self, at: np.ndarray, first: int) -> np.ndarray:
         """Flat C-order field indices of the entries at, flat indices into a
@@ -257,21 +364,12 @@ class AxisOperator:
         """size floats of the lent scratch array, or new ones."""
         return np.empty(size) if self._work is None else self._work[:size]
 
-    def _new_diag(self) -> np.ndarray:
-        """The diagonal W_left + W_right of -A in a new line-major (n-2, L)
-        array."""
-        e = self._edge_lines
-        d = np.add(e[:-1], e[1:], out=np.empty(e[1:].shape))
-        d = d.reshape(self.n - 2, -1)
-        d.reshape(-1)[self._fix_index] = self._fix_diag
-        return d
-
     @property
     def diag(self) -> np.ndarray:
         """Diagonal W_left + W_right of -A, line-major (n-2, L), read-only;
         built on the first read and kept."""
         if self._diag is None:
-            self._diag = self._new_diag()
+            self._diag = self._table.diag(self._member)
             self._diag.flags.writeable = False
         return self._diag
 
@@ -328,16 +426,11 @@ class AxisOperator:
         if entry is not None:
             self._factors.move_to_end(tau)
             return entry
-        # I - tau*A = I + tau*M, M = -A: the diagonal of -A on the diagonal,
-        # -W off it, so the scaled off-diagonal is -tau*W (negation is exact).
-        e = self._edge_lines
-        o = np.multiply(e[1:-1], -tau, out=np.empty(e[1:-1].shape))
-        o = o.reshape(self.n - 3, -1)
-        o.reshape(-1)[self._inner_cut_index] = self._inner_cut_w * -tau
-        piv = self._new_diag()
-        entry = self._factors[tau] = ldlt_factor_into(piv, o, tau, out=piv)
-        if len(self._factors) > _FACTOR_CACHE_SIZE:
+        # Evict before the new entry is made, so that a miss never holds
+        # one entry more than the cache keeps.
+        if len(self._factors) >= _FACTOR_CACHE_SIZE:
             self._factors.popitem(last=False)
+        entry = self._factors[tau] = self._table.factors(self._member, tau)
         return entry
 
     def solve(
@@ -386,8 +479,9 @@ class SplitOperators:
     boundary holds the Dirichlet face values, read-only; build_split_operators
     makes it a view of the boundary field it is given, so a built problem
     holds them once.  The field-sized data of a built split are that and
-    the three operators' shared edge_coeff; the rest is sized by the
-    crossings, the lines and the solute nodes.
+    the three operators' shared edge_coeff; the rest, the operators' shared
+    factor table among it, is sized by the crossings, the lines and the
+    solute nodes.
 
     The steps take their field-sized scratch from _workspace, which keeps
     the arrays from one step to the next: allocating them afresh each step
@@ -450,7 +544,7 @@ class SplitOperators:
         """Sum over the axes of the diagonal of -A_a, on the interior block."""
         out = np.zeros(tuple(n - 2 for n in self.shape))
         for op in self.ops:
-            out += op._to_field(op._new_diag())
+            out += op._to_field(op._table.diag(op._member))
         return out
 
 
@@ -493,7 +587,8 @@ def build_split_operators(
     written afterwards.  Each axis's interior lines are assembled at once
     from the crossing arrays, in C order of the two transverse axes;
     crossings on the boundary transverse lines belong to no interior line.
-    The three operators share one read-only edge_coeff field.
+    The three operators share one read-only edge_coeff field and one
+    factor table.
     """
     if boundary.grid != data.grid:
         raise ConfigError("boundary field grid does not match interface grid")
@@ -517,6 +612,7 @@ def build_split_operators(
         bc = np.moveaxis(boundary.values, axis, 0)[[0, -1], 1:-1, 1:-1].reshape(2, -1)
         arrays = assemble_lines(axis, inside, eps, cuts, bc, h)
         ops.append(AxisOperator(axis, shape, *arrays, edge_coeff=edge_coeff))
+    _FactorTable.share(ops)
     held = boundary.values.view()
     held.flags.writeable = False
     return SplitOperators(

@@ -1,6 +1,8 @@
 """Tests for the nonlinear substep, batched sweeps, and the two split schemes."""
 
+import gc
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -315,6 +317,146 @@ class TestBatchedSweeps:
             assert 0.3 not in op._factors
             got = op.solve(0.3, rhs, split.boundary)
             np.testing.assert_array_equal(got, new.solve(0.3, rhs, fresh.boundary))
+
+
+class TestFactorTable:
+    """A split's three operators factor a new tau from one table of their
+    distinct lines, and expand it to every line's factors."""
+
+    @staticmethod
+    def _sweep_all(split, tau, rhs):
+        for op in split.ops:
+            op.solve(tau, rhs, split.boundary)
+
+    @pytest.mark.parametrize("box", [None, (-1.5,) * 3 + (1.5,) * 3], ids=["box", "tight"])
+    def test_factors_equal_per_line_ldlt(self, box):
+        grid, data, params, jumps, bvals, split = _two_sphere_problem(box=box)
+        rhs = np.random.default_rng(9).normal(size=grid.shape)
+        inside_lines = 0
+        for tau in (0.05, 1.7):
+            self._sweep_all(split, tau, rhs)
+            for op in split.ops:
+                cp, inv = op._factors[tau]
+                systems = _line_systems(grid, data, params, jumps, bvals, op.axis)
+                for line, (_, sl, sys) in enumerate(systems):
+                    want = gfm.ldlt_factor(sys.diag, sys.off, tau)
+                    np.testing.assert_array_equal(_bits(cp[:, line]), _bits(want[0]))
+                    np.testing.assert_array_equal(_bits(inv[:, line]), _bits(want[1]))
+                    inside_lines += bool(data.inside[sl].all())
+        table = split.ops[0]._table
+        assert all(op._table is table for op in split.ops)
+        assert table._last is None
+        # The table holds each distinct column once: fewer than the lines,
+        # and lines share them.
+        cols = table._cols
+        assert table._d.shape[1] == sum(len(np.unique(c)) for c in cols)
+        assert table._d.shape[1] < sum(len(c) for c in cols)
+        assert table._d.shape[0] == max(grid.shape) - 2
+        if box:
+            assert inside_lines > 0  # lines that lie entirely inside
+        else:
+            assert len(set(grid.shape)) > 1  # axes of unequal length
+
+    def test_operator_built_alone(self):
+        # E is the operator's own weights: no cut edges, and lines that are
+        # uniform share a column by their value, the rest keep their own.
+        grid, _, params, _, _, split = _two_sphere_problem()
+        rhs = np.random.default_rng(10).normal(size=grid.shape)
+        op = split.ops[2]
+        w = op.weights
+        w[:, :5] = params.eps_in / grid.h**2
+        diag = w[:-1] + w[1:]
+        alone = AxisOperator(op.axis, op.shape, diag, w, op.corr, op.dir_lo, op.dir_hi)
+        assert len(alone._cut_w) == 0
+        tau = 0.3
+        alone.solve(tau, rhs, split.boundary)
+        cp, inv = alone._factors[tau]
+        for line in range(w.shape[1]):
+            want = gfm.ldlt_factor(diag[:, line], -w[1:-1, line], tau)
+            np.testing.assert_array_equal(_bits(cp[:, line]), _bits(want[0]))
+            np.testing.assert_array_equal(_bits(inv[:, line]), _bits(want[1]))
+        (cols,) = alone._table._cols
+        assert len(np.unique(cols[:5])) == 1
+        assert cols[0] not in cols[5:]
+        assert alone._table._d.shape[1] == len(np.unique(cols)) < len(cols)
+
+    @pytest.mark.parametrize("step, scale", [(adi_step, 1.0), (lod_step, 0.5)])
+    def test_one_factorization_per_tau_per_split(self, monkeypatch, step, scale):
+        *_, bvals, split = _two_sphere_problem()
+        taus = []
+
+        def counting(diag, o, tau):
+            taus.append(tau)
+            return factor(diag, o, tau)
+
+        factor = stepping.ldlt_factor_into
+        monkeypatch.setattr(stepping, "ldlt_factor_into", counting)
+        u = bvals.copy()
+        for dt in (0.05, 0.05, 0.07, 0.05, 0.07):
+            u = step(u, dt, split)
+        assert taus == [scale * 0.05, scale * 0.07]
+
+    def test_zero_pivot_in_one_member_raises_from_every_sweep(self):
+        *_, bvals, split = _two_sphere_problem()
+        op = split.ops[1]
+        diag = op.diag.copy()
+        diag[0, 0] = -1.0  # 1 + tau * diag = 0 at tau = 1
+        bad = AxisOperator(
+            1, split.shape, diag, op.weights, op.corr, op.dir_lo, op.dir_hi,
+            edge_coeff=op.edge_coeff,
+        )
+        ops = (split.ops[0], bad, split.ops[2])
+        stepping._FactorTable.share(ops)
+        rhs = np.random.default_rng(11).normal(size=split.shape)
+        for o in ops:
+            with pytest.raises(NumericalError, match="zero pivot"):
+                o.solve(1.0, rhs, split.boundary)
+            assert 1.0 not in o._factors
+        assert ops[0]._table._last is None
+        ops[0].solve(0.5, rhs, split.boundary)
+
+    def test_lru_eviction(self, monkeypatch):
+        *_, bvals, split = _two_sphere_problem()
+        *_, fresh = _two_sphere_problem()
+        calls = Counter()
+
+        def counting(diag, o, tau):
+            calls[tau] += 1
+            return factor(diag, o, tau)
+
+        factor = stepping.ldlt_factor_into
+        monkeypatch.setattr(stepping, "ldlt_factor_into", counting)
+        rhs = np.random.default_rng(12).normal(size=split.shape)
+        taus = [0.1 * (k + 1) for k in range(stepping._FACTOR_CACHE_SIZE + 1)]
+        for tau in taus:
+            self._sweep_all(split, tau, rhs)
+        for tau in taus[1:]:
+            self._sweep_all(split, tau, rhs)
+        assert all(list(op._factors) == taus[1:] for op in split.ops)
+        assert set(calls.values()) == {1}
+        for op, new in zip(split.ops, fresh.ops):
+            got = op.solve(taus[0], rhs, split.boundary)
+            assert list(op._factors) == taus[2:] + taus[:1]
+            want = new.solve(taus[0], rhs, fresh.boundary)
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+        assert calls[taus[0]] == 3
+
+    def test_deleted_problem_is_freed_without_the_collector(self):
+        ctrl = ControllerConfig(kind="Constant", dt0=0.01, t_end=0.03)
+        cfg = kirkwood_config(h=1.0, controller=ctrl, ic="zero", box_half=4.0)
+        gc.collect()
+        gc.disable()
+        try:
+            problem = build_problem(cfg)
+            run(cfg, problem=problem)
+            split = problem.split
+            assert all(op._factors for op in split.ops)
+            refs = [weakref.ref(o) for o in (problem, split, split.ops[0]._table)]
+            refs += [weakref.ref(op) for op in split.ops]
+            del problem, split
+            assert [r() for r in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
 
 
 def _axis_dense(grid, data, params, jumps, bvals, axis):
@@ -846,7 +988,8 @@ class TestStepMemory:
     built problem and the start field) and the factor cache's bytes, in
     field sizes.  An ADI step makes one new field and LOD two; each holds
     its workspace (two arrays for ADI, one for LOD) and the operators' lent
-    scratch, and a factorization adds one line-major scratch array."""
+    scratch; a factorization adds the split's factor table and its scratch,
+    sized by the distinct lines."""
 
     @pytest.mark.parametrize("step, bound", [(adi_step, 6.0), (lod_step, 4.5)])
     def test_peak_over_three_steps(self, step, bound):
