@@ -7,7 +7,7 @@ import sys
 import time
 from dataclasses import replace
 
-from .control import ControllerConfig
+from .control import ControllerConfig, Schedule
 from .driver import (
     RunConfig,
     build_problem,
@@ -118,18 +118,29 @@ def _timed(fn, *args):
     return result, time.perf_counter() - start
 
 
-def _print_trace_summary(trace, wall: float) -> None:
+def _timed_run(march, cfg: RunConfig, *args):
+    """march(cfg, *args, problem=...) on a problem built here: the trace, the
+    whole run's wall time and the build's, in s."""
+    start = time.perf_counter()
+    problem = build_problem(cfg)
+    setup = time.perf_counter() - start
+    trace = march(cfg, *args, problem=problem)
+    return trace, time.perf_counter() - start, setup
+
+
+def _print_trace_summary(trace, wall: float, setup: float) -> None:
     """wall is the whole run's time: build, initial condition and march;
-    the march alone is trace.wall_time."""
+    setup is the build alone and the march alone is trace.wall_time."""
     print(f"final energy: {trace.final_energy:.6f} kcal/mol")
     print(f"steps: {trace.steps}")
     print(f"wall time: {wall:.3f} s")
+    print(f"setup time: {setup:.3f} s")
     print(f"march time: {trace.wall_time:.3f} s")
     print(f"stopped: {trace.stop_reason}")
 
 
 def _cmd_solve(args) -> int:
-    _print_trace_summary(*_timed(run, _config_from_args(args)))
+    _print_trace_summary(*_timed_run(run, _config_from_args(args)))
     return 0
 
 
@@ -147,7 +158,7 @@ def _cmd_kirkwood(args) -> int:
                           ic=args.ic)
     cfg = replace(cfg, trace_path=args.trace, field_path=args.field,
                   field_mode=args.field_mode)
-    _print_trace_summary(*_timed(run, cfg))
+    _print_trace_summary(*_timed_run(run, cfg))
     return 0
 
 
@@ -188,7 +199,9 @@ def _parse_switches(specs: list[str]) -> list[tuple[float, float]]:
 
 def _cmd_schedule(args) -> int:
     cfg = _base_config(args)
-    _print_trace_summary(*_timed(run_schedule, cfg, _parse_switches(args.switch)))
+    switches = _parse_switches(args.switch)
+    Schedule(switches, cfg.controller)  # a bad table fails before the build
+    _print_trace_summary(*_timed_run(run_schedule, cfg, switches))
     return 0
 
 

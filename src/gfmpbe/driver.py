@@ -414,7 +414,9 @@ def convergence_study(
 
     The finest value (smallest h or dt) serves as the reference; its row
     carries a NaN error.  Divergent members are flagged and excluded from
-    the fit.  Not available for imported surfaces when varying h.
+    the fit.  Not available for imported surfaces when varying h.  The
+    members of a dt study differ only in their controller, so they share
+    one built problem.
     """
     if vary not in ("h", "dt"):
         raise ConfigError(f"vary must be h or dt, got {vary!r}")
@@ -423,11 +425,12 @@ def convergence_study(
     if vary == "h" and cfg.surface.startswith("import:"):
         raise ConfigError("cannot vary h with an imported surface")
     order = sorted(values, reverse=True)
+    problem = build_problem(cfg) if vary == "dt" else None
     energies: dict[float, float | None] = {}
     for v in order:
         member = _member_config(cfg, vary, v)
         try:
-            energies[v] = run(member).final_energy
+            energies[v] = run(member, problem=problem).final_energy
         except DivergenceError:
             energies[v] = None
     ref_value = order[-1]

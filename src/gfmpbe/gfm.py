@@ -5,19 +5,23 @@ plus a correction vector c, so that the modified second difference is
 delta2(v) = A v + c.  On an uncut edge the coefficient is eps/h^2 with the
 sharp nodal eps; on a cut edge the ghost-node elimination under the jump
 conditions [u] = a and [eps u_xi] = b produces the theta-weighted harmonic
-coefficient and routes the jump data into c.  assemble_lines assembles a
-batch of lines at once, line-major (position along the line first), and
-assemble_line is its L = 1 case.  The explicit apply is in flux form: with
-F = W * diff(v) the flux through each edge, delta2(v) = F[1:] - F[:-1] + c,
-so the Dirichlet ends enter through the first and last flux.  apply_flux
-runs it on flat data with the axis's stride, so that every pass is one
-contiguous loop; the one-line apply_operator and the batched axis
-operators share it.  thomas_solve runs the batched L D L^T kernel on one
-line.
+coefficient and routes the jump data into c.  cut_terms holds that formula
+and check_cuts the checks of the cut edges against the node flags; the axis
+operators are assembled with them straight from the crossing arrays
+(stepping.build_split_operators).  assemble_lines gives the same operators
+as dense line-major arrays (position along the line first), the reference
+form, and assemble_line is its L = 1 case.  The explicit apply is in flux
+form: with F = W * diff(v) the flux through each edge, delta2(v) =
+F[1:] - F[:-1] + c, so the Dirichlet ends enter through the first and last
+flux.  apply_flux runs it on flat data with the axis's stride, so that every
+pass is one contiguous loop; the one-line apply_operator and the batched
+axis operators share it.  thomas_solve runs the batched L D L^T kernel on
+one line.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -77,9 +81,9 @@ def assemble_lines(axis: int, inside: np.ndarray, eps: tuple, cuts, bc, h: float
     theta and jump data; bc = (bc_lo, bc_hi) the Dirichlet end values.
     Returns diag (n-2, L) = W_left + W_right, the edge weights W (n-1, L)
     (eps/h^2, harmonic on cut edges), the jump correction corr (n-2, L) and
-    dir_lo, dir_hi (L,) = end weights times bc.  A side change without a cut,
-    a cut without one or a theta outside the clamp range raises
-    AssemblyError for the first such edge, line by line.
+    dir_lo, dir_hi (L,) = end weights times bc.  The cuts are checked by
+    check_cuts.  This is the dense reference form of the axis operators,
+    which build_split_operators assembles straight from the crossings.
     """
     eps_in, eps_out = eps
     if eps_in <= 0 or eps_out <= 0:
@@ -92,10 +96,62 @@ def assemble_lines(axis: int, inside: np.ndarray, eps: tuple, cuts, bc, h: float
         raise AssemblyError(f"spacing must be positive, got {h}")
     pos, line = (np.asarray(v, dtype=np.intp) for v in cuts[:2])
     theta, a, b = (np.asarray(v, dtype=float) for v in cuts[2:])
-    inv_h2 = 1.0 / (h * h)
-    weights = np.where(inside[:-1], eps_in, eps_out) * inv_h2
-    changes = inside[:-1] != inside[1:]
+    check_cuts(axis, inside, pos, line, theta)
+    w, c_lo, c_hi = cut_terms(inside[pos, line], eps, theta, a, b, h)
+    weights = np.where(inside[:-1], eps_in, eps_out) * (1.0 / (h * h))
+    weights[pos, line] = w
+    # A node between two cut edges takes a term from each.
+    corr = np.zeros(inside.shape)
+    np.add.at(corr, (np.r_[pos, pos + 1], np.r_[line, line]), np.r_[c_lo, c_hi])
+    diag = weights[:-1] + weights[1:]
+    return diag, weights, corr[1:-1], weights[0] * bc[0], weights[-1] * bc[1]
+
+
+def cut_terms(lo_in, eps: tuple, theta, a, b, h: float):
+    """The ghost-fluid terms of cut edges: the theta-weighted harmonic
+    weight w and the corrections c_lo, c_hi that each edge adds at its low
+    and high node.  lo_in flags the edges whose low node is inside; a and b
+    are the jump data, outside minus inside."""
+    eps_in, eps_out = eps
+    eps_lo, eps_hi = np.where(lo_in, eps_in, eps_out), np.where(lo_in, eps_out, eps_in)
+    denom = eps_hi * theta + eps_lo * (1.0 - theta)
+    w = (eps_lo * eps_hi / denom) * (1.0 / (h * h))
+    f_lo = eps_lo * (1.0 - theta) / denom
+    f_hi = eps_hi * theta / denom
+    # Jump data are outside-minus-inside; orient them to each edge.
+    sign = np.where(lo_in, 1.0, -1.0)
+    ju, jf = sign * a, sign * b
+    return w, -w * ju - (f_lo / h) * jf, w * ju - (f_hi / h) * jf
+
+
+def check_cuts(axis: int, inside: np.ndarray, pos, line, theta) -> None:
+    """Raise AssemblyError unless the lines change side on exactly their cut
+    edges and every theta lies in the clamp range.
+
+    inside (n, ...) flags the nodes of the lines, the position along them
+    first and the lines, in C order, after it; pos, line and theta (m,) give
+    each cut's low node position, line and theta.  When the cuts come in
+    line-major order, pos * L + line strictly ascending as the axis
+    operators keep them, each is checked on its own and their number is
+    compared with the side changes counted in one pass over the flags.
+    Otherwise, or when that finds a fault, the lines are scanned, to raise
+    for the first edge, line by line, that changes side without a cut, has a
+    cut but no side change or has a theta outside the clamp range.
+    """
+    n = len(inside)
+    on = pos < n - 1
+    at = (np.where(on, pos, 0), *np.unravel_index(line, inside.shape[1:]))
+    side = inside[at] != inside[(at[0] + 1, *at[1:])]
     clamped = (theta >= THETA_MIN) & (theta <= 1.0 - THETA_MIN)
+    flat = pos * math.prod(inside.shape[1:]) + line
+    if (on & side & clamped).all() and (flat[1:] > flat[:-1]).all():
+        if np.count_nonzero(inside[1:] != inside[:-1]) == len(flat):
+            return
+    inside = inside.reshape(n, -1)
+    changes = inside[:-1] != inside[1:]
+    if not on.all():
+        edge = f"edge {int(pos[np.argmin(on)])} on axis {axis}"
+        raise AssemblyError(f"{edge} has a crossing but no side change")
     bad = changes.copy()
     bad[pos, line] = ~changes[pos, line] | ~clamped
     if bad.any():
@@ -107,25 +163,6 @@ def assemble_lines(axis: int, inside: np.ndarray, eps: tuple, cuts, bc, h: float
         if not changes[e, lid]:
             raise AssemblyError(f"{edge} has a crossing but no side change")
         raise AssemblyError(f"theta {theta[at[0]]} outside clamp range on edge {e}")
-    lo_in = inside[pos, line]
-    eps_lo, eps_hi = np.where(lo_in, eps_in, eps_out), np.where(lo_in, eps_out, eps_in)
-    denom = eps_hi * theta + eps_lo * (1.0 - theta)
-    w = (eps_lo * eps_hi / denom) * inv_h2
-    weights[pos, line] = w
-    f_lo = eps_lo * (1.0 - theta) / denom
-    f_hi = eps_hi * theta / denom
-    # Jump data are outside-minus-inside; orient them to each edge.
-    sign = np.where(lo_in, 1.0, -1.0)
-    ju, jf = sign * a, sign * b
-    # A node between two cut edges takes a term from each.
-    corr = np.zeros(inside.shape)
-    np.add.at(
-        corr,
-        (np.r_[pos, pos + 1], np.r_[line, line]),
-        np.r_[-w * ju - (f_lo / h) * jf, w * ju - (f_hi / h) * jf],
-    )
-    diag = weights[:-1] + weights[1:]
-    return diag, weights, corr[1:-1], weights[0] * bc[0], weights[-1] * bc[1]
 
 
 def assemble_line(

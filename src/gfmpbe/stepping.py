@@ -1,11 +1,13 @@
 """One pseudo-time step: analytic sinh substep plus ADI or LOD line sweeps.
 
 The 3D operator splits into per-axis modified second differences (gfm
-module).  Each axis's lines are assembled once, all together, from the
-interface's node mask and crossing arrays and the jump arrays of
-compute_jumps.  An uncut edge's weight is eps(low node)/h^2 on every axis,
-so the three operators share one field of it, E, and each keeps only its
-cut edges' weights and the diagonal entries next to them.  The explicit
+module).  An uncut edge's weight is eps(low node)/h^2 on every axis, so
+the three operators share one field of it, E, and each keeps only its cut
+edges' weights, the diagonal entries next to them and the nonzero jump
+corrections.  Each operator is assembled once in that compact form,
+straight from the interface's crossing arrays and the jump arrays of
+compute_jumps, with work sized by the crossings and one pass over the
+node flags per axis; no array of the lines' size is built.  The explicit
 apply is in flux form and runs in the field's own C-order layout: the flux
 E * diff(v), with the cut edges' fluxes set over it, and its difference
 are whole-array passes over the flat field with the axis's stride, written
@@ -52,21 +54,26 @@ at 129^3 at 221 MiB.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import AssemblyError, ConfigError
-from .gfm import JumpData, apply_flux, assemble_lines, ldlt_factor_into, ldlt_solve
+from .gfm import (
+    JumpData,
+    apply_flux,
+    check_cuts,
+    cut_terms,
+    ldlt_factor_into,
+    ldlt_solve,
+)
 from .grid import Field
 from .molecule import AtomSet, PhysicalParams, green_gradient, green_potential
 from .surface import InterfaceData, RowMap
 
 _FACTOR_CACHE_SIZE = 4
-
-_CHECK_FLOATS = 8192
-"""Floats of the temporary with which AxisOperator checks its diag."""
 
 _TINY = float(np.finfo(float).tiny)
 
@@ -246,23 +253,25 @@ class AxisOperator:
     - edge_coeff, E, read-only in the field's shape and shared by the three
       operators of a split: eps(side of p)/h^2, the weight W of every uncut
       edge from node p up any axis.
-    - the cut edges, those of interior lines whose W is not E at their low
-      node, with their W; the node fixes, the interior nodes next to a cut
-      edge or whose diagonal of -A is not W_left + W_right, with that
-      diagonal.
+    - the cut edges of interior lines, with their W; the node fixes, the
+      interior nodes next to a cut edge or whose diagonal of -A is not
+      W_left + W_right, with that diagonal.
     - corr_index, corr_value: the nonzero entries of the jump correction c,
       as flat C-order indices into the field; corr_lines holds the same
       entries' flat indices in the line-major (n-2, L) layout.
     - dir_lo, dir_hi, (L,): the end weights times the Dirichlet values.
 
-    The constructor takes assemble_lines' line-major arrays and finds the
-    cut edges and node fixes by comparing them with edge_coeff, so it holds
-    exactly the arrays it is given; built alone it takes its own weights in
-    the field layout as E.  diag, weights and corr rebuild the line-major
-    arrays for readers (diag once, kept read-only); the kernels read none
-    of them.  apply runs gfm.apply_flux on the flat field with the axis's
-    stride, E as its weights and the cut edges as its cuts.  solve keeps an
-    LRU cache of _FACTOR_CACHE_SIZE entries keyed by tau, each the L D L^T
+    The constructor takes this compact form, which build_split_operators
+    assembles straight from the crossing arrays: cuts = (index, W) of the
+    cut edges, fixes = (index, diagonal) of the node fixes and corr =
+    (corr_lines, corr_value), each index flat into the line-major layout
+    of its array, (n-1, L) for the edges and (n-2, L) for the nodes.  A
+    node fix may be listed more than once, with the same diagonal.  diag,
+    weights and corr rebuild the line-major arrays of gfm.assemble_lines
+    for readers (diag once, kept read-only); the kernels read none of them.
+    apply runs gfm.apply_flux on the flat field with the axis's stride, E
+    as its weights and the cut edges as its cuts.  solve keeps an LRU cache
+    of _FACTOR_CACHE_SIZE entries keyed by tau, each the L D L^T
     multipliers cp and inverse pivots inv of every line, line-major.  A new
     tau takes them from the operator's _FactorTable, which factors the
     distinct lines of all its member operators at once; build_split_operators
@@ -282,50 +291,25 @@ class AxisOperator:
         self,
         axis: int,
         shape: tuple,
-        diag,
-        weights,
-        corr,
+        edge_coeff: np.ndarray,
+        cuts: tuple,
+        fixes: tuple,
+        corr: tuple,
         dir_lo,
         dir_hi,
-        edge_coeff=None,
     ):
         self.axis, self.shape, self.n = axis, shape, shape[axis]
         self.stride = int(np.prod(shape[axis + 1 :]))
         self.dir_lo, self.dir_hi = dir_lo, dir_hi
         t1, t2 = (a for a in range(3) if a != axis)
         self._perm = (axis, t1, t2)
-        if edge_coeff is None:
-            edge_coeff = np.zeros(shape)
-            edge_coeff[self._edges()] = self._to_field(weights)
-            edge_coeff.flags.writeable = False
         self.edge_coeff = edge_coeff
         # E on the interior lines' edges, line-major (n-1, t1, t2): a view.
         self._edge_lines = e = self._lines(edge_coeff[self._edges()])
-        # Cut edges, node fixes and corrections, as flat indices into the
-        # line-major layouts and, for apply, into the field.
-        lines = e[0].size
-        w = np.reshape(weights, e.shape)
-        cut = np.flatnonzero(w != e)
-        self._cut_w = w.reshape(-1)[cut]
+        cut, self._cut_w = cuts
         self._cut_index = self._field_index(cut, 0)
-        pos = cut // lines
-        # Every node next to a cut edge takes a fix.  Both edges of any
-        # other node carry E, so it needs one only where diag is not
-        # W_left + W_right; that check runs a few rows at a time, since a
-        # temporary of diag's size costs more in page faults than in sums.
-        d = np.reshape(diag, (self.n - 2, lines))
-        w2 = w.reshape(self.n - 1, lines)
-        fix = [cut[pos > 0] - lines, cut[pos < self.n - 2]]
-        rows = max(1, _CHECK_FLOATS // lines)
-        for i in range(0, self.n - 2, rows):
-            j = min(i + rows, self.n - 2)
-            odd = np.flatnonzero(d[i:j] != w2[i:j] + w2[i + 1 : j + 1])
-            fix.append(odd + i * lines)
-        self._fix_index = np.concatenate(fix)
-        self._fix_diag = d.reshape(-1)[self._fix_index]
-        c = np.reshape(corr, -1)
-        self.corr_lines = np.flatnonzero(c != 0)
-        self.corr_value = c[self.corr_lines]
+        self._fix_index, self._fix_diag = fixes
+        self.corr_lines, self.corr_value = corr
         self.corr_index = self._field_index(self.corr_lines, 1)
         self._diag: np.ndarray | None = None
         self._factors: OrderedDict[float, tuple] = OrderedDict()
@@ -584,34 +568,25 @@ def build_split_operators(
     boundary must be a field on the same grid whose face values hold the
     Dirichlet data; interior values are ignored.  The split keeps a
     read-only view of boundary's values, not a copy, so they must not be
-    written afterwards.  Each axis's interior lines are assembled at once
-    from the crossing arrays, in C order of the two transverse axes;
-    crossings on the boundary transverse lines belong to no interior line.
-    The three operators share one read-only edge_coeff field and one
-    factor table.
+    written afterwards.  Each axis operator is assembled straight from the
+    crossing arrays (_axis_operator); crossings on the boundary transverse
+    lines belong to no interior line.  The three operators share one
+    read-only edge_coeff field and one factor table.
     """
     if boundary.grid != data.grid:
         raise ConfigError("boundary field grid does not match interface grid")
     data.validate()
     jumps = compute_jumps(data, atoms, params)
-    shape, idx, h = data.grid.shape, data.index, data.grid.h
+    h = data.grid.h
     eps = (params.eps_in, params.eps_out)
-    # assemble_lines' uncut weight, eps(low node)/h^2, at every node
+    # the uncut weight, eps(low node)/h^2, at every node
     edge_coeff = np.where(data.inside, *eps)
     edge_coeff *= 1.0 / (h * h)
     edge_coeff.flags.writeable = False
-    ops = []
-    for axis in range(3):
-        t = [a for a in range(3) if a != axis]
-        inner = np.all((idx[:, t] > 0) & (idx[:, t] < np.take(shape, t) - 1), axis=1)
-        own = (data.axis == axis) & inner
-        line = (idx[own, t[0]] - 1) * (shape[t[1]] - 2) + idx[own, t[1]] - 1
-        cuts = (idx[own, axis], line, data.theta[own], jumps.a[own], jumps.b[own])
-        block = np.moveaxis(data.inside, axis, 0)[:, 1:-1, 1:-1]
-        inside = block.reshape(shape[axis], -1)
-        bc = np.moveaxis(boundary.values, axis, 0)[[0, -1], 1:-1, 1:-1].reshape(2, -1)
-        arrays = assemble_lines(axis, inside, eps, cuts, bc, h)
-        ops.append(AxisOperator(axis, shape, *arrays, edge_coeff=edge_coeff))
+    ops = [
+        _axis_operator(axis, data, jumps, eps, edge_coeff, boundary.values)
+        for axis in range(3)
+    ]
     _FactorTable.share(ops)
     held = boundary.values.view()
     held.flags.writeable = False
@@ -620,6 +595,79 @@ def build_split_operators(
         kappa_sq=float(params.kappa_sq),
         inside=np.flatnonzero(data.inside),
         boundary=held,
+    )
+
+
+def _axis_operator(
+    axis: int,
+    data: InterfaceData,
+    jumps: Jumps,
+    eps: tuple,
+    edge_coeff: np.ndarray,
+    bvals: np.ndarray,
+) -> AxisOperator:
+    """One axis's operator in its compact form, from the crossings on its
+    interior lines, with no array of the lines' size.
+
+    gfm.check_cuts checks the cuts against the node flags and gfm.cut_terms
+    gives each cut edge's weight and corrections.  The cut edges are kept in
+    line-major order.  Every interior node next to a cut edge takes a fix,
+    the cut edges' low nodes first and then their high nodes, with diagonal
+    W_left + W_right, each the weight of a cut edge or E.  The corrections
+    are summed per node in the order of gfm.assemble_lines, the edges'
+    low-node terms before their high-node ones, and exact zeros are dropped.
+    """
+    grid, idx = data.grid, data.index
+    shape, n, h = grid.shape, grid.shape[axis], grid.h
+    t1, t2 = (a for a in range(3) if a != axis)
+    lines = (shape[t1] - 2) * (shape[t2] - 2)
+    # the axis's crossings are one run of the canonical order
+    first, end = np.searchsorted(data.axis, (axis, axis + 1))
+    across = idx[first:end, [t1, t2]]
+    inner = (across > 0) & (across < (shape[t1] - 1, shape[t2] - 1))
+    rows = first + np.flatnonzero(inner.all(axis=1))
+    line = (idx[rows, t1] - 1) * (shape[t2] - 2) + idx[rows, t2] - 1
+    cut = idx[rows, axis] * lines + line
+    order = np.argsort(cut, kind="stable")
+    rows, line, cut = rows[order], line[order], cut[order]
+    pos, theta = idx[rows, axis], data.theta[rows]
+    perm = (axis, t1, t2)
+    check_cuts(axis, data.inside.transpose(perm)[:, 1:-1, 1:-1], pos, line, theta)
+    low = np.ravel_multi_index(tuple(idx[rows].T), shape)
+    lo_in = data.inside.reshape(-1)[low]
+    w, c_lo, c_hi = cut_terms(lo_in, eps, theta, jumps.a[rows], jumps.b[rows], h)
+    e, step = edge_coeff.reshape(-1), math.prod(shape[axis + 1 :])
+
+    def beside(at, up: int):
+        """W of the edges next to the cut edges at, one up the line (up = 1)
+        or one down it (up = -1): a cut edge's or E."""
+        edge = cut[at] + up * lines
+        k = np.minimum(np.searchsorted(cut, edge), len(cut) - 1)
+        return np.where(cut[k] == edge, w[k], e[low[at] + up * step])
+
+    below, above = pos > 0, pos < n - 2
+    fix = np.concatenate((cut[below] - lines, cut[above]))
+    fix_diag = np.concatenate(
+        (beside(below, -1) + w[below], w[above] + beside(above, 1))
+    )
+    corr_lines, slot = np.unique(fix, return_inverse=True)
+    corr_value = np.zeros(len(corr_lines))
+    np.add.at(corr_value, slot, np.concatenate((c_lo[below], c_hi[above])))
+    nonzero = corr_value != 0
+    # the end edges' weights, E or a cut edge's, times the Dirichlet values
+    ends = edge_coeff.transpose(perm)[[0, n - 2], 1:-1, 1:-1].reshape(2, -1)
+    ends[0, line[pos == 0]] = w[pos == 0]
+    ends[1, line[pos == n - 2]] = w[pos == n - 2]
+    bc = bvals.transpose(perm)[[0, -1], 1:-1, 1:-1].reshape(2, -1)
+    return AxisOperator(
+        axis,
+        shape,
+        edge_coeff,
+        (cut, w),
+        (fix, fix_diag),
+        (corr_lines[nonzero], corr_value[nonzero]),
+        ends[0] * bc[0],
+        ends[1] * bc[1],
     )
 
 

@@ -146,19 +146,14 @@ class InterfaceData:
         """Check one-crossing-per-mixed-edge consistency; raise AssemblyError.
 
         Each message names the first offending edge in canonical order.
+        Each crossing's edge is checked on its own and the mixed edges of
+        each axis are counted against its crossings, which _set keeps
+        distinct; only when that finds a fault are the edges scanned for
+        the first one.
         """
         g = self.grid
-        edges = (3, *g.shape)
-        mixed = [np.argwhere(np.diff(self.inside, axis=a)) for a in range(3)]
-        mixed = np.concatenate([_codes(a, idx, edges) for a, idx in enumerate(mixed)])
-        missing = np.setdiff1d(mixed, self._codes)
-        if missing.size:
-            key = tuple(int(v) for v in np.unravel_index(missing[0], edges))
-            raise AssemblyError(f"mixed edge without crossing record: {key}")
-        uniform = ~np.isin(self._codes, mixed)
-        if uniform.any():
-            key = self.key(np.argmax(uniform))
-            raise AssemblyError(f"crossing on uniform edge: {key}")
+        if not self._on_mixed_edges():
+            self._scan_edges()
         rows = np.arange(len(self.theta))
         with np.errstate(invalid="ignore"):
             d = self.location - (np.asarray(g.origin) + g.h * self.index)
@@ -182,6 +177,36 @@ class InterfaceData:
             f"location outside the edge for {key}",
         )
         raise AssemblyError(next(msg for c, msg in zip(checks, messages) if c[row]))
+
+    def _on_mixed_edges(self) -> bool:
+        """Whether every crossing sits on a mixed edge and each axis has as
+        many mixed edges as crossings."""
+        _, n1, n2 = shape = self.grid.shape
+        flags = self.inside.reshape(-1)
+        low = self._codes - self.axis * flags.size
+        pos = self.index[np.arange(len(low)), self.axis]
+        last = pos == np.take(shape, self.axis) - 1
+        high = np.where(last, low, low + np.take((n1 * n2, n2, 1), self.axis))
+        if (last | (flags[low] == flags[high])).any():
+            return False
+        counts = np.bincount(self.axis, minlength=3)
+        mixed = (np.count_nonzero(np.diff(self.inside, axis=a)) for a in range(3))
+        return all(m == c for m, c in zip(mixed, counts))
+
+    def _scan_edges(self) -> None:
+        """Raise AssemblyError for the first mixed edge without a crossing,
+        else for the first crossing on a uniform edge, from every edge."""
+        edges = (3, *self.grid.shape)
+        mixed = [np.argwhere(np.diff(self.inside, axis=a)) for a in range(3)]
+        mixed = np.concatenate([_codes(a, idx, edges) for a, idx in enumerate(mixed)])
+        missing = np.setdiff1d(mixed, self._codes)
+        if missing.size:
+            key = tuple(int(v) for v in np.unravel_index(missing[0], edges))
+            raise AssemblyError(f"mixed edge without crossing record: {key}")
+        uniform = ~np.isin(self._codes, mixed)
+        if uniform.any():
+            key = self.key(np.argmax(uniform))
+            raise AssemblyError(f"crossing on uniform edge: {key}")
 
 
 class RowMap(Mapping):

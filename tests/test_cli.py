@@ -113,11 +113,15 @@ class TestSolve:
         times = {}
         for line in capsys.readouterr().out.splitlines():
             key, _, value = line.partition(": ")
-            if key in ("wall time", "march time"):
+            if key in ("wall time", "setup time", "march time"):
                 times[key] = float(value.removesuffix(" s"))
-        assert set(times) == {"wall time", "march time"}
+        assert set(times) == {"wall time", "setup time", "march time"}
         assert times["wall time"] >= times["march time"]
         assert times["wall time"] > 0.0
+        # The build and the march are disjoint parts of the run.  Each
+        # printed value is rounded to the nearest ms, so the three roundings
+        # may add up to 1.5 ms.
+        assert times["setup time"] + times["march time"] <= times["wall time"] + 1.5e-3
 
     def test_divergence_exit_code(self, tmp_path, capsys):
         hot = tmp_path / "hot.txt"

@@ -504,6 +504,23 @@ class TestConvergenceStudy:
         res = convergence_study(cfg, "dt", [0.01, 0.04, 0.02])
         assert [r.value for r in res.rows] == [0.04, 0.02, 0.01]
 
+    def test_dt_study_builds_one_problem(self, monkeypatch):
+        # The members share the problem and give the energies of runs that
+        # each build their own, bit for bit.
+        cfg = _coarse_kirkwood(t_end=0.3)
+        values = [0.1, 0.05, 0.025]
+        alone = [run(driver._member_config(cfg, "dt", v)).final_energy for v in values]
+        builds = []
+
+        def counting(c):
+            builds.append(c)
+            return build_problem(c)
+
+        monkeypatch.setattr(driver, "build_problem", counting)
+        res = convergence_study(cfg, "dt", values)
+        assert builds == [cfg]
+        assert [r.energy for r in res.rows] == alone
+
     def test_validation(self):
         cfg = _coarse_kirkwood()
         with pytest.raises(ConfigError):

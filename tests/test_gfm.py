@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gfmpbe import gfm, stepping
+from gfmpbe import gfm
 from gfmpbe.errors import AssemblyError, ConfigError, NumericalError
 from gfmpbe.gfm import (
     JumpData,
@@ -20,7 +20,7 @@ from gfmpbe.gfm import (
 )
 from gfmpbe.grid import Field, Grid, build_grid
 from gfmpbe.molecule import Atom, AtomSet, PhysicalParams, dirichlet_boundary
-from gfmpbe.stepping import AxisOperator, build_split_operators, compute_jumps
+from gfmpbe.stepping import build_split_operators, compute_jumps
 from gfmpbe.surface import (
     Crossing,
     InterfaceData,
@@ -28,6 +28,7 @@ from gfmpbe.surface import (
     classify_sphere,
     classify_union,
 )
+from line_arrays import operator_from_lines
 
 NO_JUMP = JumpData(0.0, 0.0)
 
@@ -57,6 +58,10 @@ def _stacked(systems) -> tuple:
         np.array([s.w_lo * s.bc_lo for s in systems]),
         np.array([s.w_hi * s.bc_hi for s in systems]),
     )
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.uint64)
 
 
 def _fold(sys: LineSystem) -> np.ndarray:
@@ -221,7 +226,7 @@ class TestThomas:
         with pytest.raises(NumericalError):
             thomas_solve(sys, 1.0, np.ones(3))
         # The batched sweep shares the factorization: one line along x.
-        op = AxisOperator(0, (5, 3, 3), *_stacked([sys]))
+        op = operator_from_lines(0, (5, 3, 3), *_stacked([sys]))
         field = np.ones((5, 3, 3))
         with pytest.raises(NumericalError):
             op.solve(1.0, field, np.zeros((5, 3, 3)))
@@ -238,7 +243,7 @@ class TestThomas:
             corr[2] = rng.normal() if line % 3 == 0 else 0.0
             systems.append(replace(self._random_system(rng, n=7), corr=corr))
         shape = (5, 7, 6)  # along axis 1, 3 x 4 interior lines
-        op = AxisOperator(1, shape, *_stacked(systems))
+        op = operator_from_lines(1, shape, *_stacked(systems))
         assert set(op.corr_lines // 12) == {0, 2, 4}
         rhs = rng.normal(size=shape) * 10.0 ** rng.integers(-4, 5, size=shape)
         for tau in (0.01, 0.3, 2.5):
@@ -263,7 +268,7 @@ class TestThomas:
             h=1.0,
         )
         regular = _uniform_line(n=6)
-        op = AxisOperator(2, (3, 4, 6), *_stacked([regular, sys]))
+        op = operator_from_lines(2, (3, 4, 6), *_stacked([regular, sys]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="zero pivot"):
@@ -410,6 +415,19 @@ class TestAssemblyValidation:
             assemble_line(
                 0, flags, (1.0, 80.0), {1: (1e-9, NO_JUMP)}, (0.0, 0.0), 1.0
             )
+
+    def test_repeated_cut_does_not_stand_for_a_missing_one(self):
+        # Two cuts for two side changes, but both on edge 1.
+        flags = np.array([True, True, False, False, True, True])[:, None]
+        cuts = ([1, 1], [0, 0], [0.5, 0.5], [0.0, 0.0], [0.0, 0.0])
+        with pytest.raises(AssemblyError, match="edge 3 on axis 0 changes side"):
+            gfm.assemble_lines(0, flags, (1.0, 80.0), cuts, (0.0, 0.0), 1.0)
+
+    def test_cut_past_the_last_edge(self):
+        flags = np.array([True, True, False, False, False])[:, None]
+        cuts = ([1, 4], [0, 0], [0.5, 0.5], [0.0, 0.0], [0.0, 0.0])
+        with pytest.raises(AssemblyError, match="edge 4 on axis 0 has a crossing"):
+            gfm.assemble_lines(0, flags, (1.0, 80.0), cuts, (0.0, 0.0), 1.0)
 
     def test_non_finite_jump_rejected(self):
         with pytest.raises(AssemblyError):
@@ -570,21 +588,30 @@ def _oracle_case(name: str):
     return _sliver(Grid((-3.0, -3.0, -3.0), 1.0, (7, 7, 7))), far_atom
 
 
+def _assembled_lines(data, params, jumps, bvals, axis) -> tuple:
+    """One gfm.assemble_lines call over the axis's interior lines, in C
+    order of the two transverse axes: the operator's dense arrays."""
+    shape, idx = data.grid.shape, data.index
+    t = [a for a in range(3) if a != axis]
+    inner = np.all((idx[:, t] > 0) & (idx[:, t] < np.take(shape, t) - 1), axis=1)
+    own = (data.axis == axis) & inner
+    line = (idx[own, t[0]] - 1) * (shape[t[1]] - 2) + idx[own, t[1]] - 1
+    cuts = (idx[own, axis], line, data.theta[own], jumps.a[own], jumps.b[own])
+    inside = np.moveaxis(data.inside, axis, 0)[:, 1:-1, 1:-1].reshape(shape[axis], -1)
+    bc = np.moveaxis(bvals, axis, 0)[[0, -1], 1:-1, 1:-1].reshape(2, -1)
+    eps = (params.eps_in, params.eps_out)
+    return gfm.assemble_lines(axis, inside, eps, cuts, bc, data.grid.h)
+
+
 class TestBatchedAssembly:
-    """Whole-array assembly against one assemble_line call per line."""
+    """Assembly from the crossings against the dense assemble_lines and one
+    assemble_line call per line."""
 
     @pytest.mark.parametrize("case", ["sphere", "union", "ses", "sliver"])
-    def test_bit_identical_to_per_line(self, case, monkeypatch):
+    def test_bit_identical_to_per_line(self, case):
         data, atoms = _oracle_case(case)
         params = PhysicalParams(eps_in=2.0, eps_out=80.0, kappa_sq=1.0)
         bvals = _face_values(data.grid, atoms, params)
-        assembled = []
-
-        def recording(*args):
-            assembled.append(gfm.assemble_lines(*args))
-            return assembled[-1]
-
-        monkeypatch.setattr(stepping, "assemble_lines", recording)
         split = build_split_operators(data, atoms, params, Field(data.grid, bvals))
         jumps = compute_jumps(data, atoms, params)
         # The operators keep one shared edge field and rebuild the arrays
@@ -596,10 +623,11 @@ class TestBatchedAssembly:
         for axis, op in enumerate(split.ops):
             got = (op.diag, op.weights, op.corr, op.dir_lo, op.dir_hi)
             per_line = _per_line_arrays(data, params, jumps, bvals, axis)
-            for want in (per_line, assembled[axis]):
+            direct = _assembled_lines(data, params, jumps, bvals, axis)
+            for want in (per_line, direct):
                 for name, g, w in zip(names, got, want):
                     assert g.shape == w.shape, name
-                    assert np.array_equal(g, w), (axis, name)
+                    assert np.array_equal(_bits(g), _bits(w)), (axis, name)
 
     def test_sliver_nodes_take_both_corrections(self):
         data, atoms = _oracle_case("sliver")

@@ -34,6 +34,7 @@ from gfmpbe.stepping import (
     nonlinear_substep,
 )
 from gfmpbe.surface import Crossing, classify_union
+from line_arrays import operator_from_lines
 
 # Adaptive RK4 value for dw/dt = -sinh(w), w(0)=1, over t=0.1 (stable to 1e-13
 # across step counts 64..65536; agrees with the closed form).
@@ -282,7 +283,7 @@ class TestBatchedSweeps:
         rng = np.random.default_rng(8)
         v, rhs = rng.normal(size=(2, *split.shape))
         for op in split.ops:
-            alone = AxisOperator(
+            alone = operator_from_lines(
                 op.axis, op.shape, op.diag, op.weights, op.corr, op.dir_lo, op.dir_hi
             )
             assert alone.edge_coeff is not op.edge_coeff
@@ -366,7 +367,9 @@ class TestFactorTable:
         w = op.weights
         w[:, :5] = params.eps_in / grid.h**2
         diag = w[:-1] + w[1:]
-        alone = AxisOperator(op.axis, op.shape, diag, w, op.corr, op.dir_lo, op.dir_hi)
+        alone = operator_from_lines(
+            op.axis, op.shape, diag, w, op.corr, op.dir_lo, op.dir_hi
+        )
         assert len(alone._cut_w) == 0
         tau = 0.3
         alone.solve(tau, rhs, split.boundary)
@@ -401,7 +404,7 @@ class TestFactorTable:
         op = split.ops[1]
         diag = op.diag.copy()
         diag[0, 0] = -1.0  # 1 + tau * diag = 0 at tau = 1
-        bad = AxisOperator(
+        bad = operator_from_lines(
             1, split.shape, diag, op.weights, op.corr, op.dir_lo, op.dir_hi,
             edge_coeff=op.edge_coeff,
         )
@@ -969,7 +972,7 @@ class TestStepWorkspace:
         diag[0, 0] = -1.0  # 1 + tau * diag = 0 at tau = 1
         # The sweep reads the diagonal from the shared edge coefficients and
         # the node fixes the constructor derives from the diag it is given.
-        op = AxisOperator(
+        op = operator_from_lines(
             0, split.shape, diag, op.weights, op.corr, op.dir_lo, op.dir_hi,
             edge_coeff=op.edge_coeff,
         )
@@ -1047,3 +1050,27 @@ class TestStepMemory:
         finally:
             tracemalloc.stop()
         assert lpb <= adi
+
+
+class TestSetupMemory:
+    """Transient arrays of the assembly, from tracemalloc on a 33^3 Kirkwood
+    problem, in field sizes."""
+
+    def test_build_peak_above_what_it_holds(self):
+        """build_split_operators' peak less the bytes live after it.  The
+        operators are assembled from the crossings; the transients are the
+        node flags' side changes, one byte a node and axis at a time, and
+        arrays sized by the crossings: 0.22 fields measured.  One dense
+        line-major float array of an axis, (n-1) x L, is 0.86 fields, so
+        the bound of 0.5 fields (2.3 times the measurement) catches any."""
+        problem = build_problem(kirkwood_config(h=0.5, ic="zero"))
+        tracemalloc.start()
+        try:
+            split = build_split_operators(
+                problem.data, problem.atoms, problem.params, problem.boundary
+            )
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert split.ops[0].edge_coeff.nbytes <= live
+        assert (peak - live) / problem.boundary.values.nbytes <= 0.5

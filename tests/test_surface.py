@@ -559,6 +559,68 @@ class TestValidateMessages:
             InterfaceData(grid, inside, bad).validate()
 
 
+def _mid_edge_crossings(grid, inside):
+    """A crossing at the middle of every mixed edge of inside."""
+    crossings = []
+    for axis in range(3):
+        for idx in np.argwhere(np.diff(inside, axis=axis)).tolist():
+            loc = grid.node(*idx)
+            loc[axis] += 0.5 * grid.h
+            crossings.append(Crossing(axis, tuple(idx), 0.5, tuple(loc)))
+    return crossings
+
+
+class TestValidateFastPath:
+    """validate checks each crossing's edge and counts each axis's mixed
+    edges; the faults that check finds get the messages of the full scan."""
+
+    def test_crossing_moved_to_a_uniform_edge_of_its_axis(self):
+        # The x crossings still number as many as the mixed x edges.
+        grid, inside, crossings = _single_node()
+        moved = _replaced(
+            crossings, (0, 1, 1, 1), index=(2, 2, 2), location=(2.5, 2.0, 2.0)
+        )
+        with pytest.raises(
+            AssemblyError, match=re.escape("mixed edge without crossing record: (0, 1, 1, 1)")
+        ):
+            InterfaceData(grid, inside, moved).validate()
+
+    def test_crossing_past_the_last_node(self):
+        # Low node x = 3 is the last along x: the edge leaves the grid.
+        grid, inside, crossings = _single_node()
+        extra = Crossing(0, (3, 1, 1), 0.5, (3.5, 1.0, 1.0))
+        with pytest.raises(
+            AssemblyError, match=re.escape("crossing on uniform edge: (0, 3, 1, 1)")
+        ):
+            InterfaceData(grid, inside, crossings + [extra]).validate()
+
+    def test_crossing_past_the_last_node_of_the_fastest_axis(self):
+        # One step up z from (1, 1, 3) in flat C order is (1, 2, 0), an
+        # inside node; the edge past the last z node is not mixed for that.
+        grid = Grid((0.0, 0.0, 0.0), 1.0, (4, 4, 4))
+        inside = np.zeros(grid.shape, dtype=bool)
+        inside[1, 1, 1] = inside[1, 2, 0] = True
+        crossings = _mid_edge_crossings(grid, inside)
+        InterfaceData(grid, inside, crossings).validate()
+        moved = _replaced(
+            crossings, (2, 1, 1, 1), index=(1, 1, 3), location=(1.0, 1.0, 3.5)
+        )
+        with pytest.raises(
+            AssemblyError, match=re.escape("mixed edge without crossing record: (2, 1, 1, 1)")
+        ):
+            InterfaceData(grid, inside, moved).validate()
+
+    def test_missing_on_one_axis_extra_on_another(self):
+        grid, inside, crossings = _single_node()
+        kept = [c for c in crossings if c.key != (1, 1, 0, 1)]
+        extra = Crossing(0, (2, 2, 2), 0.5, (2.5, 2.0, 2.0))
+        assert len(kept) + 1 == len(crossings)
+        with pytest.raises(
+            AssemblyError, match=re.escape("mixed edge without crossing record: (1, 1, 0, 1)")
+        ):
+            InterfaceData(grid, inside, kept + [extra]).validate()
+
+
 def _greedy_cover(intervals, low_inside) -> float:
     """Scalar reference: chain intervals greedily from the inside end of the
     edge (t = 0 or t = 1), one interval at a time."""
