@@ -629,6 +629,54 @@ class TestBatchedAssembly:
                     assert g.shape == w.shape, name
                     assert np.array_equal(_bits(g), _bits(w)), (axis, name)
 
+    @pytest.mark.parametrize("fill", [0.3, 0.5, 0.7])
+    def test_speckled_masks_match_dense_assembly(self, fill):
+        # Random node flags on a box of unequal sides: cut edges next to
+        # each other on a line, at both of its ends and on the faces.
+        grid = Grid((-2.0, -2.0, -2.0), 1.0, (5, 6, 7))
+        rng = np.random.default_rng(int(fill * 10))
+        inside = rng.random(grid.shape) < fill
+        crossings = []
+        for axis in range(3):
+            for idx in np.argwhere(np.diff(inside, axis=axis)).tolist():
+                theta = float(rng.uniform(0.01, 0.99))
+                loc = grid.node(*idx)
+                loc[axis] += theta * grid.h
+                crossings.append(Crossing(axis, tuple(idx), theta, tuple(loc)))
+        data = InterfaceData(grid, inside, crossings)
+        atoms = AtomSet([Atom((0.1, 0.2, 0.3), 1.0, 0.5)])
+        params = PhysicalParams(eps_in=2.0, eps_out=80.0, kappa_sq=1.0)
+        bvals = rng.normal(size=grid.shape)
+        split = build_split_operators(data, atoms, params, Field(grid, bvals))
+        jumps = compute_jumps(data, atoms, params)
+        for axis, op in enumerate(split.ops):
+            got = (op.diag, op.weights, op.corr, op.dir_lo, op.dir_hi)
+            for g, w in zip(got, _assembled_lines(data, params, jumps, bvals, axis)):
+                assert np.array_equal(_bits(g), _bits(w)), axis
+
+    def test_equal_eps_keeps_every_cut_and_the_same_results(self):
+        # With eps_in == eps_out every harmonic weight equals E: the build
+        # lists those cut edges, where the dense arrays show none, and both
+        # operators give the same arrays, apply and sweep.
+        data, atoms = _oracle_case("union")
+        params = PhysicalParams(eps_in=2.0, eps_out=2.0, kappa_sq=1.0)
+        bvals = _face_values(data.grid, atoms, params)
+        split = build_split_operators(data, atoms, params, Field(data.grid, bvals))
+        jumps = compute_jumps(data, atoms, params)
+        v = np.random.default_rng(21).normal(size=data.grid.shape)
+        for axis, op in enumerate(split.ops):
+            direct = _assembled_lines(data, params, jumps, bvals, axis)
+            dense = operator_from_lines(axis, op.shape, *direct, edge_coeff=op.edge_coeff)
+            assert len(dense._cut_w) == 0 < len(op._cut_w)
+            got = (op.diag, op.weights, op.corr, op.dir_lo, op.dir_hi)
+            for g, w in zip(got, direct):
+                assert np.array_equal(_bits(g), _bits(w))
+            assert np.array_equal(_bits(op.apply(v)), _bits(dense.apply(v)))
+            assert np.array_equal(
+                _bits(op.solve(0.3, v, split.boundary)),
+                _bits(dense.solve(0.3, v, split.boundary)),
+            )
+
     def test_sliver_nodes_take_both_corrections(self):
         data, atoms = _oracle_case("sliver")
         params = PhysicalParams(eps_in=2.0, eps_out=80.0, kappa_sq=1.0)
