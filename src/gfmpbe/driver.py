@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -207,7 +206,7 @@ def _divergence(message: str, u: np.ndarray, step: int, t, dt) -> DivergenceErro
     return DivergenceError(message, step, t, dt, peak)
 
 
-def initial_condition(kind: str, problem: Problem, scheme: str | None = None) -> Field:
+def initial_condition(kind: str, problem: Problem) -> Field:
     """Starting field: zeros, or the steady state of the linearized problem.
 
     "lpb" solves the discrete linearized steady state on the interior nodes,
@@ -220,16 +219,7 @@ def initial_condition(kind: str, problem: Problem, scheme: str | None = None) ->
     right-hand side is read from the boundary field itself, and the start
     field, a copy of it, is made after the solve, so that the solve's peak
     holds one field fewer.
-
-    scheme is deprecated: the result does not depend on it, and passing it
-    emits a DeprecationWarning.
     """
-    if scheme is not None:
-        warnings.warn(
-            "initial_condition's scheme argument is deprecated and ignored",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     if kind == "zero":
         return Field(problem.grid, problem.boundary.values.copy())
     if kind != "lpb":

@@ -1,28 +1,30 @@
 """One pseudo-time step: analytic sinh substep plus ADI or LOD line sweeps.
 
 The 3D operator splits into per-axis modified second differences (gfm
-module).  An uncut edge's weight is eps(low node)/h^2 on every axis, so
-the three operators share one field of it, E, and each keeps only its cut
-edges' weights, the diagonal entries next to them and the nonzero jump
-corrections.  Each operator is assembled once in that compact form,
-straight from the interface's crossing arrays and the jump arrays of
-compute_jumps, with work sized by the crossings and one pass over the
-node flags per axis; no array of the lines' size is built.  The explicit
-apply is in flux form and runs in the field's own C-order layout: the flux
-E * diff(v), with the cut edges' fluxes set over it, and its difference
-are whole-array passes over the flat field with the axis's stride, written
-straight into the result; the few nonzero jump corrections are added by
-index.  An implicit sweep copies the right-hand side into line-major
-layout, adds tau times the Dirichlet ends to the end rows and tau times
-the nonzero corrections by index, runs one L D L^T solve over all lines in
-place (the gfm kernel, shared with the one-line solve) and scatters the
-lines back; the line-major view is a transpose by a permutation stored
-with the operator.  Its factors are cached per tau.  Most lines carry no
-cut edge and one E along their length, so their systems are equal: the
-three operators share one factor table that holds the tau-independent
-diagonal and off-diagonal of each distinct line once, the three axes'
-columns side by side.  A new tau factors the whole table in one row loop
-and each axis expands its columns to every line by one take per array.
+module).  A cut edge changes only its own weight and the jump corrections,
+so every diagonal entry of -A is W_left + W_right.  An uncut edge's weight
+is eps(low node)/h^2 on every axis, so the three operators share one field
+of it, E, and each is held as its cut edges' weights and its nonzero jump
+corrections.  Each operator is assembled once in that form, straight from
+the interface's crossing arrays and the jump arrays of compute_jumps, with
+work sized by the crossings and one pass over the node flags per axis; no
+array of the lines' size is built.  The explicit apply is in flux form and
+runs in the field's own C-order layout: the flux E * diff(v), with the cut
+edges' fluxes set over it, and its difference are whole-array passes over
+the flat field with the axis's stride, written straight into the result;
+the few nonzero jump corrections are added by index.  An implicit sweep
+copies the right-hand side into line-major layout, adds tau times the
+Dirichlet ends to the end rows and tau times the nonzero corrections by
+index, runs one L D L^T solve over all lines in place (the gfm kernel,
+shared with the one-line solve) and scatters the lines back; the
+line-major view is a transpose by a permutation stored with the operator.
+Most lines carry no cut edge and one E along their length, so their
+systems are equal: the three operators share one factor table that holds
+the weights of each distinct line once, the three axes' columns side by
+side, and sums them into the diagonal.  A new tau factors the whole table
+in one row loop and expands every axis's columns to every line by one take
+per array; the table keeps one LRU of the expanded factors of the last
+_FACTOR_CACHE_SIZE taus for the split.
 kappa^2 is zero inside the solute and one scalar in the solvent, so the
 substep runs once over the field with one log and its coefficients as
 Python floats, and the inside nodes are copied back from a flat index.
@@ -54,7 +56,6 @@ at 129^3 at 221 MiB.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -145,31 +146,36 @@ def _scalar_substep(
 
 class _FactorTable:
     """The tau-independent line systems of the distinct lines of one or more
-    axis operators, and their L D L^T factors for the last tau.
+    axis operators, and the expanded L D L^T factors of recent taus.
 
-    A line with no cut edge, no node fix and the same E on all its edges is
-    fixed by its length and that E, so it shares one column with every
-    such line of its operator and E; every other line has a column of its
-    own.  The columns of all members sit side by side: the diagonal (m, K)
-    and the off-diagonal weights (m-1, K), m the longest member's interior
-    node count, with a shorter member's rows padded with diagonal 0 and
-    weight 0, so that their pivots are 1.  One gfm.ldlt_factor_into row
-    loop thus factors every member for a new tau, and _take expands a
-    member's columns to its line-major layout.  The steps give the three
-    sweeps of a split the same tau, so the factors of the last tau are kept
-    until every member has taken them.
+    A line with no cut edge and the same E on all its edges is fixed by its
+    length and that E, so it shares one column with every such line of its
+    operator and E; every line with a cut edge has a column of its own.  The
+    columns of all members sit side by side: the off-diagonal weights
+    (m-1, K) and the diagonal (m, K), m the longest member's interior node
+    count, with a shorter member's rows padded with diagonal 0 and weight 0,
+    so that their pivots are 1.  Each column's diagonal is W_left + W_right,
+    taken after the cut edges' weights are written over E.  One
+    gfm.ldlt_factor_into row loop thus factors every member for a new tau,
+    and _take expands a member's columns to its line-major layout.
+
+    factors keeps an LRU of _FACTOR_CACHE_SIZE taus, each entry every
+    member's expanded (cp, inv).  The steps give the three sweeps of a split
+    the same tau, so the one LRU sees the taus each sweep asks for.  A miss
+    factors the table before it evicts the oldest entry, so that a zero
+    pivot leaves the cache as it was.
 
     sources holds each member's axis length n, E on its lines' edges
-    (n-1, t1, t2), and its cut edges' and node fixes' flat line-major
-    indices and values; the columns are found and filled on the first read.
-    The table holds these arrays, never the operators, so that operators
-    that share it are freed without the garbage collector.
+    (n-1, t1, t2), and its cut edges' flat line-major indices and weights;
+    the columns are found and filled on the first read.  The table holds
+    these arrays, never the operators, so that operators that share it are
+    freed without the garbage collector.
     """
 
     def __init__(self, sources: list[tuple]):
         self.sources = sources
         self._cols: list[np.ndarray] | None = None
-        self._last: tuple | None = None
+        self._cache: OrderedDict[float, list[tuple]] = OrderedDict()
 
     @classmethod
     def share(cls, ops) -> None:
@@ -180,12 +186,11 @@ class _FactorTable:
 
     def _build(self) -> None:
         blocks, self._cols = [], []
-        for n, e, cut, cut_w, fix, fix_diag in self.sources:
+        for n, e, cut, cut_w in self.sources:
             _, t1, t2 = e.shape
             lines = t1 * t2
-            # a node beside a cut edge has a fix, so this marks the cut lines
             own = ~(e[1:] == e[0]).all(axis=0).reshape(-1)
-            own[fix % lines] = True
+            own[cut % lines] = True
             mine = np.flatnonzero(own)
             # equal bits, so that -0.0 and 0.0 keep apart
             bits = e[0].reshape(-1)[~own].view(np.int64)
@@ -193,18 +198,13 @@ class _FactorTable:
             col = np.empty(lines, dtype=np.intp)
             col[~own] = shared
             col[mine] = np.arange(len(bits), len(bits) + len(mine))
-            # E on the distinct lines' edges gives the diagonal, as on every
-            # line with no node fix; the cut edges' weights then go over it.
             w = np.empty((n - 1, len(bits) + len(mine)))
             w[:, : len(bits)] = bits.view(float)
             w[:, len(bits) :] = e[:, mine // t2, mine % t2]
-            d = np.add(w[:-1], w[1:])
-            pos, line = np.divmod(fix, lines)
-            d[pos, col[line]] = fix_diag
             pos, line = np.divmod(cut, lines)
             w[pos, col[line]] = cut_w
             self._cols.append(col + sum(b.shape[1] for b, _ in blocks))
-            blocks.append((d, w[1:-1]))
+            blocks.append((np.add(w[:-1], w[1:]), w[1:-1]))
         rows = max(len(d) for d, _ in blocks)
         self._d = np.zeros((rows, sum(d.shape[1] for d, _ in blocks)))
         self._w = np.zeros((rows - 1, self._d.shape[1]))
@@ -228,20 +228,23 @@ class _FactorTable:
 
     def factors(self, member: int, tau: float) -> tuple[np.ndarray, np.ndarray]:
         """Member's factors (cp, inv) of I - tau*A, line-major (n-3, L) and
-        (n-2, L), from the table's factors of tau: those of the last tau or
-        new ones.  -A has the diagonal of -A on it and -W off it, so the
-        scaled off-diagonal is -tau*W (negation is exact)."""
-        if self._last is None or self._last[0] != tau:
-            if self._cols is None:
-                self._build()
-            o = np.multiply(self._w, -tau)
-            waiting = set(range(len(self.sources)))
-            self._last = (tau, *ldlt_factor_into(self._d, o, tau), waiting)
-        _, cp, inv, waiting = self._last
-        waiting.discard(member)
-        if not waiting:
-            self._last = None
-        return self._take(member, cp, 3), self._take(member, inv, 2)
+        (n-2, L), from the cache or from a new factorization of the table.
+        -A has the diagonal of -A on it and -W off it, so the scaled
+        off-diagonal is -tau*W (negation is exact)."""
+        entry = self._cache.get(tau)
+        if entry is not None:
+            self._cache.move_to_end(tau)
+            return entry[member]
+        if self._cols is None:
+            self._build()
+        cp, inv = ldlt_factor_into(self._d, np.multiply(self._w, -tau), tau)
+        if len(self._cache) >= _FACTOR_CACHE_SIZE:
+            self._cache.popitem(last=False)
+        self._cache[tau] = entry = [
+            (self._take(k, cp, 3), self._take(k, inv, 2))
+            for k in range(len(self.sources))
+        ]
+        return entry[member]
 
 
 class AxisOperator:
@@ -253,9 +256,9 @@ class AxisOperator:
     - edge_coeff, E, read-only in the field's shape and shared by the three
       operators of a split: eps(side of p)/h^2, the weight W of every uncut
       edge from node p up any axis.
-    - the cut edges of interior lines, with their W; the node fixes, the
-      interior nodes next to a cut edge or whose diagonal of -A is not
-      W_left + W_right, with that diagonal.
+    - the cut edges of interior lines, with their W.  A cut edge changes
+      only its own weight and the corrections, so every diagonal entry of
+      -A is W_left + W_right.
     - corr_index, corr_value: the nonzero entries of the jump correction c,
       as flat C-order indices into the field; corr_lines holds the same
       entries' flat indices in the line-major (n-2, L) layout.
@@ -263,22 +266,19 @@ class AxisOperator:
 
     The constructor takes this compact form, which build_split_operators
     assembles straight from the crossing arrays: cuts = (index, W) of the
-    cut edges, fixes = (index, diagonal) of the node fixes and corr =
-    (corr_lines, corr_value), each index flat into the line-major layout
-    of its array, (n-1, L) for the edges and (n-2, L) for the nodes.  A
-    node fix may be listed more than once, with the same diagonal.  diag,
-    weights and corr rebuild the line-major arrays of gfm.assemble_lines
-    for readers (diag once, kept read-only); the kernels read none of them.
-    apply runs gfm.apply_flux on the flat field with the axis's stride, E
-    as its weights and the cut edges as its cuts.  solve keeps an LRU cache
-    of _FACTOR_CACHE_SIZE entries keyed by tau, each the L D L^T
-    multipliers cp and inverse pivots inv of every line, line-major.  A new
-    tau takes them from the operator's _FactorTable, which factors the
-    distinct lines of all its member operators at once; build_split_operators
-    gives the three operators of a split one table, and an operator built
-    alone has a table of its own.  The right-hand side is copied into line
-    layout and takes tau times the Dirichlet ends and tau times the
-    corrections there, in the order of gfm.thomas_solve.
+    cut edges, index flat into the line-major (n-1, L) edges, and corr =
+    (corr_lines, corr_value).  diag, weights and corr rebuild the
+    line-major arrays of gfm.assemble_lines for readers (diag once, kept
+    read-only); the kernels read none of them.  apply runs gfm.apply_flux
+    on the flat field with the axis's stride, E as its weights and the cut
+    edges as its cuts.  solve takes the L D L^T multipliers cp and inverse
+    pivots inv of every line, line-major, from the operator's _FactorTable,
+    which factors the distinct lines of all its member operators at once
+    and keeps the factors of the last _FACTOR_CACHE_SIZE taus;
+    build_split_operators gives the three operators of a split one table,
+    and an operator built alone has a table of its own.  The right-hand
+    side is copied into line layout and takes tau times the Dirichlet ends
+    and tau times the corrections there, in the order of gfm.thomas_solve.
 
     apply and solve take an optional out array for the result.  The flux
     temporary of apply and the line-major buffer of solve come from a flat
@@ -293,7 +293,6 @@ class AxisOperator:
         shape: tuple,
         edge_coeff: np.ndarray,
         cuts: tuple,
-        fixes: tuple,
         corr: tuple,
         dir_lo,
         dir_hi,
@@ -308,14 +307,12 @@ class AxisOperator:
         self._edge_lines = e = self._lines(edge_coeff[self._edges()])
         cut, self._cut_w = cuts
         self._cut_index = self._field_index(cut, 0)
-        self._fix_index, self._fix_diag = fixes
         self.corr_lines, self.corr_value = corr
         self.corr_index = self._field_index(self.corr_lines, 1)
         self._diag: np.ndarray | None = None
-        self._factors: OrderedDict[float, tuple] = OrderedDict()
         self._work: np.ndarray | None = None
-        source = (self.n, e, cut, self._cut_w, self._fix_index, self._fix_diag)
-        self._table, self._member = _FactorTable([source]), 0
+        self._table = _FactorTable([(self.n, e, cut, self._cut_w)])
+        self._member = 0
 
     def _field_index(self, at: np.ndarray, first: int) -> np.ndarray:
         """Flat C-order field indices of the entries at, flat indices into a
@@ -405,18 +402,6 @@ class AxisOperator:
         _reset_faces(out, 0.0)
         return out
 
-    def _factor(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
-        entry = self._factors.get(tau)
-        if entry is not None:
-            self._factors.move_to_end(tau)
-            return entry
-        # Evict before the new entry is made, so that a miss never holds
-        # one entry more than the cache keeps.
-        if len(self._factors) >= _FACTOR_CACHE_SIZE:
-            self._factors.popitem(last=False)
-        entry = self._factors[tau] = self._table.factors(self._member, tau)
-        return entry
-
     def solve(
         self,
         tau: float,
@@ -442,7 +427,7 @@ class AxisOperator:
         if tau == 0.0:
             rows[...] = self._lines(inner)
             return out
-        cp, inv = self._factor(tau)
+        cp, inv = self._table.factors(self._member, tau)
         b = self._scratch(inner.size).reshape(self.n - 2, -1)
         lines = b.reshape(rows.shape)
         lines[...] = self._lines(inner)
@@ -611,11 +596,9 @@ def _axis_operator(
 
     gfm.check_cuts checks the cuts against the node flags and gfm.cut_terms
     gives each cut edge's weight and corrections.  The cut edges are kept in
-    line-major order.  Every interior node next to a cut edge takes a fix,
-    the cut edges' low nodes first and then their high nodes, with diagonal
-    W_left + W_right, each the weight of a cut edge or E.  The corrections
-    are summed per node in the order of gfm.assemble_lines, the edges'
-    low-node terms before their high-node ones, and exact zeros are dropped.
+    line-major order.  The corrections are summed per interior node next to
+    a cut edge in the order of gfm.assemble_lines, the edges' low-node terms
+    before their high-node ones, and exact zeros are dropped.
     """
     grid, idx = data.grid, data.index
     shape, n, h = grid.shape, grid.shape[axis], grid.h
@@ -633,24 +616,11 @@ def _axis_operator(
     pos, theta = idx[rows, axis], data.theta[rows]
     perm = (axis, t1, t2)
     check_cuts(axis, data.inside.transpose(perm)[:, 1:-1, 1:-1], pos, line, theta)
-    low = np.ravel_multi_index(tuple(idx[rows].T), shape)
-    lo_in = data.inside.reshape(-1)[low]
+    lo_in = data.inside[tuple(idx[rows].T)]
     w, c_lo, c_hi = cut_terms(lo_in, eps, theta, jumps.a[rows], jumps.b[rows], h)
-    e, step = edge_coeff.reshape(-1), math.prod(shape[axis + 1 :])
-
-    def beside(at, up: int):
-        """W of the edges next to the cut edges at, one up the line (up = 1)
-        or one down it (up = -1): a cut edge's or E."""
-        edge = cut[at] + up * lines
-        k = np.minimum(np.searchsorted(cut, edge), len(cut) - 1)
-        return np.where(cut[k] == edge, w[k], e[low[at] + up * step])
-
     below, above = pos > 0, pos < n - 2
-    fix = np.concatenate((cut[below] - lines, cut[above]))
-    fix_diag = np.concatenate(
-        (beside(below, -1) + w[below], w[above] + beside(above, 1))
-    )
-    corr_lines, slot = np.unique(fix, return_inverse=True)
+    node = np.concatenate((cut[below] - lines, cut[above]))
+    corr_lines, slot = np.unique(node, return_inverse=True)
     corr_value = np.zeros(len(corr_lines))
     np.add.at(corr_value, slot, np.concatenate((c_lo[below], c_hi[above])))
     nonzero = corr_value != 0
@@ -664,7 +634,6 @@ def _axis_operator(
         shape,
         edge_coeff,
         (cut, w),
-        (fix, fix_diag),
         (corr_lines[nonzero], corr_value[nonzero]),
         ends[0] * bc[0],
         ends[1] * bc[1],

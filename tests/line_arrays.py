@@ -18,10 +18,10 @@ def operator_from_lines(
     corr (n-2, L).
 
     The cut edges are those whose weight is not edge_coeff at their low
-    node; the node fixes are the nodes next to a cut edge and those whose
-    diag is not W_left + W_right.  Without edge_coeff the operator's own
-    weights, in the field layout and read-only, serve as it, so that it has
-    no cut edge.
+    node.  An operator holds its edge weights, and its diagonal is
+    W_left + W_right, so a diag that is not that sum, bit for bit, raises
+    ValueError.  Without edge_coeff the operator's own weights, in the field
+    layout and read-only, serve as it, so that it has no cut edge.
     """
     n = shape[axis]
     t1, t2 = (shape[a] - 2 for a in range(3) if a != axis)
@@ -36,10 +36,9 @@ def operator_from_lines(
     e = np.moveaxis(edge_coeff[edges], axis, 0).reshape(n - 1, lines)
     w = np.reshape(weights, (n - 1, lines))
     d = np.reshape(diag, (n - 2, lines))
+    if not np.array_equal(_bits(d), _bits(w[:-1] + w[1:])):
+        raise ValueError("diag is not weights[:-1] + weights[1:]")
     cut = np.flatnonzero(w != e)
-    pos = cut // lines
-    odd = np.flatnonzero(d != w[:-1] + w[1:])
-    fix = np.concatenate([cut[pos > 0] - lines, cut[pos < n - 2], odd])
     c = np.reshape(corr, -1)
     nonzero = np.flatnonzero(c != 0)
     return AxisOperator(
@@ -47,8 +46,11 @@ def operator_from_lines(
         shape,
         edge_coeff,
         (cut, w.reshape(-1)[cut]),
-        (fix, d.reshape(-1)[fix]),
         (nonzero, c[nonzero]),
         dir_lo,
         dir_hi,
     )
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.uint64)

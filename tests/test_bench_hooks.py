@@ -1,0 +1,56 @@
+"""The solver names the benchmark's tracer patches and reads.
+
+bench/tracing.py wraps AxisOperator.apply and solve, reads op.diag and
+replays the factor cache through stepping._FACTOR_CACHE_SIZE.  A small
+traced solve here fails on a rename in the solver before the benchmark does.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from gfmpbe import driver, stepping
+from gfmpbe.control import ControllerConfig
+from gfmpbe.driver import kirkwood_config, run
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", ROOT / "bench" / "tracing.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_run_yields_every_layer_metric_and_restores_the_solver():
+    tracing = _tracing()
+    ctrl = ControllerConfig(kind="Constant", dt0=0.01, t_end=0.05)
+    cfg = kirkwood_config(h=1.0, controller=ctrl, ic="zero", box_half=4.0)
+
+    def hooked():
+        return stepping.AxisOperator.apply, stepping.AxisOperator.solve, driver.adi_step
+
+    originals = hooked()
+    with tracing.Tracer() as tracer:
+        trace = run(cfg)
+    assert hooked() == originals
+    metrics = tracing.layer_metrics(tracer)
+    # bench/run.py adds the overhead from a traced and an untraced repetition.
+    names = {m["name"] for m in SPEC["per_layer"]} - {"trace.overhead_frac"}
+    assert set(metrics) == names
+    assert metrics["assembly.lines"][0] == 3 * 7 * 7  # a 9^3 grid
+    steps = trace.steps
+    assert metrics["apply.calls"][0] == 2 * steps
+    sweeps = metrics["sweep.calls"][0]
+    assert sweeps == 3 * steps > 0
+    # One dt under Constant: the first step's three sweeps miss, every
+    # other sweep hits.
+    assert metrics["sweep.factor_hit_ratio"][0] == pytest.approx((sweeps - 3) / sweeps)
+    assert metrics["apply.gbps_computed"][0] > 0
+    assert metrics["sweep.gbps_computed"][0] > 0

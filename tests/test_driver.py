@@ -2,7 +2,6 @@
 
 import math
 import pickle
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -393,21 +392,6 @@ class TestLinearizedSteadyState:
         res = sum(op.apply(u) for op in prob.split.ops)[1:-1, 1:-1, 1:-1].ravel()
         res -= _interior_kappa_sq(prob.split) * got
         assert np.abs(res).max() <= np.linalg.norm(res) <= CG_RTOL * np.linalg.norm(b)
-
-    def test_scheme_does_not_change_the_result(self):
-        prob = build_problem(_two_sphere_config())
-        with pytest.warns(DeprecationWarning, match="scheme"):
-            adi = initial_condition("lpb", prob, "ADI").values
-        with pytest.warns(DeprecationWarning, match="scheme"):
-            lod = initial_condition("lpb", prob, "LOD").values
-        np.testing.assert_array_equal(adi, lod)
-
-    def test_march_passes_no_scheme(self):
-        cfg = _coarse_kirkwood(t_end=0.2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            run(cfg)
-            scaling_study([9, 11], steps=3)
 
     def test_missed_tolerance_is_initialization_error(self, monkeypatch):
         monkeypatch.setattr(driver, "CG_MAXITER", 1)

@@ -212,14 +212,15 @@ class TestThomas:
             thomas_solve(sys, 0.1, np.zeros(7))
 
     def test_zero_pivot_raises(self):
-        # 1 + dt*diag[0] == 0: the first pivot of I + dt*M vanishes.
+        # Weights [-2, 1, 1, 1]: 1 + dt*diag[0] == 0, the first pivot of
+        # I + dt*M vanishes.
         sys = LineSystem(
             diag=np.array([-1.0, 2.0, 2.0]),
             off=np.array([-1.0, -1.0]),
             corr=np.zeros(3),
             bc_lo=0.0,
             bc_hi=0.0,
-            w_lo=1.0,
+            w_lo=-2.0,
             w_hi=1.0,
             h=1.0,
         )
@@ -253,18 +254,22 @@ class TestThomas:
                 want = thomas_solve(sys, tau, rhs[i0 + 1, 1:-1, i2 + 1])
                 np.testing.assert_array_equal(got[i0 + 1, 1:-1, i2 + 1], want)
 
-    # 1 + diag[0] = 0 zeroes the first pivot; 1 + diag[1] = 1 / (1 + diag[0])
-    # zeroes the second, so that the rows after it divide by zero.
-    @pytest.mark.parametrize("diag", [[-1.0, 2.0, 2.0, 2.0], [1.0, -0.5, 2.0, 2.0]])
+    # The weights W, with W_1 = 1, give diag = W_left + W_right.  1 + diag[0]
+    # = 0 zeroes the first pivot; 1 + diag[1] = W_1^2 / (1 + diag[0]) zeroes
+    # the second, so that the rows after it divide by zero.
+    @pytest.mark.parametrize("diag", [[-1.0, 2.0, 2.0, 2.0], [-0.75, 3.0, 3.0, 2.0]])
     def test_zero_pivot_raises_and_warns_nothing(self, diag):
+        w = [diag[0] - 1.0, 1.0]
+        for d in diag[1:]:
+            w.append(d - w[-1])
         sys = LineSystem(
             diag=np.array(diag),
-            off=np.array([-1.0, -1.0, -1.0]),
+            off=-np.array(w[1:-1]),
             corr=np.zeros(4),
             bc_lo=0.0,
             bc_hi=0.0,
-            w_lo=1.0,
-            w_hi=1.0,
+            w_lo=w[0],
+            w_hi=w[-1],
             h=1.0,
         )
         regular = _uniform_line(n=6)

@@ -217,6 +217,18 @@ def _line_systems(grid, data, params, jumps, bvals, axis):
     return out
 
 
+def _zero_pivot_operator(split, axis):
+    """split's operator along axis with weights -2 and 1 on the first two
+    edges of line 0, so diag[0, 0] = -1 and 1 + tau * diag = 0 at tau = 1."""
+    op = split.ops[axis]
+    w = op.weights
+    w[:2, 0] = -2.0, 1.0
+    return operator_from_lines(
+        axis, split.shape, w[:-1] + w[1:], w, op.corr, op.dir_lo, op.dir_hi,
+        edge_coeff=op.edge_coeff,
+    )
+
+
 class TestBatchedSweeps:
     def test_apply_matches_per_line(self):
         grid, data, params, jumps, bvals, split = _two_sphere_problem()
@@ -287,7 +299,7 @@ class TestBatchedSweeps:
                 op.axis, op.shape, op.diag, op.weights, op.corr, op.dir_lo, op.dir_hi
             )
             assert alone.edge_coeff is not op.edge_coeff
-            assert len(alone._cut_w) == len(alone._fix_diag) == 0 < len(op._cut_w)
+            assert len(alone._cut_w) == 0 < len(op._cut_w)
             np.testing.assert_array_equal(_bits(alone.apply(v)), _bits(op.apply(v)))
             for tau in (0.05, 1.7):
                 np.testing.assert_array_equal(
@@ -315,7 +327,7 @@ class TestBatchedSweeps:
             op.solve(0.3, rhs, split.boundary)
             for k in range(stepping._FACTOR_CACHE_SIZE):
                 op.solve(0.4 + 0.1 * k, rhs, split.boundary)
-            assert 0.3 not in op._factors
+            assert 0.3 not in op._table._cache
             got = op.solve(0.3, rhs, split.boundary)
             np.testing.assert_array_equal(got, new.solve(0.3, rhs, fresh.boundary))
 
@@ -337,7 +349,7 @@ class TestFactorTable:
         for tau in (0.05, 1.7):
             self._sweep_all(split, tau, rhs)
             for op in split.ops:
-                cp, inv = op._factors[tau]
+                cp, inv = op._table._cache[tau][op._member]
                 systems = _line_systems(grid, data, params, jumps, bvals, op.axis)
                 for line, (_, sl, sys) in enumerate(systems):
                     want = gfm.ldlt_factor(sys.diag, sys.off, tau)
@@ -346,7 +358,7 @@ class TestFactorTable:
                     inside_lines += bool(data.inside[sl].all())
         table = split.ops[0]._table
         assert all(op._table is table for op in split.ops)
-        assert table._last is None
+        assert list(table._cache) == [0.05, 1.7]
         # The table holds each distinct column once: fewer than the lines,
         # and lines share them.
         cols = table._cols
@@ -373,7 +385,7 @@ class TestFactorTable:
         assert len(alone._cut_w) == 0
         tau = 0.3
         alone.solve(tau, rhs, split.boundary)
-        cp, inv = alone._factors[tau]
+        ((cp, inv),) = alone._table._cache[tau]
         for line in range(w.shape[1]):
             want = gfm.ldlt_factor(diag[:, line], -w[1:-1, line], tau)
             np.testing.assert_array_equal(_bits(cp[:, line]), _bits(want[0]))
@@ -401,22 +413,34 @@ class TestFactorTable:
 
     def test_zero_pivot_in_one_member_raises_from_every_sweep(self):
         *_, bvals, split = _two_sphere_problem()
-        op = split.ops[1]
-        diag = op.diag.copy()
-        diag[0, 0] = -1.0  # 1 + tau * diag = 0 at tau = 1
-        bad = operator_from_lines(
-            1, split.shape, diag, op.weights, op.corr, op.dir_lo, op.dir_hi,
-            edge_coeff=op.edge_coeff,
-        )
-        ops = (split.ops[0], bad, split.ops[2])
+        ops = (split.ops[0], _zero_pivot_operator(split, 1), split.ops[2])
         stepping._FactorTable.share(ops)
         rhs = np.random.default_rng(11).normal(size=split.shape)
         for o in ops:
             with pytest.raises(NumericalError, match="zero pivot"):
                 o.solve(1.0, rhs, split.boundary)
-            assert 1.0 not in o._factors
-        assert ops[0]._table._last is None
+        assert not ops[0]._table._cache
         ops[0].solve(0.5, rhs, split.boundary)
+
+    def test_failed_factorization_evicts_nothing(self, monkeypatch):
+        *_, split = _two_sphere_problem()
+        ops = (split.ops[0], _zero_pivot_operator(split, 1), split.ops[2])
+        stepping._FactorTable.share(ops)
+        table = ops[0]._table
+        rhs = np.random.default_rng(13).normal(size=split.shape)
+        taus = [0.1 * (k + 1) for k in range(stepping._FACTOR_CACHE_SIZE)]
+        for tau in taus:
+            for o in ops:
+                o.solve(tau, rhs, split.boundary)
+        assert list(table._cache) == taus
+        with pytest.raises(NumericalError, match="zero pivot"):
+            ops[0].solve(1.0, rhs, split.boundary)
+        assert list(table._cache) == taus
+        calls = []
+        monkeypatch.setattr(stepping, "ldlt_factor_into", lambda *a: calls.append(a))
+        for o in ops:
+            o.solve(taus[0], rhs, split.boundary)
+        assert calls == []
 
     def test_lru_eviction(self, monkeypatch):
         *_, bvals, split = _two_sphere_problem()
@@ -435,11 +459,11 @@ class TestFactorTable:
             self._sweep_all(split, tau, rhs)
         for tau in taus[1:]:
             self._sweep_all(split, tau, rhs)
-        assert all(list(op._factors) == taus[1:] for op in split.ops)
+        assert list(split.ops[0]._table._cache) == taus[1:]
         assert set(calls.values()) == {1}
         for op, new in zip(split.ops, fresh.ops):
             got = op.solve(taus[0], rhs, split.boundary)
-            assert list(op._factors) == taus[2:] + taus[:1]
+            assert list(op._table._cache) == taus[2:] + taus[:1]
             want = new.solve(taus[0], rhs, fresh.boundary)
             np.testing.assert_array_equal(_bits(got), _bits(want))
         assert calls[taus[0]] == 3
@@ -453,7 +477,7 @@ class TestFactorTable:
             problem = build_problem(cfg)
             run(cfg, problem=problem)
             split = problem.split
-            assert all(op._factors for op in split.ops)
+            assert split.ops[0]._table._cache
             refs = [weakref.ref(o) for o in (problem, split, split.ops[0]._table)]
             refs += [weakref.ref(op) for op in split.ops]
             del problem, split
@@ -967,19 +991,11 @@ class TestStepWorkspace:
 
     def test_zero_pivot_raises_from_a_pooled_sweep(self):
         *_, bvals, split = _two_sphere_problem()
-        op = split.ops[0]
-        diag = op.diag.copy()
-        diag[0, 0] = -1.0  # 1 + tau * diag = 0 at tau = 1
-        # The sweep reads the diagonal from the shared edge coefficients and
-        # the node fixes the constructor derives from the diag it is given.
-        op = operator_from_lines(
-            0, split.shape, diag, op.weights, op.corr, op.dir_lo, op.dir_hi,
-            edge_coeff=op.edge_coeff,
-        )
+        op = _zero_pivot_operator(split, 0)
         split.ops = (op, *split.ops[1:])
         with pytest.raises(NumericalError, match="zero pivot"):
             adi_step(self._start(bvals, 64), 1.0, split)
-        assert 1.0 not in op._factors
+        assert 1.0 not in op._table._cache
         rhs = self._start(bvals, 65)
         with pytest.raises(NumericalError, match="zero pivot"):
             op.solve(1.0, rhs, split.boundary, out=rhs)
@@ -1007,9 +1023,8 @@ class TestStepMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        cache = sum(
-            a.nbytes for op in problem.split.ops for f in op._factors.values() for a in f
-        )
+        entries = problem.split.ops[0]._table._cache.values()
+        cache = sum(a.nbytes for entry in entries for f in entry for a in f)
         assert (peak - before - cache) / u.nbytes <= bound
 
     def test_built_operators_hold_no_off_diagonal(self):
@@ -1030,7 +1045,7 @@ class TestStepMemory:
         held = split.inside.nbytes
         held += sum(a.nbytes for op in split.ops for a in (op.dir_lo, op.dir_hi))
         field = problem.boundary.values.nbytes
-        # cut edges, node fixes and corrections: a few indices and values each
+        # cut edges and corrections: a few indices and values each
         per_crossing = 48 * 8
         crossings = len(problem.data.theta)
         assert live - held <= field + per_crossing * crossings
