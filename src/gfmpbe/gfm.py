@@ -5,12 +5,13 @@ plus a correction vector c, so that the modified second difference is
 delta2(v) = A v + c.  On an uncut edge the coefficient is eps/h^2 with the
 sharp nodal eps; on a cut edge the ghost-node elimination under the jump
 conditions [u] = a and [eps u_xi] = b produces the theta-weighted harmonic
-coefficient and routes the jump data into c.  cut_terms holds that formula
-and check_cuts the checks of the cut edges against the node flags; the axis
-operators are assembled with them straight from the crossing arrays
-(stepping.build_split_operators).  assemble_lines gives the same operators
-as dense line-major arrays (position along the line first), the reference
-form, and assemble_line is its L = 1 case.  The explicit apply is in flux
+coefficient and routes the jump data into c.  cut_terms holds that formula;
+the axis operators are assembled with it straight from the crossing arrays
+of an InterfaceData (stepping.build_split_operators), which were checked
+against the node flags where they were made.  assemble_lines gives the same
+operators as dense line-major arrays (position along the line first), the
+reference form, and assemble_line is its L = 1 case; check_cuts checks
+their cut edges against the node flags.  The explicit apply is in flux
 form: with F = W * diff(v) the flux through each edge, delta2(v) =
 F[1:] - F[:-1] + c, so the Dirichlet ends enter through the first and last
 flux.  apply_flux runs it on flat data with the axis's stride, so that every
@@ -21,7 +22,6 @@ one line.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -128,30 +128,18 @@ def check_cuts(axis: int, inside: np.ndarray, pos, line, theta) -> None:
     """Raise AssemblyError unless the lines change side on exactly their cut
     edges and every theta lies in the clamp range.
 
-    inside (n, ...) flags the nodes of the lines, the position along them
-    first and the lines, in C order, after it; pos, line and theta (m,) give
-    each cut's low node position, line and theta.  When the cuts come in
-    line-major order, pos * L + line strictly ascending as the axis
-    operators keep them, each is checked on its own and their number is
-    compared with the side changes counted in one pass over the flags.
-    Otherwise, or when that finds a fault, the lines are scanned, to raise
-    for the first edge, line by line, that changes side without a cut, has a
-    cut but no side change or has a theta outside the clamp range.
+    inside (n, L) flags the nodes of the lines, the position along them
+    first; pos, line and theta (m,) give each cut's low node position, line
+    and theta.  The error names the first bad edge, line by line.  Only the
+    dense reference assemble_lines (and assemble_line) calls it: the axis
+    operators use InterfaceData, whose constructors make the same checks.
     """
-    n = len(inside)
-    on = pos < n - 1
-    at = (np.where(on, pos, 0), *np.unravel_index(line, inside.shape[1:]))
-    side = inside[at] != inside[(at[0] + 1, *at[1:])]
-    clamped = (theta >= THETA_MIN) & (theta <= 1.0 - THETA_MIN)
-    flat = pos * math.prod(inside.shape[1:]) + line
-    if (on & side & clamped).all() and (flat[1:] > flat[:-1]).all():
-        if np.count_nonzero(inside[1:] != inside[:-1]) == len(flat):
-            return
-    inside = inside.reshape(n, -1)
     changes = inside[:-1] != inside[1:]
+    on = pos < len(inside) - 1
     if not on.all():
         edge = f"edge {int(pos[np.argmin(on)])} on axis {axis}"
         raise AssemblyError(f"{edge} has a crossing but no side change")
+    clamped = (theta >= THETA_MIN) & (theta <= 1.0 - THETA_MIN)
     bad = changes.copy()
     bad[pos, line] = ~changes[pos, line] | ~clamped
     if bad.any():

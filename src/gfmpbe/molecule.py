@@ -148,15 +148,16 @@ def parse_atoms(text: str) -> AtomSet:
     return AtomSet(atoms)
 
 
-def _distances(atoms: AtomSet, points: np.ndarray) -> np.ndarray:
-    """Pairwise distances (m, n_atoms) with the singularity guard enforced."""
+def _offsets(atoms: AtomSet, points: np.ndarray):
+    """Offsets (m, n_atoms, 3) of the points from the atom centers and their
+    lengths (m, n_atoms), with the singularity guard enforced."""
     diff = points[:, None, :] - atoms.centers[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))
     if dist.min() < SINGULARITY_GUARD:
         raise SingularityError(
             f"evaluation point within {SINGULARITY_GUARD} A of an atom center"
         )
-    return dist
+    return diff, dist
 
 
 def _as_points(p) -> tuple[np.ndarray, bool]:
@@ -172,7 +173,7 @@ def green_potential(atoms: AtomSet, p, params: PhysicalParams):
     Accepts a single point (3,) or a batch (m, 3); returns a scalar or (m,).
     """
     pts, single = _as_points(p)
-    dist = _distances(atoms, pts)
+    _, dist = _offsets(atoms, pts)
     val = (params.charge_factor / params.eps_in) * (atoms.charges / dist).sum(axis=1)
     return float(val[0]) if single else val
 
@@ -180,12 +181,7 @@ def green_potential(atoms: AtomSet, p, params: PhysicalParams):
 def green_gradient(atoms: AtomSet, p, params: PhysicalParams):
     """Analytic gradient of green_potential; (3,) for a point, (m, 3) batched."""
     pts, single = _as_points(p)
-    diff = pts[:, None, :] - atoms.centers[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    if dist.min() < SINGULARITY_GUARD:
-        raise SingularityError(
-            f"evaluation point within {SINGULARITY_GUARD} A of an atom center"
-        )
+    diff, dist = _offsets(atoms, pts)
     scale = -params.charge_factor / params.eps_in * atoms.charges / dist**3
     grad = (scale[:, :, None] * diff).sum(axis=1)
     return grad[0] if single else grad
@@ -198,7 +194,7 @@ def dirichlet_boundary(atoms: AtomSet, p, params: PhysicalParams):
                / (eps_out * |p-r_i|)
     """
     pts, single = _as_points(p)
-    dist = _distances(atoms, pts)
+    _, dist = _offsets(atoms, pts)
     decay = np.sqrt(params.kappa_sq / params.eps_out)
     val = (params.charge_factor / params.eps_out) * (
         atoms.charges * np.exp(-decay * dist) / dist

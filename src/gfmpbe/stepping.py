@@ -7,7 +7,7 @@ is eps(low node)/h^2 on every axis, so the three operators share one field
 of it, E, and each is held as its cut edges' weights and its nonzero jump
 corrections.  Each operator is assembled once in that form, straight from
 the interface's crossing arrays and the jump arrays of compute_jumps, with
-work sized by the crossings and one pass over the node flags per axis; no
+work sized by the crossings, which InterfaceData has already checked; no
 array of the lines' size is built.  The explicit apply is in flux form and
 runs in the field's own C-order layout: the flux E * diff(v), with the cut
 edges' fluxes set over it, and its difference are whole-array passes over
@@ -65,7 +65,6 @@ from .errors import AssemblyError, ConfigError
 from .gfm import (
     JumpData,
     apply_flux,
-    check_cuts,
     cut_terms,
     ldlt_factor_into,
     ldlt_solve,
@@ -554,13 +553,13 @@ def build_split_operators(
     Dirichlet data; interior values are ignored.  The split keeps a
     read-only view of boundary's values, not a copy, so they must not be
     written afterwards.  Each axis operator is assembled straight from the
-    crossing arrays (_axis_operator); crossings on the boundary transverse
-    lines belong to no interior line.  The three operators share one
-    read-only edge_coeff field and one factor table.
+    crossing arrays, which data's constructor checked (_axis_operator);
+    crossings on the boundary transverse lines belong to no interior line.
+    The three operators share one read-only edge_coeff field and one factor
+    table.
     """
     if boundary.grid != data.grid:
         raise ConfigError("boundary field grid does not match interface grid")
-    data.validate()
     jumps = compute_jumps(data, atoms, params)
     h = data.grid.h
     eps = (params.eps_in, params.eps_out)
@@ -594,11 +593,12 @@ def _axis_operator(
     """One axis's operator in its compact form, from the crossings on its
     interior lines, with no array of the lines' size.
 
-    gfm.check_cuts checks the cuts against the node flags and gfm.cut_terms
-    gives each cut edge's weight and corrections.  The cut edges are kept in
-    line-major order.  The corrections are summed per interior node next to
-    a cut edge in the order of gfm.assemble_lines, the edges' low-node terms
-    before their high-node ones, and exact zeros are dropped.
+    InterfaceData's constructors have checked the crossings against the node
+    flags, so they are used as they are; gfm.cut_terms gives each cut edge's
+    weight and corrections.  The cut edges are kept in line-major order.
+    The corrections are summed per interior node next to a cut edge in the
+    order of gfm.assemble_lines, the edges' low-node terms before their
+    high-node ones, and exact zeros are dropped.
     """
     grid, idx = data.grid, data.index
     shape, n, h = grid.shape, grid.shape[axis], grid.h
@@ -615,7 +615,6 @@ def _axis_operator(
     rows, line, cut = rows[order], line[order], cut[order]
     pos, theta = idx[rows, axis], data.theta[rows]
     perm = (axis, t1, t2)
-    check_cuts(axis, data.inside.transpose(perm)[:, 1:-1, 1:-1], pos, line, theta)
     lo_in = data.inside[tuple(idx[rows].T)]
     w, c_lo, c_hi = cut_terms(lo_in, eps, theta, jumps.a[rows], jumps.b[rows], h)
     below, above = pos > 0, pos < n - 2

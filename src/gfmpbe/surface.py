@@ -11,7 +11,9 @@ whole-array numpy: an analytic sphere and a union of atom spheres (van der
 Waals), both cut at the exact roots along each edge, and a probe-rolled
 molecular surface.  That surface is a level set on the grid: its node levels
 come from a signed distance to the solvent-accessible surface, and each cut
-is the linear interpolation of the levels at the edge's two nodes.
+is the linear interpolation of the levels at the edge's two nodes.  Each
+InterfaceData is checked once, where it is made: its constructors reject
+inconsistent flags and crossings, and the operator assembly relies on that.
 """
 
 from __future__ import annotations
@@ -59,13 +61,19 @@ class Crossing:
 class InterfaceData:
     """Node flags plus the crossings of one grid, held as arrays.
 
-    inside is the (nx, ny, nz) boolean node mask.  The m crossings are the
-    rows of four read-only arrays in canonical (axis, i, j, k) order: axis
-    (m,), index (m, 3) of each edge's low node, theta (m,) measured from that
-    node and location (m, 3).  crossings maps each key (axis, i, j, k) to a
-    Crossing built on access.  The constructor takes Crossing records in any
-    order, from_arrays the four arrays in any row order; a low node off the
-    grid or a repeated edge raises ConfigError.
+    inside is the (nx, ny, nz) boolean node mask, read-only: a copy of the
+    one given, unless that is a read-only boolean array owning its memory,
+    which is kept.  The m crossings are the rows of four read-only arrays in
+    canonical (axis, i, j, k) order: axis (m,), index (m, 3) of each edge's
+    low node, theta (m,) measured from that node and location (m, 3).
+    crossings maps each key (axis, i, j, k) to a Crossing built on access.
+    The constructor takes Crossing records in any order, from_arrays the
+    four arrays in any row order; a low node off the grid or a repeated edge
+    raises ConfigError.  Every instance is consistent: each mixed edge has
+    one crossing and no other edge any, each theta lies in [THETA_MIN,
+    1 - THETA_MIN] and each location is finite and on its edge.  Both
+    constructors run validate, which raises AssemblyError otherwise, so the
+    operator assembly uses the arrays unchecked.
     """
 
     def __init__(self, grid: Grid, inside: np.ndarray, crossings):
@@ -82,6 +90,9 @@ class InterfaceData:
 
     def _set(self, grid, inside, axis, index, theta, location) -> None:
         inside = np.asarray(inside, dtype=bool)
+        if inside.flags.writeable or inside.base is not None:
+            inside = inside.copy()
+            inside.flags.writeable = False
         if inside.shape != grid.shape:
             raise ConfigError(
                 f"inside mask shape {inside.shape} does not match grid {grid.shape}"
@@ -108,6 +119,7 @@ class InterfaceData:
         for a in arrays:
             a.flags.writeable = False
         self.axis, self.index, self.theta, self.location, self._codes = arrays
+        self.validate()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, InterfaceData):
@@ -143,13 +155,13 @@ class InterfaceData:
         return row
 
     def validate(self) -> None:
-        """Check one-crossing-per-mixed-edge consistency; raise AssemblyError.
+        """Check the invariant of the class; raise AssemblyError.
 
-        Each message names the first offending edge in canonical order.
-        Each crossing's edge is checked on its own and the mixed edges of
-        each axis are counted against its crossings, which _set keeps
-        distinct; only when that finds a fault are the edges scanned for
-        the first one.
+        Both constructors run it.  Each message names the first offending
+        edge in canonical order.  Each crossing's edge is checked on its own
+        and the mixed edges of each axis are counted against its crossings,
+        which _set keeps distinct; only when that finds a fault are the
+        edges scanned for the first one.
         """
         g = self.grid
         if not self._on_mixed_edges():
@@ -161,6 +173,7 @@ class InterfaceData:
             d[rows, self.axis] = 0.0
             checks = (
                 ~((self.theta > 0.0) & (self.theta < 1.0)),
+                ~((self.theta >= THETA_MIN) & (self.theta <= 1.0 - THETA_MIN)),
                 ~np.all(np.isfinite(self.location), axis=1),
                 np.max(np.abs(d), axis=1, initial=0.0) > 1e-9 * max(1.0, g.h),
                 ~((t > -1e-3) & (t < 1.0 + 1e-3)),
@@ -169,9 +182,11 @@ class InterfaceData:
         if not bad.any():
             return
         row = int(np.argmax(bad))
-        key = self.key(row)
+        key, theta = self.key(row), float(self.theta[row])
         messages = (
-            f"theta out of (0,1) on edge {key}: {float(self.theta[row])}",
+            f"theta out of (0,1) on edge {key}: {theta}",
+            f"theta {theta} outside clamp range [{THETA_MIN}, {1.0 - THETA_MIN}]"
+            f" on edge {key}",
             f"non-finite location on edge {key}",
             f"location off the edge line for {key}",
             f"location outside the edge for {key}",
@@ -249,6 +264,7 @@ def _classified(grid: Grid, inside: np.ndarray, fraction) -> InterfaceData:
         theta = np.clip(t, THETA_MIN, 1.0 - THETA_MIN)
         parts.append((np.full(len(idx), axis), idx, theta, loc))
     arrays = (np.concatenate(p) for p in zip(*parts))
+    inside.flags.writeable = False  # handed over, not copied
     return InterfaceData.from_arrays(grid, inside, *arrays)
 
 
@@ -463,7 +479,8 @@ def import_interface(path) -> InterfaceData:
 
     The eses sign convention (+1 inside) is accepted and negated on import.
     Consistency between box, node counts, and spacing is enforced to 1e-9,
-    and every crossing must sit on a mixed edge.
+    and every crossing must sit on a mixed edge; an interface InterfaceData
+    rejects raises FormatError with its message.
     """
     with open(path) as f:
         text = f.read()
@@ -586,9 +603,7 @@ def import_interface(path) -> InterfaceData:
             loc = grid.node(*index)
             loc[axis] += theta * grid.h
         crossings.append(Crossing(axis, index, theta, tuple(loc)))
-    data = InterfaceData(grid, inside, crossings)
     try:
-        data.validate()
+        return InterfaceData(grid, inside, crossings)
     except AssemblyError as exc:
         raise FormatError(str(exc), None) from exc
-    return data

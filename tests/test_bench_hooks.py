@@ -45,6 +45,10 @@ def test_traced_run_yields_every_layer_metric_and_restores_the_solver():
     names = {m["name"] for m in SPEC["per_layer"]} - {"trace.overhead_frac"}
     assert set(metrics) == names
     assert metrics["assembly.lines"][0] == 3 * 7 * 7  # a 9^3 grid
+    # The one interface check runs where the interface is made, so
+    # surface.validate_s measures it inside the classification.
+    checks = [i for i, name in enumerate(tracer.names) if name == "surface.validate"]
+    assert [tracer.names[tracer.parents[i]] for i in checks] == ["surface.classify"]
     steps = trace.steps
     assert metrics["apply.calls"][0] == 2 * steps
     sweeps = metrics["sweep.calls"][0]

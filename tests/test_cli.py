@@ -5,10 +5,10 @@ import sys
 
 import pytest
 
-from gfmpbe import cli
+from gfmpbe import cli, driver
 from gfmpbe.cli import build_parser, main
 from gfmpbe.grid import Grid
-from gfmpbe.surface import classify_sphere, export_interface
+from gfmpbe.surface import AXIS_NAMES, THETA_MIN, classify_sphere, export_interface
 
 
 @pytest.fixture
@@ -77,10 +77,15 @@ class TestSolve:
         assert rc == 2
 
     def test_inconsistent_imported_interface_is_config_error(
-        self, atom_file, tmp_path, capsys
+        self, atom_file, tmp_path, capsys, monkeypatch
     ):
-        # theta 1e-9 parses, but the operator assembly rejects it as below
-        # the clamp range: exit 2 with a one-line message, no traceback.
+        # theta 1e-9 parses, but lies below the clamp range: the import
+        # rejects it, naming the edge, before any operator is built; exit 2
+        # with a one-line message, no traceback.
+        def never(*args, **kwargs):
+            raise AssertionError("operators built from an inconsistent interface")
+
+        monkeypatch.setattr(driver, "build_split_operators", never)
         path = tmp_path / "bad.srf"
         sphere = classify_sphere(Grid((-2.0,) * 3, 0.5, (9, 9, 9)), (0, 0, 0), 1.7)
         export_interface(sphere, path)
@@ -93,8 +98,11 @@ class TestSolve:
         rc = main(["solve", "--atoms", atom_file, "--surface", f"import:{path}"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: theta 1e-09 outside clamp range")
-        assert "Traceback" not in err
+        key = (AXIS_NAMES.index(parts[1]), *(int(v) for v in parts[2:5]))
+        assert err == (
+            f"error: theta 1e-09 outside clamp range [{THETA_MIN}, {1.0 - THETA_MIN}]"
+            f" on edge {key}\n"
+        )
 
     def test_atom_outside_the_box_is_config_error(self, tmp_path, capsys):
         far = tmp_path / "far.txt"

@@ -27,7 +27,7 @@ from gfmpbe.driver import (
 from gfmpbe.errors import ConfigError, DivergenceError, DomainError, InitializationError
 from gfmpbe.grid import Field, read_field_binary, trilinear_stencil, write_field_binary
 from gfmpbe.molecule import Atom, AtomSet, PhysicalParams, solvation_energy
-from gfmpbe.surface import export_interface
+from gfmpbe.surface import InterfaceData, export_interface
 
 
 def _coarse_kirkwood(**ctrl_overrides):
@@ -604,6 +604,33 @@ class TestProblemAssembly:
         direct = run(cfg, problem=prob)
         imported = run(cfg_imp)
         assert imported.final_energy == direct.final_energy
+
+    @pytest.mark.parametrize("surface", ["sphere", "vdw", "ses-grid", "import"])
+    def test_interface_checked_once_where_it_is_made(
+        self, monkeypatch, tmp_path, surface
+    ):
+        cfg = _coarse_kirkwood()
+        if surface == "import":
+            path = tmp_path / "iface.srf"
+            export_interface(build_problem(cfg).data, path)
+            surface = f"import:{path}"
+        calls = []
+        validate, build = InterfaceData.validate, driver.build_split_operators
+
+        def counted(self):
+            calls.append("validate")
+            return validate(self)
+
+        def building(*args):
+            calls.append("build")
+            split = build(*args)
+            calls.append("built")
+            return split
+
+        monkeypatch.setattr(InterfaceData, "validate", counted)
+        monkeypatch.setattr(driver, "build_split_operators", building)
+        build_problem(replace(cfg, surface=surface))
+        assert calls == ["validate", "build", "built"]
 
     @pytest.mark.parametrize("surface", ["sphere", "ses-grid"])
     def test_atom_outside_the_box_fails_at_build(self, monkeypatch, surface):

@@ -22,6 +22,7 @@ from gfmpbe.grid import Field, Grid, build_grid
 from gfmpbe.molecule import Atom, AtomSet, PhysicalParams, dirichlet_boundary
 from gfmpbe.stepping import build_split_operators, compute_jumps
 from gfmpbe.surface import (
+    THETA_MIN,
     Crossing,
     InterfaceData,
     classify_ses_grid,
@@ -707,10 +708,15 @@ class TestBatchedAssembly:
 
     @pytest.mark.parametrize(
         "fault, match",
-        [("drop", "no crossing"), ("extra", "no side change"), ("clamp", "clamp")],
+        [
+            ("drop", "mixed edge without crossing record"),
+            ("extra", "crossing on uniform edge"),
+        ],
     )
-    def test_assembly_errors_raise_through_build(self, monkeypatch, fault, match):
-        data, atoms = _oracle_case("sphere")
+    def test_interface_faults_raise_at_construction(self, fault, match):
+        # The build trusts its interface, so a fault the assembly could meet
+        # raises where the interface is made, before any build.
+        data, _ = _oracle_case("sphere")
         axis, index = data.axis.copy(), data.index.copy()
         theta, location = data.theta.copy(), data.location.copy()
         keep = np.ones(len(theta), dtype=bool)
@@ -726,16 +732,29 @@ class TestBatchedAssembly:
             theta = np.r_[theta, 0.5]
             location = np.vstack([location, data.grid.node(*centre) + (0.25, 0, 0)])
             keep = np.r_[keep, True]
-        else:
-            theta[len(theta) // 2] = 1e-9
-        bad = InterfaceData.from_arrays(
-            data.grid, data.inside, axis[keep], index[keep], theta[keep], location[keep]
-        )
-        if fault != "clamp":
-            # validate() reports these first; the assembly checks them again.
-            monkeypatch.setattr(InterfaceData, "validate", lambda self: None)
-        params = PhysicalParams(eps_in=2.0, eps_out=80.0, kappa_sq=1.0)
         with pytest.raises(AssemblyError, match=match):
-            build_split_operators(
-                bad, atoms, params, Field(bad.grid, np.zeros(bad.grid.shape))
+            InterfaceData.from_arrays(
+                data.grid, data.inside, axis[keep], index[keep], theta[keep], location[keep]
             )
+
+    @pytest.mark.parametrize("fault, match", [("clamp", "clamp")])
+    def test_assembly_errors_raise_through_build(self, fault, match):
+        # A theta outside the clamp range stops the way from the crossing
+        # arrays to the operators where the interface is made: the message
+        # gives the range, and no build starts.
+        data, atoms = _oracle_case("sphere")
+        theta = data.theta.copy()
+        theta[len(theta) // 2] = 1e-9
+        params = PhysicalParams(eps_in=2.0, eps_out=80.0, kappa_sq=1.0)
+        built = []
+        with pytest.raises(AssemblyError, match=match) as err:
+            bad = InterfaceData.from_arrays(
+                data.grid, data.inside, data.axis, data.index, theta, data.location
+            )
+            built.append(
+                build_split_operators(
+                    bad, atoms, params, Field(bad.grid, np.zeros(bad.grid.shape))
+                )
+            )
+        assert f"outside {fault} range [{THETA_MIN}, {1.0 - THETA_MIN}]" in str(err.value)
+        assert built == []

@@ -119,8 +119,9 @@ class TestGreenPotential:
         np.testing.assert_allclose(batch, singles, rtol=1e-14)
 
     def test_singularity_guard(self):
-        with pytest.raises(SingularityError):
-            green_potential(self.atoms, (0.0, 0.0, 0.0), self.params)
+        for fn in (green_potential, green_gradient, dirichlet_boundary):
+            with pytest.raises(SingularityError):
+                fn(self.atoms, (0.0, 0.0, 0.0), self.params)
 
     def test_gradient_matches_finite_difference(self):
         p = np.array([1.3, -0.7, 2.1])

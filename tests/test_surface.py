@@ -13,6 +13,7 @@ from gfmpbe.grid import Grid, build_grid
 from gfmpbe.molecule import Atom, AtomSet
 from gfmpbe.surface import (
     _T_TOL,
+    AXIS_NAMES,
     THETA_MIN,
     Crossing,
     InterfaceData,
@@ -355,6 +356,24 @@ class TestInterchange:
         with pytest.raises(FormatError, match="uniform"):
             import_interface(bad)
 
+    @pytest.mark.parametrize("theta", ["1e-09", "0.9999999999"])
+    def test_theta_outside_clamp_range_rejected(self, tmp_path, theta):
+        path = tmp_path / "iface.txt"
+        export_interface(self._data(), path)
+        lines = path.read_text().splitlines()
+        row = next(n for n, line in enumerate(lines) if line.startswith("cross"))
+        parts = lines[row].split()
+        parts[5] = theta
+        lines[row] = " ".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        key = (AXIS_NAMES.index(parts[1]), *(int(v) for v in parts[2:5]))
+        message = (
+            f"theta {theta} outside clamp range [{THETA_MIN}, {1.0 - THETA_MIN}]"
+            f" on edge {key}"
+        )
+        with pytest.raises(FormatError, match=re.escape(message)):
+            import_interface(path)
+
     def test_missing_crossing_rejected(self, tmp_path):
         data = self._data()
         path = tmp_path / "iface.txt"
@@ -369,6 +388,26 @@ class TestInterchange:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("arrays", [False, True])
+    def test_inside_is_a_read_only_copy(self, arrays):
+        grid, inside, crossings = _single_node()
+        before = inside.copy()
+        if arrays:
+            data = _single_node_arrays(grid, inside, crossings)
+        else:
+            data = InterfaceData(grid, inside, crossings)
+        assert inside.flags.writeable and np.array_equal(inside, before)
+        assert not data.inside.flags.writeable
+        inside[2, 2, 2] = True  # a later edit of the caller's mask
+        assert np.array_equal(data.inside, before)
+        # A read-only view is copied; a read-only mask owning its memory,
+        # as the classifiers hand over, is kept.
+        view = before.view()
+        view.flags.writeable = False
+        assert InterfaceData(grid, view, crossings).inside is not view
+        before.flags.writeable = False
+        assert InterfaceData(grid, before, crossings).inside is before
+
     def test_duplicate_crossing_rejected(self):
         grid = Grid((0.0, 0.0, 0.0), 1.0, (4, 4, 4))
         inside = np.zeros((4, 4, 4), dtype=bool)
@@ -392,18 +431,13 @@ class TestValidation:
                 loc = [1.0, 1.0, 1.0]
                 loc[axis] += (0.5 - delta)
                 crossings.append(Crossing(axis, tuple(idx), 0.5, tuple(loc)))
-        data = InterfaceData(grid, inside, crossings)
-        data.validate()
-        bad = InterfaceData(
-            grid,
-            inside,
-            [
-                Crossing(c.axis, c.index, 1.5 if n == 0 else c.theta, c.location)
-                for n, c in enumerate(crossings)
-            ],
-        )
+        InterfaceData(grid, inside, crossings).validate()
+        bad = [
+            Crossing(c.axis, c.index, 1.5 if n == 0 else c.theta, c.location)
+            for n, c in enumerate(crossings)
+        ]
         with pytest.raises(AssemblyError, match="theta"):
-            bad.validate()
+            InterfaceData(grid, inside, bad)
 
 
 def _generators():
@@ -458,6 +492,7 @@ class TestArrayLayout:
             data.crossings[(0, 0, 0, 0)]
         with pytest.raises(ValueError):
             data.theta[0] = 0.5
+        assert not data.inside.flags.writeable
 
     def test_crossing_off_grid_rejected(self):
         grid = Grid((0.0, 0.0, 0.0), 1.0, (4, 4, 4))
@@ -482,6 +517,13 @@ def _single_node():
     return grid, inside, crossings
 
 
+def _single_node_arrays(grid, inside, crossings) -> InterfaceData:
+    """InterfaceData.from_arrays on the fields of crossings."""
+    fields = ("axis", "index", "theta", "location")
+    arrays = ([getattr(c, f) for c in crossings] for f in fields)
+    return InterfaceData.from_arrays(grid, inside, *arrays)
+
+
 def _replaced(crossings, key, **changes):
     out = []
     for c in crossings:
@@ -502,7 +544,7 @@ class TestValidateMessages:
         with pytest.raises(
             AssemblyError, match=re.escape("mixed edge without crossing record: (1, 1, 0, 1)")
         ):
-            InterfaceData(grid, inside, kept).validate()
+            InterfaceData(grid, inside, kept)
 
     def test_crossing_on_uniform_edge(self):
         grid, inside, crossings = _single_node()
@@ -513,7 +555,7 @@ class TestValidateMessages:
         with pytest.raises(
             AssemblyError, match=re.escape("crossing on uniform edge: (0, 3, 0, 0)")
         ):
-            InterfaceData(grid, inside, crossings + extra).validate()
+            InterfaceData(grid, inside, crossings + extra)
 
     def test_theta_out_of_range(self):
         grid, inside, crossings = _single_node()
@@ -522,7 +564,21 @@ class TestValidateMessages:
         with pytest.raises(
             AssemblyError, match=re.escape("theta out of (0,1) on edge (1, 1, 0, 1): 0.0")
         ):
-            InterfaceData(grid, inside, bad).validate()
+            InterfaceData(grid, inside, bad)
+
+    def test_theta_outside_clamp_range(self):
+        grid, inside, crossings = _single_node()
+        bad = _replaced(crossings, (2, 1, 1, 0), theta=1.0 - 1e-9)
+        bad = _replaced(bad, (1, 1, 0, 1), theta=1e-9)
+        message = (
+            f"theta 1e-09 outside clamp range [{THETA_MIN}, {1.0 - THETA_MIN}]"
+            " on edge (1, 1, 0, 1)"
+        )
+        with pytest.raises(AssemblyError, match=re.escape(message)):
+            InterfaceData(grid, inside, bad)
+        # The classifiers clamp to the ends of the range, which pass.
+        ends = _replaced(bad, (1, 1, 0, 1), theta=THETA_MIN)
+        InterfaceData(grid, inside, _replaced(ends, (2, 1, 1, 0), theta=1.0 - THETA_MIN))
 
     def test_non_finite_location(self):
         grid, inside, crossings = _single_node()
@@ -530,7 +586,7 @@ class TestValidateMessages:
         with pytest.raises(
             AssemblyError, match=re.escape("non-finite location on edge (1, 1, 1, 1)")
         ):
-            InterfaceData(grid, inside, bad).validate()
+            InterfaceData(grid, inside, bad)
 
     def test_location_off_the_edge_line(self):
         grid, inside, crossings = _single_node()
@@ -539,7 +595,7 @@ class TestValidateMessages:
         with pytest.raises(
             AssemblyError, match=re.escape("location off the edge line for (0, 0, 1, 1)")
         ):
-            InterfaceData(grid, inside, bad).validate()
+            InterfaceData(grid, inside, bad)
 
     def test_location_outside_the_edge(self):
         grid, inside, crossings = _single_node()
@@ -547,7 +603,7 @@ class TestValidateMessages:
         with pytest.raises(
             AssemblyError, match=re.escape("location outside the edge for (0, 1, 1, 1)")
         ):
-            InterfaceData(grid, inside, bad).validate()
+            InterfaceData(grid, inside, bad)
 
     def test_first_failing_check_of_the_first_edge(self):
         # (0, 0, 1, 1) fails the line check only; (0, 1, 1, 1), later in
@@ -556,7 +612,7 @@ class TestValidateMessages:
         bad = _replaced(crossings, (0, 0, 1, 1), location=(0.5, 1.0, 1.1))
         bad = _replaced(bad, (0, 1, 1, 1), theta=2.0)
         with pytest.raises(AssemblyError, match=re.escape("off the edge line for (0, 0, 1, 1)")):
-            InterfaceData(grid, inside, bad).validate()
+            InterfaceData(grid, inside, bad)
 
 
 def _mid_edge_crossings(grid, inside):
@@ -583,7 +639,7 @@ class TestValidateFastPath:
         with pytest.raises(
             AssemblyError, match=re.escape("mixed edge without crossing record: (0, 1, 1, 1)")
         ):
-            InterfaceData(grid, inside, moved).validate()
+            InterfaceData(grid, inside, moved)
 
     def test_crossing_past_the_last_node(self):
         # Low node x = 3 is the last along x: the edge leaves the grid.
@@ -592,7 +648,7 @@ class TestValidateFastPath:
         with pytest.raises(
             AssemblyError, match=re.escape("crossing on uniform edge: (0, 3, 1, 1)")
         ):
-            InterfaceData(grid, inside, crossings + [extra]).validate()
+            InterfaceData(grid, inside, crossings + [extra])
 
     def test_crossing_past_the_last_node_of_the_fastest_axis(self):
         # One step up z from (1, 1, 3) in flat C order is (1, 2, 0), an
@@ -608,7 +664,7 @@ class TestValidateFastPath:
         with pytest.raises(
             AssemblyError, match=re.escape("mixed edge without crossing record: (2, 1, 1, 1)")
         ):
-            InterfaceData(grid, inside, moved).validate()
+            InterfaceData(grid, inside, moved)
 
     def test_missing_on_one_axis_extra_on_another(self):
         grid, inside, crossings = _single_node()
@@ -618,7 +674,7 @@ class TestValidateFastPath:
         with pytest.raises(
             AssemblyError, match=re.escape("mixed edge without crossing record: (1, 1, 0, 1)")
         ):
-            InterfaceData(grid, inside, kept + [extra]).validate()
+            InterfaceData(grid, inside, kept + [extra])
 
 
 def _greedy_cover(intervals, low_inside) -> float:
