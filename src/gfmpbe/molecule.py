@@ -187,6 +187,25 @@ def green_gradient(atoms: AtomSet, p, params: PhysicalParams):
     return grad[0] if single else grad
 
 
+def green_axis_terms(
+    atoms: AtomSet, points: np.ndarray, axes: np.ndarray, params: PhysicalParams
+):
+    """green_potential at each point of a batch (m, 3) and the axes[i]
+    component of green_gradient at point i, from one set of offsets, both
+    (m,).  Only that component is formed, and it is summed over the atoms
+    from 0.0 in atom order, as green_gradient's reduction is (numpy's
+    pairwise sum would reorder it from 8 atoms on), so both arrays equal
+    those functions' values bit for bit, signed zeros included."""
+    diff, dist = _offsets(atoms, points)
+    pot = (params.charge_factor / params.eps_in) * (atoms.charges / dist).sum(axis=1)
+    terms = -params.charge_factor / params.eps_in * atoms.charges / dist**3
+    terms *= diff[np.arange(len(points)), :, axes]
+    grad = np.zeros(len(points))
+    for col in terms.T:
+        grad += col
+    return pot, grad
+
+
 def dirichlet_boundary(atoms: AtomSet, p, params: PhysicalParams):
     """Screened-Coulomb superposition used as the far-field Dirichlet value.
 

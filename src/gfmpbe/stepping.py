@@ -24,7 +24,9 @@ the weights of each distinct line once, the three axes' columns side by
 side, and sums them into the diagonal.  A new tau factors the whole table
 in one row loop and expands every axis's columns to every line by one take
 per array; the table keeps one LRU of the expanded factors of the last
-_FACTOR_CACHE_SIZE taus for the split.
+_FACTOR_CACHE_SIZE (two) taus for the split, and a miss on a full LRU writes
+the new factors into the arrays of the entry it evicts, so the factors a
+sweep gets are valid until their tau is evicted.
 kappa^2 is zero inside the solute and one scalar in the solvent, so the
 substep runs once over the field with one log and its coefficients as
 Python floats, and the inside nodes are copied back from a flat index.
@@ -70,10 +72,10 @@ from .gfm import (
     ldlt_solve,
 )
 from .grid import Field
-from .molecule import AtomSet, PhysicalParams, green_gradient, green_potential
+from .molecule import AtomSet, PhysicalParams, green_axis_terms
 from .surface import InterfaceData, RowMap
 
-_FACTOR_CACHE_SIZE = 4
+_FACTOR_CACHE_SIZE = 2
 
 _TINY = float(np.finfo(float).tiny)
 
@@ -162,7 +164,14 @@ class _FactorTable:
     member's expanded (cp, inv).  The steps give the three sweeps of a split
     the same tau, so the one LRU sees the taus each sweep asks for.  A miss
     factors the table before it evicts the oldest entry, so that a zero
-    pivot leaves the cache as it was.
+    pivot leaves the cache as it was, and then expands the new factors into
+    the evicted entry's arrays, so returned factors are valid until their
+    tau is evicted.  The adaptive controllers shrink dt as t grows, so an
+    old tau seldom comes back; the second entry keeps the one a dt bouncing
+    off dt_max returns to.  The table keeps _d and _w after a factorization,
+    because an adaptive march brings a new tau nearly every step; under
+    Constant they outlive the one tau, ~0.6 MiB at 65^3 beside the ~5 fields
+    of that tau's factors.
 
     sources holds each member's axis length n, E on its lines' edges
     (n-1, t1, t2), and its cut edges' flat line-major indices and weights;
@@ -214,22 +223,31 @@ class _FactorTable:
             self._w[: len(w), start:end] = w
             start = end
 
-    def _take(self, member: int, table: np.ndarray, less: int) -> np.ndarray:
-        """Rows 0 .. n-less-1 of a table array at member's lines, (n-less, L)."""
+    def _take(
+        self, member: int, table: np.ndarray, less: int, out: np.ndarray | None
+    ) -> np.ndarray:
+        """Rows 0 .. n-less-1 of a table array at member's lines, (n-less, L),
+        written into out when it is given.  The columns are in range by
+        construction, so mode "clip" changes no value; under the default
+        "raise" numpy would buffer out through a temporary of its size."""
         n = self.sources[member][0]
-        return np.take(table[: n - less], self._cols[member], axis=1)
+        return np.take(
+            table[: n - less], self._cols[member], axis=1, out=out, mode="clip"
+        )
 
     def diag(self, member: int) -> np.ndarray:
         """Member's diagonal of -A in a new line-major (n-2, L) array."""
         if self._cols is None:
             self._build()
-        return self._take(member, self._d, 2)
+        return self._take(member, self._d, 2, None)
 
     def factors(self, member: int, tau: float) -> tuple[np.ndarray, np.ndarray]:
         """Member's factors (cp, inv) of I - tau*A, line-major (n-3, L) and
         (n-2, L), from the cache or from a new factorization of the table.
         -A has the diagonal of -A on it and -W off it, so the scaled
-        off-diagonal is -tau*W (negation is exact)."""
+        off-diagonal is -tau*W (negation is exact).  The arrays are valid
+        until tau is evicted: a later miss writes another tau's factors
+        into them."""
         entry = self._cache.get(tau)
         if entry is not None:
             self._cache.move_to_end(tau)
@@ -237,11 +255,13 @@ class _FactorTable:
         if self._cols is None:
             self._build()
         cp, inv = ldlt_factor_into(self._d, np.multiply(self._w, -tau), tau)
-        if len(self._cache) >= _FACTOR_CACHE_SIZE:
-            self._cache.popitem(last=False)
+        if len(self._cache) < _FACTOR_CACHE_SIZE:
+            held = [(None, None)] * len(self.sources)
+        else:
+            held = self._cache.popitem(last=False)[1]
         self._cache[tau] = entry = [
-            (self._take(k, cp, 3), self._take(k, inv, 2))
-            for k in range(len(self.sources))
+            (self._take(k, cp, 3, c), self._take(k, inv, 2, i))
+            for k, (c, i) in enumerate(held)
         ]
         return entry[member]
 
@@ -273,7 +293,8 @@ class AxisOperator:
     edges as its cuts.  solve takes the L D L^T multipliers cp and inverse
     pivots inv of every line, line-major, from the operator's _FactorTable,
     which factors the distinct lines of all its member operators at once
-    and keeps the factors of the last _FACTOR_CACHE_SIZE taus;
+    and keeps the factors of the last _FACTOR_CACHE_SIZE taus, valid until
+    their tau is evicted;
     build_split_operators gives the three operators of a split one table,
     and an operator built alone has a table of its own.  The right-hand
     side is copied into line layout and takes tau times the Dirichlet ends
@@ -532,9 +553,8 @@ def compute_jumps(data: InterfaceData, atoms: AtomSet, params: PhysicalParams) -
     """
     if not len(data.theta):
         return Jumps(data, np.empty(0), np.empty(0))
-    a = green_potential(atoms, data.location, params)
-    grad = green_gradient(atoms, data.location, params)
-    b = params.eps_in * grad[np.arange(len(grad)), data.axis]
+    a, grad = green_axis_terms(atoms, data.location, data.axis, params)
+    b = params.eps_in * grad
     finite = np.isfinite(a) & np.isfinite(b)
     if not finite.all():
         row = int(np.argmin(finite))

@@ -58,3 +58,28 @@ def test_traced_run_yields_every_layer_metric_and_restores_the_solver():
     assert metrics["sweep.factor_hit_ratio"][0] == pytest.approx((sweeps - 3) / sweeps)
     assert metrics["apply.gbps_computed"][0] > 0
     assert metrics["sweep.gbps_computed"][0] > 0
+
+
+@pytest.mark.parametrize("scheme", ["ADI", "LOD"])
+def test_replayed_misses_are_three_per_factorization(monkeypatch, scheme):
+    """The tracer replays the factor cache as one LRU of
+    stepping._FACTOR_CACHE_SIZE taus per operator, where the solver keeps
+    one per split.  The three sweeps of a step share a tau, so the replay
+    misses exactly three times per factorization of the split's table, on
+    an adaptive march as under Constant."""
+    tracing = _tracing()
+    factorizations = []
+
+    def counting(diag, o, tau):
+        factorizations.append(tau)
+        return factor(diag, o, tau)
+
+    factor = stepping.ldlt_factor_into
+    monkeypatch.setattr(stepping, "ldlt_factor_into", counting)
+    ctrl = ControllerConfig.for_kind("NonincreasingPID")
+    cfg = kirkwood_config(h=0.5, scheme=scheme, controller=ctrl, box_half=4.0)
+    with tracing.Tracer() as tracer:
+        trace = run(cfg)
+    misses = tracer.counts["sweep.factor_lookups"] - tracer.counts["sweep.factor_hits"]
+    assert len(set(trace.dts)) > stepping._FACTOR_CACHE_SIZE
+    assert misses == 3 * len(factorizations) > 0

@@ -24,7 +24,15 @@ from gfmpbe.driver import (
 from gfmpbe.errors import AssemblyError, ConfigError, NumericalError
 from gfmpbe.gfm import apply_operator, assemble_line, thomas_solve
 from gfmpbe.grid import Field, build_grid
-from gfmpbe.molecule import Atom, AtomSet, PhysicalParams, dirichlet_boundary
+from gfmpbe.molecule import (
+    Atom,
+    AtomSet,
+    PhysicalParams,
+    dirichlet_boundary,
+    green_axis_terms,
+    green_gradient,
+    green_potential,
+)
 from gfmpbe.stepping import (
     AxisOperator,
     adi_step,
@@ -805,6 +813,39 @@ class TestJumpArrays:
         key = data.key(row)
         assert jumps[key].a == jumps.a[row] and jumps[key].b == jumps.b[row]
 
+    @pytest.mark.parametrize("n_atoms", [1, 40])
+    def test_axis_terms_equal_the_green_functions_bit_for_bit(self, n_atoms):
+        # From 8 atoms on, numpy's pairwise sum would reorder the gradient's
+        # sum; at one atom, a point level with it along its axis has a
+        # signed-zero term.
+        rng = np.random.default_rng(14)
+        atoms = AtomSet(
+            [
+                Atom(tuple(c), float(q), 1.5)
+                for c, q in zip(rng.uniform(-6, 6, (n_atoms, 3)), rng.normal(size=n_atoms))
+            ]
+        )
+        params = PhysicalParams(eps_in=2.0, eps_out=80.0)
+        pts = rng.uniform(-8, 8, (400, 3))
+        axes = rng.integers(0, 3, len(pts))
+        level = np.arange(50)
+        pts[level, axes[level]] = atoms.centers[0, axes[level]]
+        pot, grad = green_axis_terms(atoms, pts, axes, params)
+        want = green_gradient(atoms, pts, params)[np.arange(len(pts)), axes]
+        np.testing.assert_array_equal(_bits(pot), _bits(green_potential(atoms, pts, params)))
+        np.testing.assert_array_equal(_bits(grad), _bits(want))
+
+    def test_jumps_on_the_sphere_keep_signed_zeros(self):
+        # Crossings level with the centre along their axis have b = 0.0,
+        # as green_gradient's sum from 0.0 gives, not -0.0.
+        problem = build_problem(kirkwood_config(h=0.25, ic="zero"))
+        data, atoms, params = problem.data, problem.atoms, problem.params
+        jumps = compute_jumps(data, atoms, params)
+        grad = green_gradient(atoms, data.location, params)
+        b = params.eps_in * grad[np.arange(len(grad)), data.axis]
+        assert np.any(b == 0.0)
+        np.testing.assert_array_equal(_bits(jumps.b), _bits(b))
+
     def test_non_finite_jump_names_the_crossing(self):
         grid, data, _, _, bvals, _ = _two_sphere_problem()
         # A finite charge whose Coulomb potential overflows at every cut.
@@ -1065,6 +1106,83 @@ class TestStepMemory:
         finally:
             tracemalloc.stop()
         assert lpb <= adi
+
+
+class TestFactorCachePolicy:
+    """The split's factor cache holds at most _FACTOR_CACHE_SIZE taus, and a
+    miss on a full cache writes the new tau's factors into the arrays of the
+    entry it evicts.  TestStepMemory subtracts the cache's bytes, so it
+    cannot see how many taus the cache holds; these tests can."""
+
+    DTS = (0.01, 0.02, 0.015, 0.03, 0.025, 0.04, 0.035, 0.05)
+
+    @pytest.mark.parametrize("step", [adi_step, lod_step])
+    def test_bounded_and_refilled_in_place(self, step):
+        """On 33^3 Kirkwood, eight distinct dts.  The peak above the built
+        problem and the start field, cache included, is 14.6 field sizes for
+        ADI and 14.1 for LOD; one cached tau's factors are ~4.9 field sizes,
+        so the bound of 16 fails a cache that keeps a third tau (a four-tau
+        cache measured 24.4 and 23.9)."""
+        problem = build_problem(kirkwood_config(h=0.5, ic="zero"))
+        assert problem.grid.shape == (33, 33, 33)
+        table = problem.split.ops[0]._table
+        size = stepping._FACTOR_CACHE_SIZE
+        refilled = 0
+        tracemalloc.start()
+        try:
+            u = problem.boundary.values.copy()
+            before = tracemalloc.get_traced_memory()[0]
+            for dt in self.DTS:
+                oldest = next(iter(table._cache.values()), None)
+                full = len(table._cache) == size
+                u = step(u, dt, problem.split)
+                assert len(table._cache) <= size
+                if full:
+                    newest = table._cache[next(reversed(table._cache))]
+                    assert all(
+                        np.shares_memory(a, b)
+                        for old, new in zip(oldest, newest)
+                        for a, b in zip(old, new)
+                    )
+                    refilled += 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert refilled == len(self.DTS) - size
+        assert (peak - before) / u.nbytes <= 16.0
+
+    def test_adaptive_march_factors_each_tau_about_once(self, monkeypatch):
+        """The desk solute at h = 0.5 under LOD and PID1 takes 18 distinct
+        taus in 53 steps, and its dt bounces off dt_max: a tau comes back
+        after one other.  Two cached taus factor 19 times; one would factor
+        34 times."""
+        calls = []
+
+        def counting(diag, o, tau):
+            calls.append(tau)
+            return factor(diag, o, tau)
+
+        factor = stepping.ldlt_factor_into
+        monkeypatch.setattr(stepping, "ldlt_factor_into", counting)
+        atoms = AtomSet(
+            [
+                Atom((0.0, 0.0, 0.0), 1.0, 2.0),
+                Atom((2.8, 0.0, 0.0), -0.7, 1.7),
+                Atom((0.0, 2.9, 0.4), 0.5, 1.8),
+                Atom((-2.7, 0.3, -0.6), -0.8, 1.6),
+            ]
+        )
+        cfg = RunConfig(
+            atoms=atoms,
+            h=0.5,
+            scheme="LOD",
+            controller=ControllerConfig.for_kind("PID1"),
+            params=PhysicalParams(eps_in=1.0, eps_out=80.0, ionic_strength=0.15),
+        )
+        trace = run(cfg)
+        taus = set(0.5 * trace.dts)
+        assert set(calls) == taus
+        assert len(calls) <= len(taus) + 1
 
 
 class TestSetupMemory:
