@@ -15,9 +15,9 @@ the flat field with the axis's stride, written straight into the result;
 the few nonzero jump corrections are added by index.  An implicit sweep
 copies the right-hand side into line-major layout, adds tau times the
 Dirichlet ends to the end rows and tau times the nonzero corrections by
-index, runs one L D L^T solve over all lines in place (the gfm kernel,
-shared with the one-line solve) and scatters the lines back; the
-line-major view is a transpose by a permutation stored with the operator.
+index, runs one L D L^T solve over all lines in place (the gfm kernel)
+and scatters the lines back; the line-major view is a transpose by a
+permutation stored with the operator.
 Most lines carry no cut edge and one E along their length, so their
 systems are equal: the three operators share one factor table that holds
 the weights of each distinct line once, the three axes' columns side by
@@ -64,16 +64,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssemblyError, ConfigError
-from .gfm import (
-    JumpData,
-    apply_flux,
-    cut_terms,
-    ldlt_factor_into,
-    ldlt_solve,
-)
+from .gfm import apply_flux, cut_terms, ldlt_factor_into, ldlt_solve
 from .grid import Field
 from .molecule import AtomSet, PhysicalParams, green_axis_terms
-from .surface import InterfaceData, RowMap
+from .surface import InterfaceData
 
 _FACTOR_CACHE_SIZE = 2
 
@@ -81,51 +75,25 @@ _TINY = float(np.finfo(float).tiny)
 
 
 def nonlinear_substep(
-    w: np.ndarray, kappa_sq, dt: float, strength: float, *, work=None
+    w: np.ndarray, kappa_sq: float, dt: float, strength: float, *, work=None
 ) -> np.ndarray:
     """Exact solution of dw/dt = -strength * kappa^2 * sinh(w) over dt.
 
     Closed form tanh(w/2) = tanh(w0/2) * g with g = exp(-strength*kappa^2*dt),
     evaluated with one log as copysign(log((1+g + em*(1-g)) / ((1-g) +
     em*(1+g))), w0), em = exp(-|w0|), which neither overflows for large
-    |w0| nor loses the sign.  1-g is floored at the smallest normal float,
-    so that the ratio stays finite.  Nodes with kappa^2 = 0 are returned
-    bit-identical.  kappa_sq may be a scalar, as SplitOperators passes it:
-    then every coefficient is a Python float, with the array path's
-    arithmetic.  A non-finite w raises ConfigError.  work, a float array of
+    |w0| nor loses the sign.  kappa_sq is one scalar, as SplitOperators
+    holds it, so g, 1-g and 1+g are Python floats taken from numpy's exp and
+    expm1; 1-g is floored at the smallest normal float, so that the ratio
+    stays finite.  A zero rate returns a copy of w.  A kappa_sq that is not
+    a scalar or a non-finite w raises ConfigError.  work, a float array of
     the result's shape, holds the denominator's temporary when it is given;
     the result is always a new array.
     """
+    if np.ndim(kappa_sq) != 0:
+        raise ConfigError(f"kappa^2 must be a scalar, got shape {np.shape(kappa_sq)}")
     w = np.asarray(w, dtype=float)
-    if np.ndim(kappa_sq) == 0:
-        return _scalar_substep(w, strength * float(kappa_sq) * dt, dt, strength, work)
-    lam = np.asarray(strength * np.asarray(kappa_sq, dtype=float) * dt)
-    if dt < 0 or strength < 0 or np.any(lam < 0):
-        raise ConfigError("substep requires dt, strength, kappa^2 all nonnegative")
-    if not np.all(np.isfinite(w)):
-        raise ConfigError("non-finite field entering nonlinear substep")
-    g = np.exp(-lam)
-    omg = np.maximum(-np.expm1(-lam), np.finfo(float).tiny)
-    opg = 1.0 + g
-    em = np.copysign(np.broadcast_to(w, np.broadcast_shapes(w.shape, lam.shape)), -1.0)
-    np.exp(em, out=em)
-    # (1+g + em*(1-g)) / ((1-g) + em*(1+g)), in place
-    den = np.multiply(em, opg, out=work)
-    den += omg
-    em *= omg
-    em += opg
-    em /= den
-    mag = np.copysign(np.log(em, out=em), w, out=em)
-    if np.any(lam <= 0):
-        np.copyto(mag, w, where=lam <= 0)
-    return mag
-
-
-def _scalar_substep(
-    w: np.ndarray, lam: float, dt: float, strength: float, work=None
-) -> np.ndarray:
-    """nonlinear_substep for one decay rate lam: the same arithmetic, with g,
-    1-g and 1+g as Python floats taken from numpy's exp and expm1."""
+    lam = strength * float(kappa_sq) * dt
     if dt < 0 or strength < 0 or lam < 0:
         raise ConfigError("substep requires dt, strength, kappa^2 all nonnegative")
     if not np.all(np.isfinite(w)):
@@ -137,6 +105,7 @@ def _scalar_substep(
     opg = 1.0 + g
     em = np.copysign(w, -1.0)
     np.exp(em, out=em)
+    # (1+g + em*(1-g)) / ((1-g) + em*(1+g)), in place
     den = np.multiply(em, opg, out=work)
     den += omg
     em *= omg
@@ -286,19 +255,19 @@ class AxisOperator:
     The constructor takes this compact form, which build_split_operators
     assembles straight from the crossing arrays: cuts = (index, W) of the
     cut edges, index flat into the line-major (n-1, L) edges, and corr =
-    (corr_lines, corr_value).  diag, weights and corr rebuild the
-    line-major arrays of gfm.assemble_lines for readers (diag once, kept
-    read-only); the kernels read none of them.  apply runs gfm.apply_flux
-    on the flat field with the axis's stride, E as its weights and the cut
-    edges as its cuts.  solve takes the L D L^T multipliers cp and inverse
-    pivots inv of every line, line-major, from the operator's _FactorTable,
-    which factors the distinct lines of all its member operators at once
-    and keeps the factors of the last _FACTOR_CACHE_SIZE taus, valid until
-    their tau is evicted;
+    (corr_lines, corr_value).  diag, weights and corr rebuild the dense
+    line-major arrays, (n-2, L), (n-1, L) and (n-2, L), for readers (diag
+    once, kept read-only); the kernels read none of them.  apply runs
+    gfm.apply_flux on the flat field with the axis's stride, E as its
+    weights and the cut edges as its cuts.  solve takes the L D L^T
+    multipliers cp and inverse pivots inv of every line, line-major, from
+    the operator's _FactorTable, which factors the distinct lines of all its
+    member operators at once and keeps the factors of the last
+    _FACTOR_CACHE_SIZE taus, valid until their tau is evicted;
     build_split_operators gives the three operators of a split one table,
     and an operator built alone has a table of its own.  The right-hand
     side is copied into line layout and takes tau times the Dirichlet ends
-    and tau times the corrections there, in the order of gfm.thomas_solve.
+    and then tau times the corrections there.
 
     apply and solve take an optional out array for the result.  The flux
     temporary of apply and the line-major buffer of solve come from a flat
@@ -434,10 +403,10 @@ class AxisOperator:
 
         Solves (I - tau*A) x = rhs + tau*(c + Dirichlet fold) on every line:
         the right-hand side is copied into line layout, tau times the
-        Dirichlet ends is added to the end rows and tau times the nonzero
-        corrections at corr_lines, in the order of gfm.thomas_solve.  The
-        result goes into out, an array of boundary's shape, when it is
-        given, and is returned; out may be rhs itself.
+        Dirichlet ends is added to the end rows and then tau times the
+        nonzero corrections at corr_lines.  The result goes into out, an
+        array of boundary's shape, when it is given, and is returned; out
+        may be rhs itself.
         """
         if out is None:
             out = np.empty_like(boundary)
@@ -537,22 +506,16 @@ class SplitOperators:
         return out
 
 
-class Jumps(RowMap):
-    """Jump data of one interface as arrays a (m,) and b (m,), in its
-    canonical crossing order; as a mapping, crossing key -> JumpData."""
-
-    def __init__(self, data: InterfaceData, a: np.ndarray, b: np.ndarray):
-        super().__init__(data, lambda row: JumpData(a=float(a[row]), b=float(b[row])))
-        self.a, self.b = a, b
-
-
-def compute_jumps(data: InterfaceData, atoms: AtomSet, params: PhysicalParams) -> Jumps:
-    """Jump data at every crossing: a = G, b = eps_in * dG/dxi, at the cut.
+def compute_jumps(
+    data: InterfaceData, atoms: AtomSet, params: PhysicalParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Jump data at every crossing, as arrays (a, b) in data's canonical
+    crossing order: a = G, b = eps_in * dG/dxi, at the cut.
 
     A non-finite value raises AssemblyError naming its crossing.
     """
     if not len(data.theta):
-        return Jumps(data, np.empty(0), np.empty(0))
+        return np.empty(0), np.empty(0)
     a, grad = green_axis_terms(atoms, data.location, data.axis, params)
     b = params.eps_in * grad
     finite = np.isfinite(a) & np.isfinite(b)
@@ -561,7 +524,7 @@ def compute_jumps(data: InterfaceData, atoms: AtomSet, params: PhysicalParams) -
         raise AssemblyError(
             f"non-finite jump data on crossing {data.key(row)}: a={a[row]}, b={b[row]}"
         )
-    return Jumps(data, a, b)
+    return a, b
 
 
 def build_split_operators(
@@ -605,20 +568,21 @@ def build_split_operators(
 def _axis_operator(
     axis: int,
     data: InterfaceData,
-    jumps: Jumps,
+    jumps: tuple,
     eps: tuple,
     edge_coeff: np.ndarray,
     bvals: np.ndarray,
 ) -> AxisOperator:
     """One axis's operator in its compact form, from the crossings on its
-    interior lines, with no array of the lines' size.
+    interior lines, with no array of the lines' size.  jumps holds the
+    arrays (a, b) of compute_jumps.
 
     InterfaceData's constructors have checked the crossings against the node
     flags, so they are used as they are; gfm.cut_terms gives each cut edge's
     weight and corrections.  The cut edges are kept in line-major order.
-    The corrections are summed per interior node next to a cut edge in the
-    order of gfm.assemble_lines, the edges' low-node terms before their
-    high-node ones, and exact zeros are dropped.
+    The corrections are summed per interior node next to a cut edge, the
+    edges' low-node terms before their high-node ones, and exact zeros are
+    dropped.
     """
     grid, idx = data.grid, data.index
     shape, n, h = grid.shape, grid.shape[axis], grid.h
@@ -636,7 +600,8 @@ def _axis_operator(
     pos, theta = idx[rows, axis], data.theta[rows]
     perm = (axis, t1, t2)
     lo_in = data.inside[tuple(idx[rows].T)]
-    w, c_lo, c_hi = cut_terms(lo_in, eps, theta, jumps.a[rows], jumps.b[rows], h)
+    a, b = (j[rows] for j in jumps)
+    w, c_lo, c_hi = cut_terms(lo_in, eps, theta, a, b, h)
     below, above = pos > 0, pos < n - 2
     node = np.concatenate((cut[below] - lines, cut[above]))
     corr_lines, slot = np.unique(node, return_inverse=True)

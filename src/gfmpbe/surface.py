@@ -584,8 +584,7 @@ def import_interface(path) -> InterfaceData:
     flip = -1 if convention == "eses" else 1
     for (j, k), vals in rows.items():
         inside[:, j, k] = (flip * vals) == -1
-    crossings = []
-    seen = set()
+    seen, locations = set(), []
     for axis, index, theta, loc, lineno in crosses:
         hi_idx = list(index)
         hi_idx[axis] += 1
@@ -602,8 +601,10 @@ def import_interface(path) -> InterfaceData:
         if loc is None:
             loc = grid.node(*index)
             loc[axis] += theta * grid.h
-        crossings.append(Crossing(axis, index, theta, tuple(loc)))
+        locations.append(loc)
+    axes, indices, thetas = ([c[f] for c in crosses] for f in range(3))
+    inside.flags.writeable = False  # handed over, not copied
     try:
-        return InterfaceData(grid, inside, crossings)
+        return InterfaceData.from_arrays(grid, inside, axes, indices, thetas, locations)
     except AssemblyError as exc:
         raise FormatError(str(exc), None) from exc

@@ -21,10 +21,9 @@ from gfmpbe.driver import (
     run_schedule,
     scaling_study,
 )
-from gfmpbe.gfm import JumpData, apply_operator, assemble_line, thomas_solve
-from gfmpbe.grid import build_grid
+from gfmpbe.grid import Field, build_grid
 from gfmpbe.molecule import Atom, AtomSet, PhysicalParams
-from gfmpbe.stepping import nonlinear_substep
+from gfmpbe.stepping import build_split_operators, compute_jumps, nonlinear_substep
 from gfmpbe.surface import (
     classify_sphere,
     classify_ses_grid,
@@ -32,6 +31,7 @@ from gfmpbe.surface import (
     export_interface,
     import_interface,
 )
+from line_arrays import axis_lines, line_split, neg_matrix
 
 pytestmark = pytest.mark.acceptance
 
@@ -212,21 +212,17 @@ def _check_manufactured(rng) -> float:
     flags = np.zeros(n, dtype=bool)
     flags[: cut + 1] = low_inside
     flags[cut + 1 :] = not low_inside
-    sys = assemble_line(
-        0, flags, (eps_in, eps_out), {cut: (theta, JumpData(a, b))},
-        (u[0], u[-1]), h,
-    )
-    m = sys.n_interior
-    mat = np.zeros((m, m))
-    mat[np.arange(m), np.arange(m)] = sys.diag
-    mat[np.arange(m - 1), np.arange(1, m)] = sys.off
-    mat[np.arange(1, m), np.arange(m - 1)] = sys.off
+    # the operator build_split_operators makes along a line of these flags
+    op = line_split(flags, (eps_in, eps_out), {cut: (theta, a, b)}, (u[0], u[-1]), h).ops[0]
+    m = n - 2
     fold = np.zeros(m)
-    fold[0], fold[-1] = sys.w_lo * sys.bc_lo, sys.w_hi * sys.bc_hi
-    x_sol = np.linalg.solve(mat, sys.corr + fold)
+    fold[0], fold[-1] = op.dir_lo[0], op.dir_hi[0]
+    mat = neg_matrix(op.diag[:, 0], op.weights[:, 0])
+    x_sol = np.linalg.solve(mat, op.corr[:, 0] + fold)
     scale = max(1.0, np.abs(u).max())
     solve_err = np.abs(x_sol - u[1:-1]).max() / scale
-    resid = np.abs(apply_operator(sys, u)).max() * h * h / scale
+    field = np.broadcast_to(u[:, None, None], op.shape).copy()
+    resid = np.abs(op.apply(field)[:, 1, 1]).max() * h * h / scale
     return max(solve_err, resid)
 
 
@@ -268,9 +264,8 @@ def _substep_worst_error() -> float:
 
 
 def _two_sphere_line_check() -> tuple[float, int]:
-    """Worst Thomas-vs-dense residual and the number of lines checked."""
-    from gfmpbe.stepping import compute_jumps
-
+    """Worst sweep-vs-dense residual and the number of lines checked, on the
+    operators build_split_operators makes."""
     rng = np.random.default_rng(2025)
     atoms = AtomSet(
         [Atom((0.0, 0.0, 0.0), 1.0, 1.8), Atom((2.1, 0.5, -0.2), -0.6, 1.4)]
@@ -278,55 +273,42 @@ def _two_sphere_line_check() -> tuple[float, int]:
     grid = build_grid(atoms, h=0.5, probe_radius=1.0)
     data = classify_union(grid, atoms)
     params = PhysicalParams(eps_in=2.0, eps_out=80.0, kappa_sq=1.0)
+    # Dirichlet values 0.3 and -0.2 at the low and high end of every line
+    bvals = np.zeros(grid.shape)
+    for axis in range(3):
+        lo, hi = [slice(1, -1)] * 3, [slice(1, -1)] * 3
+        lo[axis], hi[axis] = 0, -1
+        bvals[tuple(lo)], bvals[tuple(hi)] = 0.3, -0.2
+    split = build_split_operators(data, atoms, params, Field(grid, bvals))
     jumps = compute_jumps(data, atoms, params)
     worst = 0.0
     n_lines = 0
-    for axis in range(3):
-        t1, t2 = (a for a in range(3) if a != axis)
-        cuts = {}
-        for key, c in data.crossings.items():
-            if c.axis != axis:
-                continue
-            cuts.setdefault((c.index[t1], c.index[t2]), {})[c.index[axis]] = (
-                c.theta,
-                jumps[key],
-            )
-        for a1 in range(1, grid.shape[t1] - 1):
-            for a2 in range(1, grid.shape[t2] - 1):
-                sl = [slice(None)] * 3
-                sl[t1], sl[t2] = a1, a2
-                sys = assemble_line(
-                    axis,
-                    data.inside[tuple(sl)],
-                    (params.eps_in, params.eps_out),
-                    cuts.get((a1, a2), {}),
-                    (0.3, -0.2),
-                    grid.h,
-                )
-                # symmetry is structural; assert dominance on every line
-                assert np.all(sys.off <= 0.0) and np.all(sys.diag >= 0.0)
-                coupling = np.zeros(sys.n_interior)
-                coupling[1:] += -sys.off
-                coupling[:-1] += -sys.off
-                coupling[0] += sys.w_lo
-                coupling[-1] += sys.w_hi
-                assert np.all(sys.diag >= coupling * (1 - 1e-13))
-                n_lines += 1
-                if a1 == a2:  # dense comparison on the diagonal subset
-                    m = sys.n_interior
-                    dt = 0.37
-                    rhs = rng.normal(size=m)
-                    mat = np.eye(m) + dt * (
-                        np.diag(sys.diag)
-                        + np.diag(sys.off, 1)
-                        + np.diag(sys.off, -1)
-                    )
-                    fold = np.zeros(m)
-                    fold[0] = sys.w_lo * sys.bc_lo
-                    fold[-1] = sys.w_hi * sys.bc_hi
-                    want = np.linalg.solve(mat, rhs + dt * (sys.corr + fold))
-                    got = thomas_solve(sys, dt, rhs.copy())
-                    worst = max(worst, float(np.abs(got - want).max()))
+    dt = 0.37
+    for op in split.ops:
+        w = op.weights
+        # symmetry is structural; assert dominance on every line
+        assert np.all(w >= 0.0) and np.all(op.diag >= 0.0)
+        assert np.all(op.diag >= (w[:-1] + w[1:]) * (1 - 1e-13))
+        n_lines += op.diag.shape[1]
+        # dense comparison on the diagonal subset, a1 == a2, against the
+        # reference arrays of assemble_lines
+        t1, t2 = (grid.shape[a] - 2 for a in range(3) if a != op.axis)
+        subset = np.arange(min(t1, t2)) * (t2 + 1)
+        diag, weights, corr, dir_lo, dir_hi = axis_lines(
+            data, params, jumps, bvals, op.axis, subset
+        )
+        m = len(diag)
+        rhs = rng.normal(size=grid.shape)
+        got = op.solve(dt, rhs, split.boundary)
+        rhs, got = (
+            np.moveaxis(v, op.axis, 0)[1:-1, 1:-1, 1:-1].reshape(m, -1) for v in (rhs, got)
+        )
+        for k, line in enumerate(subset):
+            mat = np.eye(m) + dt * neg_matrix(diag[:, k], weights[:, k])
+            fold = np.zeros(m)
+            fold[0], fold[-1] = dir_lo[k], dir_hi[k]
+            want = np.linalg.solve(mat, rhs[:, line] + dt * (corr[:, k] + fold))
+            worst = max(worst, float(np.abs(got[:, line] - want).max()))
     return worst, n_lines
 
 

@@ -1,14 +1,22 @@
-"""End-to-end tests of the command-line interface and its exit codes."""
+"""End-to-end tests of the command-line interface and its exit codes, and
+of the package's public names."""
 
 import subprocess
 import sys
 
 import pytest
 
+import gfmpbe
 from gfmpbe import cli, driver
 from gfmpbe.cli import build_parser, main
 from gfmpbe.grid import Grid
 from gfmpbe.surface import AXIS_NAMES, THETA_MIN, classify_sphere, export_interface
+
+
+def test_public_names_resolve():
+    names = gfmpbe.__all__
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(gfmpbe, n)] == []
 
 
 @pytest.fixture

@@ -1,23 +1,13 @@
-"""Tests for line assembly, the Thomas solver, and operator application."""
+"""Tests for the ghost-fluid terms, the L D L^T kernel and the axis
+operators that build_split_operators makes, on one line and on whole grids."""
 
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gfmpbe import gfm
 from gfmpbe.errors import AssemblyError, ConfigError, NumericalError
-from gfmpbe.gfm import (
-    JumpData,
-    LineSystem,
-    apply_operator,
-    assemble_line,
-    ldlt_factor,
-    ldlt_factor_into,
-    ldlt_solve,
-    thomas_solve,
-)
+from gfmpbe.gfm import cut_terms, ldlt_factor_into, ldlt_solve
 from gfmpbe.grid import Field, Grid, build_grid
 from gfmpbe.molecule import Atom, AtomSet, PhysicalParams, dirichlet_boundary
 from gfmpbe.stepping import build_split_operators, compute_jumps
@@ -29,85 +19,93 @@ from gfmpbe.surface import (
     classify_sphere,
     classify_union,
 )
-from line_arrays import operator_from_lines
-
-NO_JUMP = JumpData(0.0, 0.0)
+from line_arrays import (
+    assemble_lines,
+    axis_lines,
+    line_interface,
+    line_split,
+    neg_matrix,
+    operator_from_lines,
+)
 
 
 def _uniform_line(n=8, eps=3.0, h=0.5, bc=(1.0, -2.0), inside=True):
-    flags = np.full(n, inside, dtype=bool)
-    return assemble_line(0, flags, (eps, 80.0) if inside else (1.0, eps), {}, bc, h)
+    flags = np.full(n, inside)
+    return line_split(flags, (eps, 80.0) if inside else (1.0, eps), {}, bc, h).ops[0]
 
 
-def _dense_neg_a(sys: LineSystem) -> np.ndarray:
-    """Materialize the stored negated operator M = -A."""
-    m = sys.n_interior
-    mat = np.zeros((m, m))
-    mat[np.arange(m), np.arange(m)] = sys.diag
-    mat[np.arange(m - 1), np.arange(1, m)] = sys.off
-    mat[np.arange(1, m), np.arange(m - 1)] = sys.off
-    return mat
+def _column(op, line=0) -> tuple:
+    """One line's diag, weights, corr, dir_lo and dir_hi."""
+    return (op.diag[:, line], op.weights[:, line], op.corr[:, line],
+            op.dir_lo[line], op.dir_hi[line])
 
 
-def _stacked(systems) -> tuple:
-    """AxisOperator arrays stacked from one-line systems, line-major:
-    diag, weights, corr, dir_lo, dir_hi."""
-    return (
-        np.stack([s.diag for s in systems], axis=1),
-        np.stack([np.r_[s.w_lo, -s.off, s.w_hi] for s in systems], axis=1),
-        np.stack([s.corr for s in systems], axis=1),
-        np.array([s.w_lo * s.bc_lo for s in systems]),
-        np.array([s.w_hi * s.bc_hi for s in systems]),
-    )
+def _fold(dir_lo, dir_hi, m) -> np.ndarray:
+    f = np.zeros(m)
+    f[0], f[-1] = dir_lo, dir_hi
+    return f
+
+
+def _on_lines(values) -> np.ndarray:
+    """A field of line_split's grid that repeats values (n,) on every line
+    along axis 0."""
+    return np.broadcast_to(np.asarray(values)[:, None, None], (len(values), 4, 4)).copy()
+
+
+def _sweep(op, tau, rhs) -> np.ndarray:
+    """op.solve on line_split's grid with rhs (n-2,) on every line along
+    axis 0; line 0's interior values."""
+    field = _on_lines(np.r_[0.0, rhs, 0.0])
+    return op.solve(tau, field, np.zeros(field.shape))[1:-1, 1, 1]
+
+
+def _lines_operator(axis, shape, weights, corr, dir_lo, dir_hi):
+    """The AxisOperator of line-major weights (n-1, L), corr (n-2, L) and
+    end terms (L,), with diag = W_left + W_right."""
+    weights = np.asarray(weights, dtype=float)
+    diag = weights[:-1] + weights[1:]
+    return operator_from_lines(axis, shape, diag, weights, corr, dir_lo, dir_hi)
 
 
 def _bits(a) -> np.ndarray:
     return np.asarray(a, dtype=float).view(np.uint64)
 
 
-def _fold(sys: LineSystem) -> np.ndarray:
-    f = np.zeros(sys.n_interior)
-    f[0] = sys.w_lo * sys.bc_lo
-    f[-1] = sys.w_hi * sys.bc_hi
-    return f
-
-
 class TestRegularStencil:
     def test_constant_eps_tridiag(self):
         eps, h = 3.0, 0.5
-        sys = _uniform_line(n=8, eps=eps, h=h)
+        diag, weights, corr, dir_lo, dir_hi = _column(_uniform_line(n=8, eps=eps, h=h))
         w = eps / h**2
-        np.testing.assert_allclose(sys.diag, 2 * w, rtol=1e-15)
-        np.testing.assert_allclose(sys.off, -w, rtol=1e-15)
-        np.testing.assert_allclose(sys.corr, 0.0)
-        assert sys.w_lo == pytest.approx(w)
-        assert sys.w_hi == pytest.approx(w)
+        np.testing.assert_allclose(diag, 2 * w, rtol=1e-15)
+        np.testing.assert_allclose(weights, w, rtol=1e-15)
+        np.testing.assert_allclose(corr, 0.0)
+        assert dir_lo == pytest.approx(w * 1.0)
+        assert dir_hi == pytest.approx(w * -2.0)
 
     def test_homogeneous_jump_reduces_to_harmonic(self):
         # One cut with a = b = 0: harmonic edge weight, zero corrections.
         flags = np.array([True, True, True, False, False, False])
         eps_in, eps_out, h, theta = 2.0, 80.0, 1.0, 0.3
-        sys = assemble_line(
-            0, flags, (eps_in, eps_out), {2: (theta, NO_JUMP)}, (0.0, 0.0), h
-        )
+        cuts = {2: (theta, 0.0, 0.0)}
+        op = line_split(flags, (eps_in, eps_out), cuts, (0.0, 0.0), h).ops[0]
         denom = eps_out * theta + eps_in * (1 - theta)
         w_hat = eps_in * eps_out / denom
-        # Cut edge (2,3) couples interior nodes 2 and 3 -> off index 1.
-        assert -sys.off[1] == pytest.approx(w_hat, rel=1e-14)
-        np.testing.assert_allclose(sys.corr, 0.0)
+        _, weights, corr, _, _ = _column(op)
+        assert weights[2] == pytest.approx(w_hat, rel=1e-14)
+        np.testing.assert_allclose(corr, 0.0)
 
     def test_constants_in_kernel(self):
-        sys = _uniform_line(n=9, bc=(4.0, 4.0))
-        v = np.full(9, 4.0)
-        np.testing.assert_allclose(apply_operator(sys, v), 0.0, atol=1e-12)
+        op = _uniform_line(n=9, bc=(4.0, 4.0))
+        np.testing.assert_allclose(op.apply(np.full((9, 4, 4), 4.0)), 0.0, atol=1e-12)
 
     def test_zero_everything(self):
-        sys = _uniform_line(n=7, bc=(0.0, 0.0))
-        np.testing.assert_allclose(apply_operator(sys, np.zeros(7)), 0.0)
+        op = _uniform_line(n=7, bc=(0.0, 0.0))
+        np.testing.assert_allclose(op.apply(np.zeros((7, 4, 4))), 0.0)
 
 
 class TestManufactured:
-    """Piecewise-linear two-material profiles are reproduced exactly."""
+    """Piecewise-linear two-material profiles are reproduced exactly by the
+    operator build_split_operators makes."""
 
     def _draw(self, rng):
         n = int(rng.integers(8, 16))
@@ -134,126 +132,112 @@ class TestManufactured:
         flags = np.zeros(n, dtype=bool)
         flags[: cut + 1] = low_inside
         flags[cut + 1 :] = not low_inside
-        sys = assemble_line(
-            0,
-            flags,
-            (eps_in, eps_out),
-            {cut: (theta, JumpData(a, b))},
-            (u[0], u[-1]),
-            h,
-        )
-        return sys, u
+        eps, cuts, bc = (eps_in, eps_out), {cut: (theta, a, b)}, (u[0], u[-1])
+        split = line_split(flags, eps, cuts, bc, h)
+        dense = assemble_lines(flags[:, None], eps, ([cut], [0], [theta], [a], [b]), bc, h)
+        return split, dense, u, h
 
     def test_twenty_random_draws(self):
         rng = np.random.default_rng(2024)
         for _ in range(20):
-            sys, u = self._draw(rng)
+            split, dense, u, h = self._draw(rng)
+            op = split.ops[0]
+            got = _column(op)
+            for g, want in zip(got, dense):
+                assert np.array_equal(_bits(np.reshape(g, -1)), _bits(np.reshape(want, -1)))
+            diag, weights, corr, dir_lo, dir_hi = got
             scale = max(1.0, np.abs(u).max())
             # The profile is a discrete steady state: A u + c + fold = 0.
-            res = apply_operator(sys, u)
-            assert np.abs(res).max() / (scale / sys.h**2) < 1e-12
+            res = op.apply(_on_lines(u))[:, 1, 1]
+            assert np.abs(res).max() / (scale / h**2) < 1e-12
             # Direct solve reproduces the interior nodal values.
-            m = _dense_neg_a(sys)
-            x = np.linalg.solve(m, sys.corr + _fold(sys))
+            m = len(diag)
+            x = np.linalg.solve(neg_matrix(diag, weights), corr + _fold(dir_lo, dir_hi, m))
             np.testing.assert_allclose(x, u[1:-1], rtol=0, atol=1e-12 * scale)
             # And the shifted solve has the profile as fixed point.
             for dt in (1e-3, 0.1, 7.0):
-                y = thomas_solve(sys, dt, u[1:-1].copy())
+                y = op.solve(dt, _on_lines(u), split.boundary)[1:-1, 1, 1]
                 np.testing.assert_allclose(y, u[1:-1], rtol=0, atol=1e-11 * scale)
 
 
 class TestThomas:
+    """The batched sweep, L D L^T on every line, against dense solves."""
+
     def _random_system(self, rng, n=12):
+        """A synthetic variable-coefficient line: its operator on
+        line_split's grid (four equal lines along axis 0), and its arrays."""
         weights = rng.uniform(0.5, 20.0, size=n - 1)
-        flags = np.full(n, True)
-        h = 0.25
-        sys = assemble_line(0, flags, (1.0, 80.0), {}, (0.0, 0.0), h)
-        # Replace by a synthetic variable-coefficient system.
-        return LineSystem(
-            diag=weights[:-1] + weights[1:],
-            off=-weights[1:-1],
-            corr=rng.normal(size=n - 2),
-            bc_lo=float(rng.normal()),
-            bc_hi=float(rng.normal()),
-            w_lo=float(weights[0]),
-            w_hi=float(weights[-1]),
-            h=h,
-        )
+        corr = rng.normal(size=n - 2)
+        dir_lo, dir_hi = weights[0] * rng.normal(), weights[-1] * rng.normal()
+        lines = np.repeat(weights[:, None], 4, axis=1), np.repeat(corr[:, None], 4, axis=1)
+        op = _lines_operator(0, (n, 4, 4), *lines, np.full(4, dir_lo), np.full(4, dir_hi))
+        return op, weights[:-1] + weights[1:], weights, corr, _fold(dir_lo, dir_hi, n - 2)
 
     def test_identity_at_dt_zero(self):
         rng = np.random.default_rng(5)
-        sys = self._random_system(rng)
-        rhs = rng.normal(size=sys.n_interior)
-        np.testing.assert_array_equal(thomas_solve(sys, 0.0, rhs.copy()), rhs)
+        op, *_ = self._random_system(rng)
+        rhs = rng.normal(size=10)
+        np.testing.assert_array_equal(_sweep(op, 0.0, rhs), rhs)
 
     def test_small_system_vs_dense(self):
         rng = np.random.default_rng(8)
-        sys = self._random_system(rng, n=5)  # 3 interior unknowns
+        op, diag, weights, corr, fold = self._random_system(rng, n=5)  # 3 unknowns
         dt = 0.37
         rhs = rng.normal(size=3)
-        got = thomas_solve(sys, dt, rhs.copy())
-        mat = np.eye(3) + dt * _dense_neg_a(sys)
-        want = np.linalg.solve(mat, rhs + dt * (sys.corr + _fold(sys)))
+        got = _sweep(op, dt, rhs)
+        mat = np.eye(3) + dt * neg_matrix(diag, weights)
+        want = np.linalg.solve(mat, rhs + dt * (corr + fold))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
     def test_residual_bound_random_100(self):
         rng = np.random.default_rng(13)
-        sys = self._random_system(rng, n=102)
+        op, diag, weights, corr, fold = self._random_system(rng, n=102)
         dt = 2.5
         rhs = rng.normal(size=100)
-        x = thomas_solve(sys, dt, rhs.copy())
-        mat = np.eye(100) + dt * _dense_neg_a(sys)
-        full_rhs = rhs + dt * (sys.corr + _fold(sys))
+        x = _sweep(op, dt, rhs)
+        mat = np.eye(100) + dt * neg_matrix(diag, weights)
+        full_rhs = rhs + dt * (corr + fold)
         res = np.abs(mat @ x - full_rhs).max()
         assert res <= 1e-10 * max(np.abs(full_rhs).max(), 1.0)
-
-    def test_rhs_length_checked(self):
-        sys = _uniform_line(n=8)
-        with pytest.raises(ConfigError):
-            thomas_solve(sys, 0.1, np.zeros(7))
 
     def test_zero_pivot_raises(self):
         # Weights [-2, 1, 1, 1]: 1 + dt*diag[0] == 0, the first pivot of
         # I + dt*M vanishes.
-        sys = LineSystem(
-            diag=np.array([-1.0, 2.0, 2.0]),
-            off=np.array([-1.0, -1.0]),
-            corr=np.zeros(3),
-            bc_lo=0.0,
-            bc_hi=0.0,
-            w_lo=-2.0,
-            w_hi=1.0,
-            h=1.0,
-        )
+        w = np.repeat([[-2.0], [1.0], [1.0], [1.0]], 4, axis=1)
+        op = _lines_operator(0, (5, 4, 4), w, np.zeros((3, 4)), np.zeros(4), np.zeros(4))
         with pytest.raises(NumericalError):
-            thomas_solve(sys, 1.0, np.ones(3))
-        # The batched sweep shares the factorization: one line along x.
-        op = operator_from_lines(0, (5, 3, 3), *_stacked([sys]))
-        field = np.ones((5, 3, 3))
-        with pytest.raises(NumericalError):
-            op.solve(1.0, field, np.zeros((5, 3, 3)))
+            op.solve(1.0, np.ones((5, 4, 4)), np.zeros((5, 4, 4)))
 
     def test_sweep_matches_with_corrections_on_line_ends(self):
         # A correction on a line's first or last interior node lands on the
-        # entry that also takes the Dirichlet end: the batched sweep and
-        # thomas_solve add the end first and the correction after it.
+        # entry that also takes the Dirichlet end.  Each line of the batched
+        # sweep equals the same line swept on its own, bit for bit, and the
+        # dense solve of its system.
         rng = np.random.default_rng(17)
-        systems = []
-        for line in range(12):
-            corr = np.zeros(5)
-            corr[[0, -1]] = rng.normal(size=2) * 10.0 ** rng.integers(-4, 5, size=2)
-            corr[2] = rng.normal() if line % 3 == 0 else 0.0
-            systems.append(replace(self._random_system(rng, n=7), corr=corr))
+        weights = rng.uniform(0.5, 20.0, size=(6, 12))
+        corr = np.zeros((5, 12))
+        corr[[0, -1]] = rng.normal(size=(2, 12)) * 10.0 ** rng.integers(-4, 5, size=(2, 12))
+        corr[2, ::3] = rng.normal(size=4)
+        dir_lo, dir_hi = rng.normal(size=(2, 12)) * weights[[0, -1]]
         shape = (5, 7, 6)  # along axis 1, 3 x 4 interior lines
-        op = operator_from_lines(1, shape, *_stacked(systems))
+        op = _lines_operator(1, shape, weights, corr, dir_lo, dir_hi)
         assert set(op.corr_lines // 12) == {0, 2, 4}
         rhs = rng.normal(size=shape) * 10.0 ** rng.integers(-4, 5, size=shape)
         for tau in (0.01, 0.3, 2.5):
             got = op.solve(tau, rhs, np.zeros(shape))
-            for line, sys in enumerate(systems):
+            for line in range(12):
                 i0, i2 = divmod(line, 4)
-                want = thomas_solve(sys, tau, rhs[i0 + 1, 1:-1, i2 + 1])
+                arrays = (weights, corr, dir_lo, dir_hi)
+                one = (np.repeat(a[..., [line]], 4, axis=-1) for a in arrays)
+                want = _sweep(_lines_operator(0, (7, 4, 4), *one), tau, rhs[i0 + 1, 1:-1, i2 + 1])
                 np.testing.assert_array_equal(got[i0 + 1, 1:-1, i2 + 1], want)
+                w = weights[:, line]
+                mat = np.eye(5) + tau * neg_matrix(w[:-1] + w[1:], w)
+                fold = _fold(dir_lo[line], dir_hi[line], 5)
+                b = rhs[i0 + 1, 1:-1, i2 + 1] + tau * (corr[:, line] + fold)
+                np.testing.assert_allclose(
+                    want, np.linalg.solve(mat, b), rtol=1e-12, atol=1e-12 * np.abs(b).max()
+                )
 
     # The weights W, with W_1 = 1, give diag = W_left + W_right.  1 + diag[0]
     # = 0 zeroes the first pivot; 1 + diag[1] = W_1^2 / (1 + diag[0]) zeroes
@@ -263,24 +247,25 @@ class TestThomas:
         w = [diag[0] - 1.0, 1.0]
         for d in diag[1:]:
             w.append(d - w[-1])
-        sys = LineSystem(
-            diag=np.array(diag),
-            off=-np.array(w[1:-1]),
-            corr=np.zeros(4),
-            bc_lo=0.0,
-            bc_hi=0.0,
-            w_lo=w[0],
-            w_hi=w[-1],
-            h=1.0,
+        regular = np.full(5, 12.0)
+        weights = np.column_stack([regular, w])
+        ends = np.zeros(2)
+        op = _lines_operator(2, (3, 4, 6), weights, np.zeros((4, 2)), ends, ends)
+        alone = _lines_operator(
+            0, (6, 4, 4), np.repeat(np.c_[w], 4, axis=1), np.zeros((4, 4)),
+            np.zeros(4), np.zeros(4),
         )
-        regular = _uniform_line(n=6)
-        op = operator_from_lines(2, (3, 4, 6), *_stacked([regular, sys]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="zero pivot"):
-                thomas_solve(sys, 1.0, np.ones(4))
+                _sweep(alone, 1.0, np.ones(4))
             with pytest.raises(NumericalError, match="zero pivot"):
                 op.solve(1.0, np.ones((3, 4, 6)), np.zeros((3, 4, 6)))
+
+
+def _factor(diag, off, tau):
+    """ldlt_factor_into on a copy, o = tau*off."""
+    return ldlt_factor_into(diag, np.multiply(off, tau), tau)
 
 
 def _three_op_factor(diag, off, tau):
@@ -320,7 +305,7 @@ class TestLdltFactor:
         row_sum[:-1] += np.abs(off)
         diag = margin * row_sum + rng.uniform(0.0, 5.0, (m, *batch))
         for tau in (1e-6, 0.01, 0.7, 40.0, 1e4):
-            cp, inv = ldlt_factor(diag, off, tau)
+            cp, inv = _factor(diag, off, tau)
             cp3, inv3, growth = _three_op_factor(diag, off, tau)
             # With the diagonal twice the row sum the cancellation is mild
             # and the forms agree within 4 ulps; at bare dominance, within 4
@@ -349,24 +334,27 @@ class TestFactorInPlace:
         rng = np.random.default_rng(71)
         off = -rng.uniform(0.5, 2.0, (8, 5))
         diag = rng.uniform(5.0, 6.0, (9, 5))
-        cp, inv = ldlt_factor(diag, off, 0.3)
+        kept = diag.copy()
         o = off * 0.3
-        got = ldlt_factor_into(diag, o, 0.3)
-        assert got[0] is o
-        np.testing.assert_array_equal(got[0].view(np.uint64), cp.view(np.uint64))
-        np.testing.assert_array_equal(got[1].view(np.uint64), inv.view(np.uint64))
+        cp, inv = ldlt_factor_into(diag, o, 0.3)
+        assert cp is o
+        assert not np.shares_memory(inv, diag)
+        np.testing.assert_array_equal(_bits(diag), _bits(kept))
+        want_cp, want_inv, _ = _three_op_factor(diag, off, 0.3)
+        np.testing.assert_allclose(cp, want_cp, rtol=1e-14)
+        np.testing.assert_allclose(inv, want_inv, rtol=1e-14)
 
     def test_zero_pivot_on_one_line_raises(self):
         diag = np.full((4, 3), 2.0)
         diag[0, 1] = -1.0
         off = np.full((3, 3), -0.5)
         with pytest.raises(NumericalError, match="zero pivot"):
-            ldlt_factor(diag, off, 1.0)
+            _factor(diag, off, 1.0)
         with pytest.raises(NumericalError, match="zero pivot"):
-            ldlt_factor(diag[:, 1], off[:, 1], 1.0)
+            _factor(diag[:, 1], off[:, 1], 1.0)
 
     def test_nan_pivot_is_not_a_zero_pivot(self):
-        cp, inv = ldlt_factor(np.array([np.nan, 2.0, 2.0]), np.array([-0.5, -0.5]), 1.0)
+        cp, inv = _factor(np.array([np.nan, 2.0, 2.0]), np.array([-0.5, -0.5]), 1.0)
         assert np.isnan(inv).all() and np.isnan(cp).all()
 
 
@@ -374,87 +362,71 @@ class TestApplyOperator:
     def test_random_vs_dense(self):
         rng = np.random.default_rng(21)
         flags = np.array([True] * 4 + [False] * 6)
-        jump = JumpData(a=0.7, b=-1.3)
-        sys = assemble_line(
-            0, flags, (2.0, 80.0), {3: (0.4, jump)}, (0.6, -0.9), 0.5
-        )
+        bc = (0.6, -0.9)
+        op = line_split(flags, (2.0, 80.0), {3: (0.4, 0.7, -1.3)}, bc, 0.5).ops[0]
+        diag, weights, corr, dir_lo, dir_hi = _column(op)
         v = rng.normal(size=10)
-        v[0], v[-1] = sys.bc_lo, sys.bc_hi
-        got = apply_operator(sys, v)
-        m = _dense_neg_a(sys)
-        want = -m @ v[1:-1] + sys.corr + _fold(sys)
+        v[0], v[-1] = bc
+        got = op.apply(_on_lines(v))[:, 1, 1]
+        want = -neg_matrix(diag, weights) @ v[1:-1] + corr + _fold(dir_lo, dir_hi, 8)
         # A rounding bound scaled by the magnitudes of the summed terms
         # (W_lo v_lo, diag v, W_hi v_hi and c at each node), so that any
         # order of the additions passes and a wrong term does not.
-        w = np.r_[sys.w_lo, -sys.off, sys.w_hi]
         terms = (
-            np.abs(w[:-1] * v[:-2])
-            + np.abs(sys.diag * v[1:-1])
-            + np.abs(w[1:] * v[2:])
-            + np.abs(sys.corr)
+            np.abs(weights[:-1] * v[:-2])
+            + np.abs(diag * v[1:-1])
+            + np.abs(weights[1:] * v[2:])
+            + np.abs(corr)
         )
         assert np.all(np.abs(got[1:-1] - want) <= 8 * np.finfo(float).eps * terms)
         assert got[0] == 0.0 and got[-1] == 0.0
 
     def test_length_checked(self):
-        sys = _uniform_line(n=8)
+        op = _uniform_line(n=8)
         with pytest.raises(ConfigError):
-            apply_operator(sys, np.zeros(9))
+            op.apply(np.zeros((8, 4, 4)), out=np.zeros((9, 4, 4)))
 
 
 class TestAssemblyValidation:
+    """The checks the build relies on, on a line: InterfaceData makes them
+    where the interface is made."""
+
     def test_mixed_edge_without_cut(self):
-        flags = np.array([True, True, False, False, False])
-        with pytest.raises(AssemblyError, match="no crossing"):
-            assemble_line(0, flags, (1.0, 80.0), {}, (0.0, 0.0), 1.0)
+        flags = [True, True, False, False, False]
+        with pytest.raises(AssemblyError, match="without crossing"):
+            line_interface(flags, [], [])
 
     def test_cut_on_uniform_edge(self):
-        flags = np.full(5, True)
-        with pytest.raises(AssemblyError, match="no side change"):
-            assemble_line(
-                0, flags, (1.0, 80.0), {1: (0.5, NO_JUMP)}, (0.0, 0.0), 1.0
-            )
+        with pytest.raises(AssemblyError, match="uniform edge"):
+            line_interface([True] * 5, [1], [0.5])
 
     def test_theta_clamp_range(self):
-        flags = np.array([True, True, False, False, False])
+        flags = [True, True, False, False, False]
         with pytest.raises(AssemblyError, match="clamp"):
-            assemble_line(
-                0, flags, (1.0, 80.0), {1: (1e-9, NO_JUMP)}, (0.0, 0.0), 1.0
-            )
+            line_interface(flags, [1], [1e-9])
 
     def test_repeated_cut_does_not_stand_for_a_missing_one(self):
         # Two cuts for two side changes, but both on edge 1.
-        flags = np.array([True, True, False, False, True, True])[:, None]
-        cuts = ([1, 1], [0, 0], [0.5, 0.5], [0.0, 0.0], [0.0, 0.0])
-        with pytest.raises(AssemblyError, match="edge 3 on axis 0 changes side"):
-            gfm.assemble_lines(0, flags, (1.0, 80.0), cuts, (0.0, 0.0), 1.0)
+        flags = [True, True, False, False, True, True]
+        with pytest.raises(ConfigError, match=r"duplicate crossing on edge \(0, 1, 0, 0\)"):
+            line_interface(flags, [1, 1], [0.5, 0.5])
 
     def test_cut_past_the_last_edge(self):
-        flags = np.array([True, True, False, False, False])[:, None]
-        cuts = ([1, 4], [0, 0], [0.5, 0.5], [0.0, 0.0], [0.0, 0.0])
-        with pytest.raises(AssemblyError, match="edge 4 on axis 0 has a crossing"):
-            gfm.assemble_lines(0, flags, (1.0, 80.0), cuts, (0.0, 0.0), 1.0)
-
-    def test_non_finite_jump_rejected(self):
-        with pytest.raises(AssemblyError):
-            JumpData(float("nan"), 0.0)
+        flags = [True, True, False, False, False]
+        with pytest.raises(AssemblyError, match=r"uniform edge: \(0, 4, 0, 0\)"):
+            line_interface(flags, [1, 4], [0.5, 0.5])
 
     def test_harmonic_limits(self):
-        eps_in, eps_out = 2.0, 80.0
-        flags = np.array([True, True, True, False, False, False])
-        lo = assemble_line(
-            0, flags, (eps_in, eps_out), {2: (1e-6, NO_JUMP)}, (0.0, 0.0), 1.0
-        )
-        hi = assemble_line(
-            0, flags, (eps_in, eps_out), {2: (1.0 - 1e-6, NO_JUMP)}, (0.0, 0.0), 1.0
-        )
         # theta -> 0: weight approaches the far-side eps; theta -> 1: near side.
-        assert -lo.off[1] == pytest.approx(eps_out, rel=1e-4)
-        assert -hi.off[1] == pytest.approx(eps_in, rel=1e-4)
+        eps_in, eps_out = 2.0, 80.0
+        theta = np.array([1e-6, 1.0 - 1e-6])
+        w, _, _ = cut_terms(np.array([True, True]), (eps_in, eps_out), theta, 0.0, 0.0, 1.0)
+        assert w[0] == pytest.approx(eps_out, rel=1e-4)
+        assert w[1] == pytest.approx(eps_in, rel=1e-4)
 
 
 class TestTwoSphereLines:
-    """Symmetry and dominance on every assembled line of a real problem."""
+    """Symmetry and dominance on every line of a real problem's operators."""
 
     def test_all_lines_symmetric_and_dominant(self):
         atoms = AtomSet(
@@ -463,79 +435,24 @@ class TestTwoSphereLines:
         grid = build_grid(atoms, h=0.5, probe_radius=1.0)
         data = classify_union(grid, atoms)
         params = PhysicalParams(eps_in=1.0, eps_out=80.0, kappa_sq=1.0)
-        jumps = compute_jumps(data, atoms, params)
-        eps = (params.eps_in, params.eps_out)
+        split = build_split_operators(data, atoms, params, Field(grid, np.zeros(grid.shape)))
         n_checked = 0
         n_expected = 0
-        for axis in range(3):
-            t1, t2 = (a for a in range(3) if a != axis)
+        for op in split.ops:
+            t1, t2 = (a for a in range(3) if a != op.axis)
             n_expected += (grid.shape[t1] - 2) * (grid.shape[t2] - 2)
-            cuts_by_line = {}
-            for key, c in data.crossings.items():
-                if c.axis != axis:
-                    continue
-                tv = (c.index[t1], c.index[t2])
-                cuts_by_line.setdefault(tv, {})[c.index[axis]] = (
-                    c.theta,
-                    jumps[key],
-                )
-            for a1 in range(1, grid.shape[t1] - 1):
-                for a2 in range(1, grid.shape[t2] - 1):
-                    sl = [slice(None)] * 3
-                    sl[t1], sl[t2] = a1, a2
-                    flags = data.inside[tuple(sl)]
-                    sys = assemble_line(
-                        axis, flags, eps, cuts_by_line.get((a1, a2), {}),
-                        (0.0, 0.0), grid.h,
-                    )
-                    assert np.all(sys.off <= 0.0)
-                    assert np.all(sys.diag >= 0.0)
-                    # Row sums: diagonal equals the two couplings exactly,
-                    # counting the boundary links for the end rows.
-                    m = sys.n_interior
-                    coupling = np.zeros(m)
-                    coupling[1:] += -sys.off
-                    coupling[:-1] += -sys.off
-                    coupling[0] += sys.w_lo
-                    coupling[-1] += sys.w_hi
-                    np.testing.assert_allclose(
-                        sys.diag, coupling, rtol=1e-13, atol=0
-                    )
-                    # -A is PSD: check via Gershgorin (diag dominance of M).
-                    evals = np.linalg.eigvalsh(_dense_neg_a(sys))
-                    assert evals.min() >= -1e-10 * max(1.0, evals.max())
-                    n_checked += 1
+            diag, weights = op.diag, op.weights
+            # -A has the off-diagonal -W <= 0 and the diagonal >= 0.
+            assert np.all(weights >= 0.0) and np.all(diag >= 0.0)
+            # Row sums: diagonal equals the two couplings exactly, counting
+            # the boundary links for the end rows.
+            np.testing.assert_allclose(diag, weights[:-1] + weights[1:], rtol=1e-13, atol=0)
+            # -A is PSD on every line.
+            mats = [neg_matrix(diag[:, k], weights[:, k]) for k in range(diag.shape[1])]
+            evals = np.linalg.eigvalsh(np.array(mats))
+            assert np.all(evals.min(axis=1) >= -1e-10 * np.maximum(1.0, evals.max(axis=1)))
+            n_checked += diag.shape[1]
         assert n_checked == n_expected
-
-
-def _per_line_arrays(data, params, jumps, bvals, axis) -> tuple:
-    """One assemble_line call per interior line, stacked like AxisOperator."""
-    shape = data.grid.shape
-    t1, t2 = (a for a in range(3) if a != axis)
-    cuts = {}
-    for key, c in data.crossings.items():
-        if c.axis == axis:
-            cuts.setdefault((c.index[t1], c.index[t2]), {})[c.index[axis]] = (
-                c.theta,
-                jumps[key],
-            )
-    systems = []
-    for a1 in range(1, shape[t1] - 1):
-        for a2 in range(1, shape[t2] - 1):
-            sl = [slice(None)] * 3
-            sl[t1], sl[t2] = a1, a2
-            ends = bvals[tuple(sl)][[0, -1]]
-            systems.append(
-                assemble_line(
-                    axis,
-                    data.inside[tuple(sl)],
-                    (params.eps_in, params.eps_out),
-                    cuts.get((a1, a2), {}),
-                    (float(ends[0]), float(ends[1])),
-                    data.grid.h,
-                )
-            )
-    return _stacked(systems)
 
 
 def _face_values(grid, atoms, params) -> np.ndarray:
@@ -594,24 +511,9 @@ def _oracle_case(name: str):
     return _sliver(Grid((-3.0, -3.0, -3.0), 1.0, (7, 7, 7))), far_atom
 
 
-def _assembled_lines(data, params, jumps, bvals, axis) -> tuple:
-    """One gfm.assemble_lines call over the axis's interior lines, in C
-    order of the two transverse axes: the operator's dense arrays."""
-    shape, idx = data.grid.shape, data.index
-    t = [a for a in range(3) if a != axis]
-    inner = np.all((idx[:, t] > 0) & (idx[:, t] < np.take(shape, t) - 1), axis=1)
-    own = (data.axis == axis) & inner
-    line = (idx[own, t[0]] - 1) * (shape[t[1]] - 2) + idx[own, t[1]] - 1
-    cuts = (idx[own, axis], line, data.theta[own], jumps.a[own], jumps.b[own])
-    inside = np.moveaxis(data.inside, axis, 0)[:, 1:-1, 1:-1].reshape(shape[axis], -1)
-    bc = np.moveaxis(bvals, axis, 0)[[0, -1], 1:-1, 1:-1].reshape(2, -1)
-    eps = (params.eps_in, params.eps_out)
-    return gfm.assemble_lines(axis, inside, eps, cuts, bc, data.grid.h)
-
-
 class TestBatchedAssembly:
-    """Assembly from the crossings against the dense assemble_lines and one
-    assemble_line call per line."""
+    """Assembly from the crossings against the dense assemble_lines, over
+    all lines at once and one line at a time."""
 
     @pytest.mark.parametrize("case", ["sphere", "union", "ses", "sliver"])
     def test_bit_identical_to_per_line(self, case):
@@ -628,8 +530,12 @@ class TestBatchedAssembly:
         names = ("diag", "weights", "corr", "dir_lo", "dir_hi")
         for axis, op in enumerate(split.ops):
             got = (op.diag, op.weights, op.corr, op.dir_lo, op.dir_hi)
-            per_line = _per_line_arrays(data, params, jumps, bvals, axis)
-            direct = _assembled_lines(data, params, jumps, bvals, axis)
+            direct = axis_lines(data, params, jumps, bvals, axis)
+            lines = [
+                axis_lines(data, params, jumps, bvals, axis, [k])
+                for k in range(op.diag.shape[1])
+            ]
+            per_line = [np.concatenate(a, axis=-1) for a in zip(*lines)]
             for want in (per_line, direct):
                 for name, g, w in zip(names, got, want):
                     assert g.shape == w.shape, name
@@ -657,7 +563,7 @@ class TestBatchedAssembly:
         jumps = compute_jumps(data, atoms, params)
         for axis, op in enumerate(split.ops):
             got = (op.diag, op.weights, op.corr, op.dir_lo, op.dir_hi)
-            for g, w in zip(got, _assembled_lines(data, params, jumps, bvals, axis)):
+            for g, w in zip(got, axis_lines(data, params, jumps, bvals, axis)):
                 assert np.array_equal(_bits(g), _bits(w)), axis
 
     def test_equal_eps_keeps_every_cut_and_the_same_results(self):
@@ -671,7 +577,7 @@ class TestBatchedAssembly:
         jumps = compute_jumps(data, atoms, params)
         v = np.random.default_rng(21).normal(size=data.grid.shape)
         for axis, op in enumerate(split.ops):
-            direct = _assembled_lines(data, params, jumps, bvals, axis)
+            direct = axis_lines(data, params, jumps, bvals, axis)
             dense = operator_from_lines(axis, op.shape, *direct, edge_coeff=op.edge_coeff)
             assert len(dense._cut_w) == 0 < len(op._cut_w)
             got = (op.diag, op.weights, op.corr, op.dir_lo, op.dir_hi)
@@ -693,15 +599,16 @@ class TestBatchedAssembly:
         eps_in, eps_out, h = params.eps_in, params.eps_out, data.grid.h
         # Node (3, 2, 4): x line (2, 4) is interior line 1*5 + 3, position 3.
         c_lo, c_hi = data.crossings[(0, 2, 2, 4)], data.crossings[(0, 3, 2, 4)]
-        j_lo, j_hi = jumps[(0, 2, 2, 4)], jumps[(0, 3, 2, 4)]
+        a, b = jumps
+        lo, hi = data.row((0, 2, 2, 4)), data.row((0, 3, 2, 4))
         # Edge 2 -> 3 enters the plane: its high node is inside.
         d1 = eps_in * c_lo.theta + eps_out * (1 - c_lo.theta)
         w1 = eps_out * eps_in / d1 / h**2
-        from_lo = -w1 * j_lo.a - (eps_in * c_lo.theta / d1 / h) * -j_lo.b
+        from_lo = -w1 * a[lo] - (eps_in * c_lo.theta / d1 / h) * -b[lo]
         # Edge 3 -> 4 leaves it: its low node is inside.
         d2 = eps_out * c_hi.theta + eps_in * (1 - c_hi.theta)
         w2 = eps_in * eps_out / d2 / h**2
-        from_hi = -w2 * j_hi.a - (eps_in * (1 - c_hi.theta) / d2 / h) * j_hi.b
+        from_hi = -w2 * a[hi] - (eps_in * (1 - c_hi.theta) / d2 / h) * b[hi]
         got = split.ops[0].corr[2, 1 * 5 + 3]
         assert got == pytest.approx(from_lo + from_hi, rel=1e-13)
         assert abs(from_lo) > 0 and abs(from_hi) > 0
