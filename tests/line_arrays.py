@@ -9,7 +9,9 @@ axis_lines calls it on the crossings of an InterfaceData.
 operator_from_lines turns such arrays into an AxisOperator.  line_split
 builds the production split of a grid whose interior lines along axis 0
 are one line repeated, on line_interface's interface, and neg_matrix
-writes one line's -A out as a dense matrix.
+writes one line's -A out as a dense matrix.  line_solve sweeps one line
+on its own with the solver's kernel, adding the right-hand-side terms in
+AxisOperator.solve's order.
 """
 
 from unittest import mock
@@ -17,7 +19,7 @@ from unittest import mock
 import numpy as np
 
 from gfmpbe import stepping
-from gfmpbe.gfm import cut_terms
+from gfmpbe.gfm import cut_terms, ldlt_factor_into, ldlt_solve
 from gfmpbe.grid import Field, Grid
 from gfmpbe.molecule import Atom, AtomSet, PhysicalParams
 from gfmpbe.stepping import AxisOperator, build_split_operators
@@ -154,6 +156,27 @@ def neg_matrix(diag: np.ndarray, weights: np.ndarray) -> np.ndarray:
     and weights (n-1,)."""
     off = -weights[1:-1]
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def line_solve(weights, corr, dir_lo, dir_hi, tau: float, rhs) -> np.ndarray:
+    """Solve (I - tau*A) x = rhs + tau*(corr + Dirichlet fold) on one line
+    of weights (n-1,), corr (n-2,) and end terms dir_lo, dir_hi, rhs (n-2,).
+
+    The Dirichlet ends are added first and the nonzero corrections after
+    them, then ldlt_factor_into and ldlt_solve run on the one line; tau = 0
+    returns rhs.  AxisOperator.solve adds the same terms in the same order,
+    so its lines equal these bit for bit.
+    """
+    b = np.array(rhs, dtype=float)
+    if tau == 0.0:
+        return b
+    w = np.asarray(weights, dtype=float)
+    b[0] += tau * dir_lo
+    b[-1] += tau * dir_hi
+    nz = np.flatnonzero(corr)
+    b[nz] += tau * np.asarray(corr)[nz]
+    ldlt_solve(*ldlt_factor_into(w[:-1] + w[1:], np.multiply(w[1:-1], -tau), tau), b)
+    return b
 
 
 def _bits(a) -> np.ndarray:

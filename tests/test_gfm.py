@@ -23,6 +23,7 @@ from line_arrays import (
     assemble_lines,
     axis_lines,
     line_interface,
+    line_solve,
     line_split,
     neg_matrix,
     operator_from_lines,
@@ -210,9 +211,10 @@ class TestThomas:
 
     def test_sweep_matches_with_corrections_on_line_ends(self):
         # A correction on a line's first or last interior node lands on the
-        # entry that also takes the Dirichlet end.  Each line of the batched
-        # sweep equals the same line swept on its own, bit for bit, and the
-        # dense solve of its system.
+        # entry that also takes the Dirichlet end: the batched sweep and
+        # line_solve add the end first and the correction after it, so each
+        # line equals line_solve's bit for bit, and the dense solve of its
+        # system.
         rng = np.random.default_rng(17)
         weights = rng.uniform(0.5, 20.0, size=(6, 12))
         corr = np.zeros((5, 12))
@@ -227,9 +229,10 @@ class TestThomas:
             got = op.solve(tau, rhs, np.zeros(shape))
             for line in range(12):
                 i0, i2 = divmod(line, 4)
-                arrays = (weights, corr, dir_lo, dir_hi)
-                one = (np.repeat(a[..., [line]], 4, axis=-1) for a in arrays)
-                want = _sweep(_lines_operator(0, (7, 4, 4), *one), tau, rhs[i0 + 1, 1:-1, i2 + 1])
+                want = line_solve(
+                    weights[:, line], corr[:, line], dir_lo[line], dir_hi[line],
+                    tau, rhs[i0 + 1, 1:-1, i2 + 1],
+                )
                 np.testing.assert_array_equal(got[i0 + 1, 1:-1, i2 + 1], want)
                 w = weights[:, line]
                 mat = np.eye(5) + tau * neg_matrix(w[:-1] + w[1:], w)

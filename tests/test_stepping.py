@@ -42,7 +42,7 @@ from gfmpbe.stepping import (
     nonlinear_substep,
 )
 from gfmpbe.surface import Crossing, classify_union, export_interface
-from line_arrays import axis_lines, neg_matrix, operator_from_lines
+from line_arrays import axis_lines, line_solve, neg_matrix, operator_from_lines
 
 # Adaptive RK4 value for dw/dt = -sinh(w), w(0)=1, over t=0.1 (stable to 1e-13
 # across step counts 64..65536; agrees with the closed form).
@@ -239,11 +239,22 @@ class TestBatchedSweeps:
             eye = np.eye(len(diag))
             faces = np.ones(grid.shape, dtype=bool)
             faces[1:-1, 1:-1, 1:-1] = False
+            inner = _line_major(op, rhs)[1:-1]
             for tau in (0.0, 0.05, 1.7):
                 got = op.solve(tau, rhs, split.boundary)
                 np.testing.assert_array_equal(got[faces], bvals[faces])
                 lines = _line_major(op, got)[1:-1]
-                b = _line_major(op, rhs)[1:-1] + tau * (corr + fold)
+                # Each line swept on its own, ends first and corrections
+                # after, as the batched factor cache does: the same bits.
+                for line in range(lines.shape[1]):
+                    np.testing.assert_array_equal(
+                        lines[:, line],
+                        line_solve(
+                            weights[:, line], corr[:, line], dir_lo[line],
+                            dir_hi[line], tau, inner[:, line],
+                        ),
+                    )
+                b = inner + tau * (corr + fold)
                 want = np.linalg.solve(eye + tau * mats, b.T[..., None])[..., 0].T
                 # the dense solve of every line's system: 2.4e-17 measured
                 np.testing.assert_allclose(lines, want, rtol=0, atol=1e-15 * np.abs(b).max())
