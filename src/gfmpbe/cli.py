@@ -18,7 +18,13 @@ from .driver import (
     run_schedule,
     scaling_study,
 )
-from .errors import AssemblyError, ConfigError, DivergenceError, DomainError
+from .errors import (
+    AssemblyError,
+    ConfigError,
+    DivergenceError,
+    DomainError,
+    SingularityError,
+)
 from .molecule import PhysicalParams, parse_atoms
 
 _CONTROLLER_NAMES = {
@@ -289,7 +295,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, AssemblyError, DomainError) as exc:
+    except (ConfigError, AssemblyError, DomainError, SingularityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:

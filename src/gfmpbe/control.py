@@ -31,25 +31,31 @@ KINDS = (
 _T_EPS = 1e-12
 """Slack when comparing times against the horizon or switch points."""
 
+K_P, K_I, K_D = 0.075, 0.175, 0.01
+"""PID gains of Valli, Carey & Coutinho (Int. J. Numer. Meth. Fluids, 2005)."""
+
+EPS_P = 0.0025
+"""PID setpoint: the relative change per step that keeps dt as it is."""
+
+F_LO, F_HI = 0.2, 5.0
+"""Clamp of the PID factor."""
+
+POST_MIN_STEPS = 100
+"""FastPID stops after this many steps taken at dt_min."""
+
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Controller kind plus its numeric parameters."""
+    """Controller kind plus its numeric parameters; the PID gains, setpoint,
+    clamp and FastPID's step count are the module constants above."""
 
     kind: str = "Constant"
     dt_max: float = 1.0
     dt_min: float = 0.001
     dt0: float | None = None
-    k_p: float = 0.075
-    k_i: float = 0.175
-    k_d: float = 0.01
-    eps_p: float = 0.0025
-    f_lo: float = 0.2
-    f_hi: float = 5.0
     tol: float = 1e-4
     t_end: float = 50.0
     t_min_stop: float = 5.0
-    post_min_steps: int = 100
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -58,12 +64,8 @@ class ControllerConfig:
             raise ConfigError(
                 f"need 0 < dt_min <= dt_max, got {self.dt_min}, {self.dt_max}"
             )
-        if not (self.f_lo <= 1.0 <= self.f_hi):
-            raise ConfigError(f"need f_lo <= 1 <= f_hi, got {self.f_lo}, {self.f_hi}")
         if self.tol <= 0:
             raise ConfigError(f"tolerance must be positive, got {self.tol}")
-        if self.eps_p <= 0:
-            raise ConfigError(f"eps_p must be positive, got {self.eps_p}")
         if self.t_end < 0 or self.t_min_stop < 0:
             raise ConfigError("time horizon and stop guard must be nonnegative")
         if self.dt0 is not None and not (
@@ -129,31 +131,27 @@ def _change_sum_sq(u_n, u_nm1) -> tuple[float, float]:
     return float(np.einsum("i,i->", d, d)), float(np.einsum("i,i->", a, a))
 
 
-def _sanitize(e: float, eps_p: float) -> float:
+def _sanitize(e: float) -> float:
     if not np.isfinite(e) or e <= 0.0:
-        return eps_p
+        return EPS_P
     return e
 
 
 def pid_factor(state: ControllerState, cfg: ControllerConfig) -> float:
     """Three-term scaling factor from the last three errors, clamped.
 
-    F = (e_{n-1}/e_n)^k_p * (eps_p/e_n)^k_i * (e_{n-1}^2/(e_n e_{n-2}))^k_d.
-    With fewer than three observations F = 1.  NonincreasingPID floors the
-    clamped factor at one.
+    F = (e_{n-1}/e_n)^K_P * (EPS_P/e_n)^K_I * (e_{n-1}^2/(e_n e_{n-2}))^K_D,
+    clamped to [F_LO, F_HI].  With fewer than three observations F = 1.
+    NonincreasingPID floors the clamped factor at one.
     """
     if len(state.errors) < 3:
         f = 1.0
     else:
-        e0 = _sanitize(state.errors[-1], cfg.eps_p)
-        e1 = _sanitize(state.errors[-2], cfg.eps_p)
-        e2 = _sanitize(state.errors[-3], cfg.eps_p)
-        f = (
-            (e1 / e0) ** cfg.k_p
-            * (cfg.eps_p / e0) ** cfg.k_i
-            * (e1 * e1 / (e0 * e2)) ** cfg.k_d
-        )
-        f = min(max(f, cfg.f_lo), cfg.f_hi)
+        e0 = _sanitize(state.errors[-1])
+        e1 = _sanitize(state.errors[-2])
+        e2 = _sanitize(state.errors[-3])
+        f = (e1 / e0) ** K_P * (EPS_P / e0) ** K_I * (e1 * e1 / (e0 * e2)) ** K_D
+        f = min(max(f, F_LO), F_HI)
     if cfg.kind == "NonincreasingPID":
         f = max(f, 1.0)
     return f
@@ -169,29 +167,22 @@ def manual_update(
 
 
 def stop_reason(
-    kind: str, t: float, de: float | None, state: ControllerState, cfg: ControllerConfig
+    t: float, de: float | None, state: ControllerState, cfg: ControllerConfig
 ) -> str | None:
-    """Why to stop at time t after an energy change de, or None to go on:
-    "horizon" always, "post_min_steps" (FastPID's count at dt_min) or
-    "tolerance" only after t_min_stop and with a finite de."""
+    """Why cfg.kind stops at time t after an energy change de, or None to go
+    on: "horizon" always, "post_min_steps" (FastPID's POST_MIN_STEPS at
+    dt_min) or "tolerance" only after t_min_stop and with a finite de."""
     if t >= cfg.t_end - _T_EPS:
         return "horizon"
     if t < cfg.t_min_stop - _T_EPS:
         return None
     if de is None or not np.isfinite(de):
         return None
-    if kind == "FastPID" and state.steps_at_min >= cfg.post_min_steps:
+    if cfg.kind == "FastPID" and state.steps_at_min >= POST_MIN_STEPS:
         return "post_min_steps"
-    if de < cfg.tol and (kind != "NonincreasingPID" or state.reached_min):
+    if de < cfg.tol and (cfg.kind != "NonincreasingPID" or state.reached_min):
         return "tolerance"
     return None
-
-
-def should_stop(
-    kind: str, t: float, de: float | None, state: ControllerState, cfg: ControllerConfig
-) -> bool:
-    """Stopping predicate: whether stop_reason gives a reason."""
-    return stop_reason(kind, t, de, state, cfg) is not None
 
 
 class Controller:
@@ -233,10 +224,7 @@ class Controller:
         st.dt = min(max(st.dt / f, cfg.dt_min), cfg.dt_max)
 
     def stop_reason(self, t: float, de: float | None) -> str | None:
-        return stop_reason(self.cfg.kind, t, de, self.state, self.cfg)
-
-    def should_stop(self, t: float, de: float | None) -> bool:
-        return self.stop_reason(t, de) is not None
+        return stop_reason(t, de, self.state, self.cfg)
 
 
 class Schedule(Controller):

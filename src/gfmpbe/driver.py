@@ -24,6 +24,7 @@ from .grid import (
 )
 from .molecule import (
     AtomSet,
+    CHARGE_FACTOR,
     PhysicalParams,
     SINGULARITY_GUARD,
     dirichlet_boundary,
@@ -495,7 +496,7 @@ def export_potential(
                         np.inf,
                         charge / np.where(d < SINGULARITY_GUARD, 1.0, d),
                     )
-            values[inside] += (params.charge_factor / params.eps_in) * g
+            values[inside] += (CHARGE_FACTOR / params.eps_in) * g
         out = Field(u.grid, values)
     else:
         raise ConfigError(f"potential mode must be u or phi, got {mode!r}")
@@ -551,13 +552,12 @@ def scaling_study(
     sizes: list[int],
     scheme: str = "ADI",
     steps: int = 6,
-    box_half: float = 8.0,
 ) -> tuple[list[tuple[int, float]], float]:
     """Median per-step wall time across grid sizes; returns rows and slope.
 
-    Each size n runs the built-in benchmark on an n^3 grid; the first step
-    (cache warm-up) is excluded from the median.  The slope is fitted on
-    log(time) vs log(total nodes).
+    Each size n runs the built-in benchmark on an n^3 grid over its +-8 A
+    box; the first step (cache warm-up) is excluded from the median.  The
+    slope is fitted on log(time) vs log(total nodes).
     """
     if len(sizes) < 2:
         raise ConfigError("scaling study needs at least two sizes")
@@ -567,8 +567,7 @@ def scaling_study(
     for n in sizes:
         if n < 5:
             raise ConfigError(f"grid size too small for scaling: {n}")
-        h = 2.0 * box_half / (n - 1)
-        cfg = kirkwood_config(h=h, scheme=scheme, ic="zero", box_half=box_half)
+        cfg = kirkwood_config(h=16.0 / (n - 1), scheme=scheme, ic="zero")
         problem = build_problem(cfg)
         u = initial_condition("zero", problem).values
         times = []

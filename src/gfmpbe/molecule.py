@@ -95,8 +95,6 @@ class PhysicalParams:
     eps_out: float = 80.0
     ionic_strength: float | None = None
     kappa_sq: float | None = None
-    charge_factor: float = CHARGE_FACTOR
-    kbt_kcal: float = KBT_KCAL
 
     def __post_init__(self):
         if not (0 < self.eps_in <= self.eps_out):
@@ -109,8 +107,6 @@ class PhysicalParams:
             self.ionic_strength = self.kappa_sq / DEBYE_COEFF
         if self.kappa_sq < 0:
             raise ConfigError(f"kappa_sq must be nonnegative, got {self.kappa_sq}")
-        if self.charge_factor <= 0:
-            raise ConfigError("charge_factor must be positive")
 
 
 def debye_kappa_sq(ionic_strength: float) -> float:
@@ -174,7 +170,7 @@ def green_potential(atoms: AtomSet, p, params: PhysicalParams):
     """
     pts, single = _as_points(p)
     _, dist = _offsets(atoms, pts)
-    val = (params.charge_factor / params.eps_in) * (atoms.charges / dist).sum(axis=1)
+    val = (CHARGE_FACTOR / params.eps_in) * (atoms.charges / dist).sum(axis=1)
     return float(val[0]) if single else val
 
 
@@ -182,7 +178,7 @@ def green_gradient(atoms: AtomSet, p, params: PhysicalParams):
     """Analytic gradient of green_potential; (3,) for a point, (m, 3) batched."""
     pts, single = _as_points(p)
     diff, dist = _offsets(atoms, pts)
-    scale = -params.charge_factor / params.eps_in * atoms.charges / dist**3
+    scale = -CHARGE_FACTOR / params.eps_in * atoms.charges / dist**3
     grad = (scale[:, :, None] * diff).sum(axis=1)
     return grad[0] if single else grad
 
@@ -197,8 +193,8 @@ def green_axis_terms(
     pairwise sum would reorder it from 8 atoms on), so both arrays equal
     those functions' values bit for bit, signed zeros included."""
     diff, dist = _offsets(atoms, points)
-    pot = (params.charge_factor / params.eps_in) * (atoms.charges / dist).sum(axis=1)
-    terms = -params.charge_factor / params.eps_in * atoms.charges / dist**3
+    pot = (CHARGE_FACTOR / params.eps_in) * (atoms.charges / dist).sum(axis=1)
+    terms = -CHARGE_FACTOR / params.eps_in * atoms.charges / dist**3
     terms *= diff[np.arange(len(points)), :, axes]
     grad = np.zeros(len(points))
     for col in terms.T:
@@ -215,7 +211,7 @@ def dirichlet_boundary(atoms: AtomSet, p, params: PhysicalParams):
     pts, single = _as_points(p)
     _, dist = _offsets(atoms, pts)
     decay = np.sqrt(params.kappa_sq / params.eps_out)
-    val = (params.charge_factor / params.eps_out) * (
+    val = (CHARGE_FACTOR / params.eps_out) * (
         atoms.charges * np.exp(-decay * dist) / dist
     ).sum(axis=1)
     return float(val[0]) if single else val
@@ -238,4 +234,4 @@ def solvation_energy(
     elif stencil.grid is not u.grid and stencil.grid != u.grid:
         raise ConfigError("stencil grid does not match the field's grid")
     vals = stencil(u.values)
-    return 0.5 * params.kbt_kcal * float((atoms.charges * vals).sum())
+    return 0.5 * KBT_KCAL * float((atoms.charges * vals).sum())

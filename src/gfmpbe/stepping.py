@@ -286,7 +286,7 @@ class AxisOperator:
         dir_lo,
         dir_hi,
     ):
-        self.axis, self.shape, self.n = axis, shape, shape[axis]
+        self.axis, self.shape, self.n = axis, tuple(shape), shape[axis]
         self.stride = int(np.prod(shape[axis + 1 :]))
         self.dir_lo, self.dir_hi = dir_lo, dir_hi
         t1, t2 = (a for a in range(3) if a != axis)
@@ -406,8 +406,14 @@ class AxisOperator:
         Dirichlet ends is added to the end rows and then tau times the
         nonzero corrections at corr_lines.  The result goes into out, an
         array of boundary's shape, when it is given, and is returned; out
-        may be rhs itself.
+        may be rhs itself.  An array not of the operator's shape raises
+        ConfigError.
         """
+        for name, a in (("rhs", rhs), ("boundary", boundary), ("out", out)):
+            if a is not None and a.shape != self.shape:
+                raise ConfigError(
+                    f"solve's {name} has shape {a.shape}, the operator {self.shape}"
+                )
         if out is None:
             out = np.empty_like(boundary)
         _reset_faces(out, boundary)

@@ -121,6 +121,16 @@ class TestSolve:
         assert err.startswith("error: point (5.2, 0.0, 0.0) lies outside the grid box")
         assert "Traceback" not in err and "np.float64" not in err
 
+    def test_atom_on_a_box_face_is_config_error(self, tmp_path, capsys):
+        # the face node at the centre is where the Dirichlet value is singular
+        face = tmp_path / "face.txt"
+        face.write_text("4 0 0 1.0 1.5\n")
+        rc = main(["solve", "--atoms", str(face), "--h", "0.5",
+                   "--box", "-4", "-4", "-4", "4", "4", "4"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: evaluation point within 1e-12 A of an atom center\n"
+
     def test_wall_time_covers_the_whole_run(self, atom_file, capsys):
         # lpb start: build and CG run before the march, outside trace.wall_time
         args = _solve_args(atom_file)

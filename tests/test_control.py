@@ -1,6 +1,7 @@
 """Tests for time-step controllers, error norms, and stopping predicates."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfmpbe.control import (
+    EPS_P,
+    F_HI,
+    F_LO,
+    K_D,
+    K_I,
+    K_P,
     KINDS,
+    POST_MIN_STEPS,
     Controller,
     ControllerConfig,
     ControllerState,
@@ -16,7 +24,6 @@ from gfmpbe.control import (
     error_norm,
     manual_update,
     pid_factor,
-    should_stop,
     stop_reason,
 )
 from gfmpbe.errors import ConfigError
@@ -58,12 +65,12 @@ def _state_with(errors, dt=0.5):
 class TestPidFactor:
     def test_flat_history_gives_one(self):
         cfg = ControllerConfig(kind="PID1")
-        e = cfg.eps_p
+        e = EPS_P
         assert pid_factor(_state_with([e, e, e]), cfg) == 1.0
 
     def test_shrinking_errors_factor(self):
         cfg = ControllerConfig(kind="PID1")
-        e = cfg.eps_p
+        e = EPS_P
         st_ = _state_with([4 * e, 2 * e, e])
         f = pid_factor(st_, cfg)
         assert f == pytest.approx(2**0.075, rel=1e-12)
@@ -89,13 +96,13 @@ class TestPidFactor:
 
     def test_clamped_to_bounds(self):
         cfg = ControllerConfig(kind="PID1")
-        e = cfg.eps_p
-        assert pid_factor(_state_with([e, e, 1e-6 * e]), cfg) == cfg.f_hi
-        assert pid_factor(_state_with([e, e, 1e6 * e]), cfg) == cfg.f_lo
+        e = EPS_P
+        assert pid_factor(_state_with([e, e, 1e-6 * e]), cfg) == F_HI
+        assert pid_factor(_state_with([e, e, 1e6 * e]), cfg) == F_LO
 
     def test_nonpositive_errors_fall_back_to_setpoint(self):
         cfg = ControllerConfig(kind="PID1")
-        e = cfg.eps_p
+        e = EPS_P
         assert pid_factor(_state_with([e, e, 0.0]), cfg) == 1.0
         assert pid_factor(_state_with([e, float("nan"), e]), cfg) == 1.0
 
@@ -123,83 +130,69 @@ class TestShouldStop:
     def test_early_dip_guard(self):
         cfg = ControllerConfig(kind="Constant", t_min_stop=5.0)
         st_ = ControllerState(dt=0.1)
-        assert not should_stop("Constant", 3.0, 1e-9, st_, cfg)
+        assert stop_reason(3.0, 1e-9, st_, cfg) is None
 
     def test_horizon_stops_every_kind(self):
         for kind in KINDS:
             cfg = ControllerConfig.for_kind(kind, t_end=7.0, t_min_stop=100.0)
             st_ = ControllerState(dt=0.1)
-            assert should_stop(kind, 7.0, None, st_, cfg)
+            assert stop_reason(7.0, None, st_, cfg) == "horizon"
+            assert Controller(cfg).stop_reason(7.0, None) == "horizon"
 
     def test_tolerance_stop_after_guard(self):
         cfg = ControllerConfig(kind="Constant", tol=1e-4, t_min_stop=5.0)
         st_ = ControllerState(dt=0.1)
-        assert should_stop("Constant", 6.0, 1e-5, st_, cfg)
-        assert not should_stop("Constant", 6.0, 1e-3, st_, cfg)
+        assert stop_reason(6.0, 1e-5, st_, cfg) == "tolerance"
+        assert stop_reason(6.0, 1e-3, st_, cfg) is None
 
     def test_nonincreasing_needs_min_dt(self):
         cfg = ControllerConfig(
             kind="NonincreasingPID", dt_min=0.01, tol=0.01, t_min_stop=5.0
         )
         st_ = ControllerState(dt=0.05)
-        assert not should_stop("NonincreasingPID", 6.0, 1e-5, st_, cfg)
+        assert stop_reason(6.0, 1e-5, st_, cfg) is None
         st_.reached_min = True
-        assert should_stop("NonincreasingPID", 6.0, 1e-5, st_, cfg)
+        assert stop_reason(6.0, 1e-5, st_, cfg) == "tolerance"
 
     def test_fastpid_step_count_stop(self):
-        cfg = ControllerConfig(kind="FastPID", post_min_steps=100, t_min_stop=5.0)
+        cfg = ControllerConfig(kind="FastPID", t_min_stop=5.0)
         st_ = ControllerState(dt=0.001)
-        st_.steps_at_min = 99
-        assert not should_stop("FastPID", 6.0, 1.0, st_, cfg)
-        st_.steps_at_min = 100
-        assert should_stop("FastPID", 6.0, 1.0, st_, cfg)
+        st_.steps_at_min = POST_MIN_STEPS - 1
+        assert stop_reason(6.0, 1.0, st_, cfg) is None
+        st_.steps_at_min = POST_MIN_STEPS
+        assert stop_reason(6.0, 1.0, st_, cfg) == "post_min_steps"
 
     def test_missing_de_only_horizon(self):
         cfg = ControllerConfig(kind="Constant", tol=1e-4, t_min_stop=0.0, t_end=50.0)
         st_ = ControllerState(dt=0.1)
-        assert not should_stop("Constant", 10.0, None, st_, cfg)
-        assert should_stop("Constant", 50.0, None, st_, cfg)
+        assert stop_reason(10.0, None, st_, cfg) is None
+        assert stop_reason(50.0, None, st_, cfg) == "horizon"
 
 
 class TestStopReason:
     def test_each_reason(self):
         st_ = ControllerState(dt=0.1)
         cfg = ControllerConfig(kind="Constant", tol=1e-4, t_end=50.0, t_min_stop=5.0)
-        assert stop_reason("Constant", 50.0, None, st_, cfg) == "horizon"
-        assert stop_reason("Constant", 6.0, 1e-5, st_, cfg) == "tolerance"
-        assert stop_reason("Constant", 6.0, 1e-3, st_, cfg) is None
-        assert stop_reason("Constant", 3.0, 1e-9, st_, cfg) is None
-        fast = ControllerConfig(kind="FastPID", post_min_steps=100, t_min_stop=5.0)
-        st_.steps_at_min = 100
-        assert stop_reason("FastPID", 6.0, 1.0, st_, fast) == "post_min_steps"
+        assert stop_reason(50.0, None, st_, cfg) == "horizon"
+        assert stop_reason(6.0, 1e-5, st_, cfg) == "tolerance"
+        assert stop_reason(6.0, 1e-3, st_, cfg) is None
+        assert stop_reason(3.0, 1e-9, st_, cfg) is None
+        fast = ControllerConfig(kind="FastPID", t_min_stop=5.0)
+        st_.steps_at_min = POST_MIN_STEPS
+        assert stop_reason(6.0, 1.0, st_, fast) == "post_min_steps"
 
     def test_zero_horizon_stops_before_any_step(self):
         cfg = ControllerConfig(kind="Constant", t_end=0.0)
-        assert stop_reason("Constant", 0.0, None, ControllerState(dt=0.1), cfg) == (
-            "horizon"
-        )
+        assert stop_reason(0.0, None, ControllerState(dt=0.1), cfg) == "horizon"
 
     def test_nonincreasing_tolerance_only_after_min_dt(self):
         cfg = ControllerConfig(
             kind="NonincreasingPID", dt_min=0.01, tol=0.01, t_min_stop=5.0
         )
         st_ = ControllerState(dt=0.05)
-        assert stop_reason("NonincreasingPID", 6.0, 1e-5, st_, cfg) is None
+        assert stop_reason(6.0, 1e-5, st_, cfg) is None
         st_.reached_min = True
-        assert stop_reason("NonincreasingPID", 6.0, 1e-5, st_, cfg) == "tolerance"
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_should_stop_is_a_reason_given(self, kind):
-        cfg = ControllerConfig.for_kind(kind, t_end=10.0, t_min_stop=2.0)
-        c = Controller(cfg)
-        for steps_at_min, reached in ((0, False), (100, True)):
-            c.state.steps_at_min, c.state.reached_min = steps_at_min, reached
-            for t in (1.0, 3.0, 10.0):
-                for de in (None, math.nan, 1.0, 1e-9):
-                    reason = stop_reason(kind, t, de, c.state, cfg)
-                    assert should_stop(kind, t, de, c.state, cfg) == (reason is not None)
-                    assert c.should_stop(t, de) == (reason is not None)
-                    assert c.stop_reason(t, de) == reason
+        assert stop_reason(6.0, 1e-5, st_, cfg) == "tolerance"
 
 
 class TestSchedule:
@@ -232,7 +225,6 @@ class TestSchedule:
         sched = Schedule([(0.0, 0.5)], cfg)
         assert not sched.state.reached_min
         assert sched.stop_reason(2.0, 1e-5) == "tolerance"
-        assert sched.should_stop(2.0, 1e-5)
         assert sched.stop_reason(9.0, None) == "horizon"
         assert sched.stop_reason(0.5, 1e-5) is None
 
@@ -349,7 +341,7 @@ class TestControllerWrapper:
         for e in errs:
             st_.errors.append(e)
             f = pid_factor(st_, cfg)
-            assert cfg.f_lo <= f <= cfg.f_hi
+            assert F_LO <= f <= F_HI
             st_.dt = min(max(st_.dt / f, cfg.dt_min), cfg.dt_max)
             assert cfg.dt_min <= st_.dt <= cfg.dt_max
 
@@ -364,10 +356,6 @@ class TestConfigValidation:
             ControllerConfig(dt_min=1.0, dt_max=0.5)
         with pytest.raises(ConfigError):
             ControllerConfig(dt_min=0.0)
-
-    def test_bad_clamp(self):
-        with pytest.raises(ConfigError):
-            ControllerConfig(f_lo=1.5)
 
     def test_bad_tol(self):
         with pytest.raises(ConfigError):
@@ -388,7 +376,10 @@ class TestConfigValidation:
         assert cfg.dt_max == 1.0
         assert cfg.t_end == 50.0
         assert cfg.t_min_stop == 5.0
-        assert cfg.post_min_steps == 100
-        assert (cfg.k_p, cfg.k_i, cfg.k_d) == (0.075, 0.175, 0.01)
-        assert cfg.eps_p == 0.0025
-        assert (cfg.f_lo, cfg.f_hi) == (0.2, 5.0)
+        assert [f.name for f in fields(cfg)] == [
+            "kind", "dt_max", "dt_min", "dt0", "tol", "t_end", "t_min_stop"
+        ]
+        assert POST_MIN_STEPS == 100
+        assert (K_P, K_I, K_D) == (0.075, 0.175, 0.01)
+        assert EPS_P == 0.0025
+        assert (F_LO, F_HI) == (0.2, 5.0)

@@ -10,7 +10,7 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import spsolve
 
 from gfmpbe import driver
-from gfmpbe.control import ControllerConfig
+from gfmpbe.control import POST_MIN_STEPS, ControllerConfig
 from gfmpbe.driver import (
     CG_RTOL,
     RunConfig,
@@ -26,7 +26,13 @@ from gfmpbe.driver import (
 )
 from gfmpbe.errors import ConfigError, DivergenceError, DomainError, InitializationError
 from gfmpbe.grid import Field, read_field_binary, trilinear_stencil, write_field_binary
-from gfmpbe.molecule import Atom, AtomSet, PhysicalParams, solvation_energy
+from gfmpbe.molecule import (
+    Atom,
+    AtomSet,
+    CHARGE_FACTOR,
+    PhysicalParams,
+    solvation_energy,
+)
 from gfmpbe.surface import InterfaceData, export_interface
 
 
@@ -60,10 +66,10 @@ class TestRunLoop:
             (dict(t_end=0.5), "horizon", 5),
             (dict(t_end=50.0, t_min_stop=0.2, tol=1e-2), "tolerance", None),
             (
-                dict(kind="FastPID", dt_min=0.1, dt_max=0.1, post_min_steps=3,
-                     t_min_stop=0.0, tol=1e-12, t_end=50.0),
+                dict(kind="FastPID", dt_min=0.1, dt_max=0.1, t_min_stop=0.0,
+                     tol=1e-12, t_end=50.0),
                 "post_min_steps",
-                3,
+                POST_MIN_STEPS,
             ),
         ],
         ids=["horizon", "tolerance", "post_min_steps"],
@@ -562,7 +568,7 @@ class TestExportPotential:
         pts = prob.grid.nodes()[inside]
         center = prob.atoms.centers[0]
         d = np.sqrt(((pts - center) ** 2).sum(axis=1))
-        coulomb = prob.params.charge_factor / prob.params.eps_in * 1.0 / d
+        coulomb = CHARGE_FACTOR / prob.params.eps_in * 1.0 / d
         np.testing.assert_allclose(
             got[inside], u.values[inside] + coulomb, rtol=0, atol=1e-12
         )

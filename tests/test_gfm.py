@@ -386,8 +386,18 @@ class TestApplyOperator:
 
     def test_length_checked(self):
         op = _uniform_line(n=8)
+        good = np.zeros((8, 4, 4))
         with pytest.raises(ConfigError):
-            op.apply(np.zeros((8, 4, 4)), out=np.zeros((9, 4, 4)))
+            op.apply(good, out=np.zeros((9, 4, 4)))
+        for tau in (0.1, 0.0):
+            for bad in (np.zeros((7, 4, 4)), np.zeros((9, 4, 4))):
+                for name, args, out in (
+                    ("rhs", (bad, good), None),
+                    ("boundary", (good, bad), None),
+                    ("out", (good, good), bad),
+                ):
+                    with pytest.raises(ConfigError, match=f"solve's {name} has shape"):
+                        op.solve(tau, *args, out=out)
 
 
 class TestAssemblyValidation:

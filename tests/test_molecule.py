@@ -1,6 +1,7 @@
 """Tests for the solute description and singular-charge fields."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -87,6 +88,10 @@ class TestPhysicalParams:
     def test_defaults_saltless(self):
         p = PhysicalParams()
         assert p.kappa_sq == 0.0
+        # the unit system is the module's CHARGE_FACTOR and KBT_KCAL, not a field
+        assert [f.name for f in fields(p)] == [
+            "eps_in", "eps_out", "ionic_strength", "kappa_sq"
+        ]
 
     def test_eps_ordering_enforced(self):
         with pytest.raises(ConfigError):
