@@ -194,9 +194,8 @@ def _checked_energy(u: np.ndarray, problem: Problem, step: int, t=None, dt=None)
 
 
 def _energy(u: np.ndarray, problem: Problem) -> float:
-    return solvation_energy(
-        Field(problem.grid, u), problem.atoms, problem.params, stencil=problem.stencil
-    )
+    field = Field(problem.grid, u)
+    return solvation_energy(field, problem.atoms, stencil=problem.stencil)
 
 
 def _divergence(message: str, u: np.ndarray, step: int, t, dt) -> DivergenceError:

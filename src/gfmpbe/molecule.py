@@ -150,8 +150,12 @@ def _offsets(atoms: AtomSet, points: np.ndarray):
     diff = points[:, None, :] - atoms.centers[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))
     if dist.min() < SINGULARITY_GUARD:
+        row, atom = np.unravel_index(np.argmin(dist), dist.shape)
+        center = tuple(float(v) for v in atoms.centers[atom])
+        point = tuple(float(v) for v in points[row])
         raise SingularityError(
-            f"evaluation point within {SINGULARITY_GUARD} A of an atom center"
+            f"evaluation point {point} within {SINGULARITY_GUARD} A of atom"
+            f" {int(atom)} center {center}"
         )
     return diff, dist
 
@@ -217,9 +221,7 @@ def dirichlet_boundary(atoms: AtomSet, p, params: PhysicalParams):
     return float(val[0]) if single else val
 
 
-def solvation_energy(
-    u: "Field", atoms: AtomSet, params: PhysicalParams, stencil=None
-) -> float:
+def solvation_energy(u: "Field", atoms: AtomSet, *, stencil=None) -> float:
     """Electrostatic solvation free energy in kcal/mol.
 
     E_sol = 1/2 * kBT * sum_i q_i * u(r_i), with u interpolated trilinearly

@@ -4,22 +4,20 @@ An interface is represented discretely: every grid node carries an
 inside/outside flag, and every grid edge whose endpoints disagree carries
 exactly one crossing (the fraction theta measured from the low-index node,
 plus the Cartesian location of the cut).  InterfaceData holds the flags as
-one boolean array and the crossings as four arrays in canonical
-(axis, i, j, k) order, so assembly reads them without one Python object per
-cut edge.  Three generators are provided, each computing its crossings with
-whole-array numpy: an analytic sphere and a union of atom spheres (van der
-Waals), both cut at the exact roots along each edge, and a probe-rolled
-molecular surface.  That surface is a level set on the grid: its node levels
-come from a signed distance to the solvent-accessible surface, and each cut
-is the linear interpolation of the levels at the edge's two nodes.  Each
-InterfaceData is checked once, where it is made: its constructors reject
-inconsistent flags and crossings, and the operator assembly relies on that.
+one boolean array and the crossings as arrays in canonical (axis, i, j, k)
+order: the (m, 4) keys, the thetas and the locations, so assembly reads them
+without one Python object per cut edge.  Three generators are provided,
+each computing its crossings with whole-array numpy: an analytic sphere and
+a union of atom spheres (van der Waals), both cut at the exact roots along
+each edge, and a probe-rolled molecular surface.  That surface is a level
+set on the grid: its node levels come from a signed distance to the
+solvent-accessible surface, and each cut is the linear interpolation of the
+levels at the edge's two nodes.  Each InterfaceData is checked once, where
+it is made: its one constructor rejects inconsistent flags and crossings,
+and the operator assembly relies on that.
 """
 
 from __future__ import annotations
-
-from collections.abc import Mapping
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import distance_transform_edt
@@ -40,55 +38,26 @@ _T_TOL = 1e-9
 """Tolerance in edge-fraction units when chaining coverage intervals."""
 
 
-@dataclass(frozen=True)
-class Crossing:
-    """One interface cut on a grid edge.
-
-    axis is 0/1/2; index is the low node of the edge; theta in (0, 1) is the
-    cut fraction from that node; location is the Cartesian cut point.
-    """
-
-    axis: int
-    index: tuple[int, int, int]
-    theta: float
-    location: tuple[float, float, float]
-
-    @property
-    def key(self) -> tuple[int, int, int, int]:
-        return (self.axis, *self.index)
-
-
 class InterfaceData:
     """Node flags plus the crossings of one grid, held as arrays.
 
     inside is the (nx, ny, nz) boolean node mask, read-only: a copy of the
     one given, unless that is a read-only boolean array owning its memory,
-    which is kept.  The m crossings are the rows of four read-only arrays in
-    canonical (axis, i, j, k) order: axis (m,), index (m, 3) of each edge's
-    low node, theta (m,) measured from that node and location (m, 3).
-    crossings maps each key (axis, i, j, k) to a Crossing built on access.
-    The constructor takes Crossing records in any order, from_arrays the
-    four arrays in any row order; a low node off the grid or a repeated edge
-    raises ConfigError.  Every instance is consistent: each mixed edge has
-    one crossing and no other edge any, each theta lies in [THETA_MIN,
-    1 - THETA_MIN] and each location is finite and on its edge.  Both
-    constructors run validate, which raises AssemblyError otherwise, so the
-    operator assembly uses the arrays unchecked.
+    which is kept.  The m crossings are the rows of read-only arrays in
+    canonical (axis, i, j, k) order: crossings (m, 4) holds the keys
+    (axis, i, j, k), and axis (m,) and index (m, 3), each edge's low node,
+    are views of its columns; theta (m,) is measured from the low node and
+    location (m, 3) is the cut point.  The constructor takes the four arrays
+    axis, index, theta and location in any row order; a low node off the
+    grid or a repeated edge raises ConfigError.  Every instance is
+    consistent: each mixed edge has one crossing and no other edge any,
+    each theta lies in [THETA_MIN, 1 - THETA_MIN] and each location is
+    finite and on its edge.  The constructor runs validate, which raises
+    AssemblyError otherwise, so the operator assembly uses the arrays
+    unchecked.
     """
 
-    def __init__(self, grid: Grid, inside: np.ndarray, crossings):
-        cs = list(crossings.values() if isinstance(crossings, Mapping) else crossings)
-        fields = ("axis", "index", "theta", "location")
-        self._set(grid, inside, *([getattr(c, f) for c in cs] for f in fields))
-
-    @classmethod
-    def from_arrays(cls, grid: Grid, inside, axis, index, theta, location):
-        """An interface from the four crossing arrays, rows in any order."""
-        data = cls.__new__(cls)
-        data._set(grid, inside, axis, index, theta, location)
-        return data
-
-    def _set(self, grid, inside, axis, index, theta, location) -> None:
+    def __init__(self, grid: Grid, inside, axis, index, theta, location):
         inside = np.asarray(inside, dtype=bool)
         if inside.flags.writeable or inside.base is not None:
             inside = inside.copy()
@@ -115,10 +84,12 @@ class InterfaceData:
             key = _key(axis[first], index[first])
             raise ConfigError(f"duplicate crossing on edge {key}")
         self.grid, self.inside = grid, inside
-        arrays = [a[order] for a in (axis, index, theta, location, codes)]
+        keys = np.column_stack((axis, index))[order]
+        arrays = [keys] + [a[order] for a in (theta, location, codes)]
         for a in arrays:
             a.flags.writeable = False
-        self.axis, self.index, self.theta, self.location, self._codes = arrays
+        self.crossings, self.theta, self.location, self._codes = arrays
+        self.axis, self.index = keys[:, 0], keys[:, 1:]
         self.validate()
 
     def __eq__(self, other) -> bool:
@@ -128,16 +99,6 @@ class InterfaceData:
             np.array_equal(getattr(self, f), getattr(other, f))
             for f in ("inside", "_codes", "theta", "location")
         )
-
-    @property
-    def crossings(self) -> "RowMap":
-        """Crossing key -> Crossing."""
-        return RowMap(self, self._crossing)
-
-    def _crossing(self, row: int) -> Crossing:
-        axis, *index = self.key(row)
-        theta, loc = float(self.theta[row]), tuple(self.location[row])
-        return Crossing(axis, tuple(index), theta, loc)
 
     def key(self, row: int) -> tuple[int, int, int, int]:
         """The (axis, i, j, k) key of one crossing row."""
@@ -157,11 +118,11 @@ class InterfaceData:
     def validate(self) -> None:
         """Check the invariant of the class; raise AssemblyError.
 
-        Both constructors run it.  Each message names the first offending
+        The constructor runs it.  Each message names the first offending
         edge in canonical order.  Each crossing's edge is checked on its own
         and the mixed edges of each axis are counted against its crossings,
-        which _set keeps distinct; only when that finds a fault are the
-        edges scanned for the first one.
+        which the constructor keeps distinct; only when that finds a fault
+        are the edges scanned for the first one.
         """
         g = self.grid
         if not self._on_mixed_edges():
@@ -224,23 +185,6 @@ class InterfaceData:
             raise AssemblyError(f"crossing on uniform edge: {key}")
 
 
-class RowMap(Mapping):
-    """Read-only mapping from the crossing keys (axis, i, j, k) of an
-    interface to value(row), built on access."""
-
-    def __init__(self, data: InterfaceData, value):
-        self._data, self._value = data, value
-
-    def __len__(self) -> int:
-        return len(self._data.theta)
-
-    def __iter__(self):
-        return zip(self._data.axis.tolist(), *self._data.index.T.tolist())
-
-    def __getitem__(self, key):
-        return self._value(self._data.row(key))
-
-
 def _key(axis, index) -> tuple[int, int, int, int]:
     return (int(axis), *(int(v) for v in index))
 
@@ -265,7 +209,7 @@ def _classified(grid: Grid, inside: np.ndarray, fraction) -> InterfaceData:
         parts.append((np.full(len(idx), axis), idx, theta, loc))
     arrays = (np.concatenate(p) for p in zip(*parts))
     inside.flags.writeable = False  # handed over, not copied
-    return InterfaceData.from_arrays(grid, inside, *arrays)
+    return InterfaceData(grid, inside, *arrays)
 
 
 def _stable_roots(a: float, b: np.ndarray, c: np.ndarray):
@@ -605,6 +549,6 @@ def import_interface(path) -> InterfaceData:
     axes, indices, thetas = ([c[f] for c in crosses] for f in range(3))
     inside.flags.writeable = False  # handed over, not copied
     try:
-        return InterfaceData.from_arrays(grid, inside, axes, indices, thetas, locations)
+        return InterfaceData(grid, inside, axes, indices, thetas, locations)
     except AssemblyError as exc:
         raise FormatError(str(exc), None) from exc

@@ -117,8 +117,7 @@ def operator_from_lines(
 def line_interface(inside, pos, theta, h: float = 1.0) -> InterfaceData:
     """The interface of an (n, 4, 4) grid, the thinnest that Grid takes,
     whose 16 lines along axis 0 all have the node flags inside (n,) and a
-    crossing on each edge pos[m] at theta[m]; InterfaceData.from_arrays
-    checks it."""
+    crossing on each edge pos[m] at theta[m]; InterfaceData checks it."""
     grid = Grid((0.0, 0.0, 0.0), h, (len(inside), 4, 4))
     flags = np.broadcast_to(np.asarray(inside, dtype=bool)[:, None, None], grid.shape)
     jk = np.array([(j, k) for j in range(4) for k in range(4)])
@@ -127,7 +126,7 @@ def line_interface(inside, pos, theta, h: float = 1.0) -> InterfaceData:
     location = h * index
     location[:, 0] += theta * h
     axis = np.zeros(len(index))
-    return InterfaceData.from_arrays(grid, flags, axis, index, theta, location)
+    return InterfaceData(grid, flags, axis, index, theta, location)
 
 
 def line_split(inside, eps: tuple, cuts: dict, bc: tuple, h: float):

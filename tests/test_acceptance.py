@@ -330,7 +330,7 @@ def _consistency_exhaustive() -> int:
     assert variants[3] == classify_union(grid, atoms1)
     checked = 0
     for data in variants:
-        keys = set(data.crossings)
+        keys = set(map(tuple, data.crossings.tolist()))
         n_mixed = 0
         for axis in range(3):
             sl_lo = [slice(None)] * 3

@@ -1,7 +1,8 @@
 """The solver names the benchmark's tracer patches and reads.
 
-bench/tracing.py wraps AxisOperator.apply and solve, reads op.diag and
-replays the factor cache through stepping._FACTOR_CACHE_SIZE.  A small
+bench/tracing.py wraps AxisOperator.apply and solve, reads op.diag,
+counts an interface's crossings as len(data.crossings) and replays the
+factor cache through stepping._FACTOR_CACHE_SIZE.  A small
 traced solve here fails on a rename in the solver before the benchmark does.
 """
 
@@ -13,7 +14,7 @@ import pytest
 
 from gfmpbe import driver, stepping
 from gfmpbe.control import ControllerConfig
-from gfmpbe.driver import kirkwood_config, run
+from gfmpbe.driver import build_problem, kirkwood_config, run
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -45,6 +46,7 @@ def test_traced_run_yields_every_layer_metric_and_restores_the_solver():
     names = {m["name"] for m in SPEC["per_layer"]} - {"trace.overhead_frac"}
     assert set(metrics) == names
     assert metrics["assembly.lines"][0] == 3 * 7 * 7  # a 9^3 grid
+    assert metrics["surface.crossings"][0] == len(build_problem(cfg).data.theta) > 0
     # The one interface check runs where the interface is made, so
     # surface.validate_s measures it inside the classification.
     checks = [i for i, name in enumerate(tracer.names) if name == "surface.validate"]

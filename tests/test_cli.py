@@ -129,7 +129,10 @@ class TestSolve:
                    "--box", "-4", "-4", "-4", "4", "4", "4"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err == "error: evaluation point within 1e-12 A of an atom center\n"
+        assert err == (
+            "error: evaluation point (4.0, 0.0, 0.0) within 1e-12 A of atom 0"
+            " center (4.0, 0.0, 0.0)\n"
+        )
 
     def test_wall_time_covers_the_whole_run(self, atom_file, capsys):
         # lpb start: build and CG run before the march, outside trace.wall_time

@@ -49,7 +49,7 @@ class TestRunLoop:
         cfg = _coarse_kirkwood(t_end=0.0)
         prob = build_problem(cfg)
         ic = initial_condition("zero", prob)
-        e_ic = solvation_energy(ic, prob.atoms, prob.params)
+        e_ic = solvation_energy(ic, prob.atoms)
         trace = run(cfg, problem=prob)
         assert trace.steps == 0
         assert len(trace.rows) == 1
@@ -307,7 +307,7 @@ class TestInitialCondition:
         cfg.params = PhysicalParams(eps_in=1.0, eps_out=80.0, kappa_sq=0.0)
         prob = build_problem(cfg)
         u_ic = initial_condition("lpb", prob)
-        e_ic = solvation_energy(u_ic, prob.atoms, prob.params)
+        e_ic = solvation_energy(u_ic, prob.atoms)
         final = run(cfg, problem=prob).final_energy
         assert abs(e_ic - final) < 0.1
 
@@ -318,7 +318,7 @@ class TestInitialCondition:
         cfg = kirkwood_config(h=0.5, controller=ctrl, ic="lpb", box_half=4.0)
         prob = build_problem(cfg)
         u_ic = initial_condition("lpb", prob)
-        e_ic = solvation_energy(u_ic, prob.atoms, prob.params)
+        e_ic = solvation_energy(u_ic, prob.atoms)
         final = run(cfg, problem=prob).final_energy
         assert abs(e_ic - final) < 0.1
 
@@ -657,20 +657,16 @@ class TestProblemAssembly:
         problem = build_problem(cfg)
         trace = run(cfg, problem=problem)
         u = trace.final_field
-        assert trace.final_energy == solvation_energy(u, cfg.atoms, cfg.params)
+        assert trace.final_energy == solvation_energy(u, cfg.atoms)
         stencil = trilinear_stencil(u.grid, cfg.atoms.centers)
-        assert trace.final_energy == solvation_energy(
-            u, cfg.atoms, cfg.params, stencil=stencil
-        )
+        assert trace.final_energy == solvation_energy(u, cfg.atoms, stencil=stencil)
 
     def test_stencil_of_another_grid_rejected(self):
         cfg = _coarse_kirkwood()
         problem = build_problem(cfg)
         other = build_problem(replace(cfg, box=(-4.5,) * 3 + (4.5,) * 3))
         with pytest.raises(ConfigError, match="stencil grid"):
-            solvation_energy(
-                problem.boundary, cfg.atoms, cfg.params, stencil=other.stencil
-            )
+            solvation_energy(problem.boundary, cfg.atoms, stencil=other.stencil)
 
     def test_config_validation(self):
         atoms = AtomSet([Atom((0.0, 0.0, 0.0), 1.0, 2.0)])

@@ -13,7 +13,6 @@ from gfmpbe.molecule import Atom, AtomSet, PhysicalParams, dirichlet_boundary
 from gfmpbe.stepping import build_split_operators, compute_jumps
 from gfmpbe.surface import (
     THETA_MIN,
-    Crossing,
     InterfaceData,
     classify_ses_grid,
     classify_sphere,
@@ -501,14 +500,15 @@ def _sliver(grid: Grid) -> InterfaceData:
     """
     inside = np.zeros(grid.shape, dtype=bool)
     inside[3] = True
-    crossings = []
+    index, theta = [], []
     for j in range(grid.shape[1]):
         for k in range(grid.shape[2]):
-            for i, theta in ((2, 0.3 + 0.01 * j), (3, 0.6 - 0.01 * k)):
-                loc = grid.node(i, j, k)
-                loc[0] += theta * grid.h
-                crossings.append(Crossing(0, (i, j, k), theta, tuple(loc)))
-    return InterfaceData(grid, inside, crossings)
+            for i, t in ((2, 0.3 + 0.01 * j), (3, 0.6 - 0.01 * k)):
+                index.append((i, j, k))
+                theta.append(t)
+    location = np.array([grid.node(*idx) for idx in index])
+    location[:, 0] += np.array(theta) * grid.h
+    return InterfaceData(grid, inside, np.zeros(len(index)), index, theta, location)
 
 
 def _oracle_case(name: str):
@@ -561,14 +561,17 @@ class TestBatchedAssembly:
         grid = Grid((-2.0, -2.0, -2.0), 1.0, (5, 6, 7))
         rng = np.random.default_rng(int(fill * 10))
         inside = rng.random(grid.shape) < fill
-        crossings = []
-        for axis in range(3):
-            for idx in np.argwhere(np.diff(inside, axis=axis)).tolist():
-                theta = float(rng.uniform(0.01, 0.99))
+        axis, index, theta, location = [], [], [], []
+        for a in range(3):
+            for idx in np.argwhere(np.diff(inside, axis=a)).tolist():
+                t = float(rng.uniform(0.01, 0.99))
                 loc = grid.node(*idx)
-                loc[axis] += theta * grid.h
-                crossings.append(Crossing(axis, tuple(idx), theta, tuple(loc)))
-        data = InterfaceData(grid, inside, crossings)
+                loc[a] += t * grid.h
+                axis.append(a)
+                index.append(idx)
+                theta.append(t)
+                location.append(loc)
+        data = InterfaceData(grid, inside, axis, index, theta, location)
         atoms = AtomSet([Atom((0.1, 0.2, 0.3), 1.0, 0.5)])
         params = PhysicalParams(eps_in=2.0, eps_out=80.0, kappa_sq=1.0)
         bvals = rng.normal(size=grid.shape)
@@ -611,17 +614,17 @@ class TestBatchedAssembly:
         jumps = compute_jumps(data, atoms, params)
         eps_in, eps_out, h = params.eps_in, params.eps_out, data.grid.h
         # Node (3, 2, 4): x line (2, 4) is interior line 1*5 + 3, position 3.
-        c_lo, c_hi = data.crossings[(0, 2, 2, 4)], data.crossings[(0, 3, 2, 4)]
         a, b = jumps
         lo, hi = data.row((0, 2, 2, 4)), data.row((0, 3, 2, 4))
+        theta_lo, theta_hi = data.theta[lo], data.theta[hi]
         # Edge 2 -> 3 enters the plane: its high node is inside.
-        d1 = eps_in * c_lo.theta + eps_out * (1 - c_lo.theta)
+        d1 = eps_in * theta_lo + eps_out * (1 - theta_lo)
         w1 = eps_out * eps_in / d1 / h**2
-        from_lo = -w1 * a[lo] - (eps_in * c_lo.theta / d1 / h) * -b[lo]
+        from_lo = -w1 * a[lo] - (eps_in * theta_lo / d1 / h) * -b[lo]
         # Edge 3 -> 4 leaves it: its low node is inside.
-        d2 = eps_out * c_hi.theta + eps_in * (1 - c_hi.theta)
+        d2 = eps_out * theta_hi + eps_in * (1 - theta_hi)
         w2 = eps_in * eps_out / d2 / h**2
-        from_hi = -w2 * a[hi] - (eps_in * (1 - c_hi.theta) / d2 / h) * b[hi]
+        from_hi = -w2 * a[hi] - (eps_in * (1 - theta_hi) / d2 / h) * b[hi]
         got = split.ops[0].corr[2, 1 * 5 + 3]
         assert got == pytest.approx(from_lo + from_hi, rel=1e-13)
         assert abs(from_lo) > 0 and abs(from_hi) > 0
@@ -653,7 +656,7 @@ class TestBatchedAssembly:
             location = np.vstack([location, data.grid.node(*centre) + (0.25, 0, 0)])
             keep = np.r_[keep, True]
         with pytest.raises(AssemblyError, match=match):
-            InterfaceData.from_arrays(
+            InterfaceData(
                 data.grid, data.inside, axis[keep], index[keep], theta[keep], location[keep]
             )
 
@@ -668,7 +671,7 @@ class TestBatchedAssembly:
         params = PhysicalParams(eps_in=2.0, eps_out=80.0, kappa_sq=1.0)
         built = []
         with pytest.raises(AssemblyError, match=match) as err:
-            bad = InterfaceData.from_arrays(
+            bad = InterfaceData(
                 data.grid, data.inside, data.axis, data.index, theta, data.location
             )
             built.append(

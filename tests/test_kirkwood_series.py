@@ -121,7 +121,7 @@ def lpb_energy(h: float, kappa_sq: float = 0.0) -> float:
     )
     problem = build_problem(cfg)
     u = initial_condition("lpb", problem)
-    return solvation_energy(u, problem.atoms, problem.params, stencil=problem.stencil)
+    return solvation_energy(u, problem.atoms, stencil=problem.stencil)
 
 
 def _check_errors(label: str, errors: dict, bounds: dict) -> None:

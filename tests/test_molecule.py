@@ -1,6 +1,7 @@
 """Tests for the solute description and singular-charge fields."""
 
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -128,6 +129,18 @@ class TestGreenPotential:
             with pytest.raises(SingularityError):
                 fn(self.atoms, (0.0, 0.0, 0.0), self.params)
 
+    def test_singularity_error_names_the_atom_and_the_point(self):
+        atoms = AtomSet(
+            [Atom((0.0, 0.0, 0.0), 1.0, 2.0), Atom((1.5, 0.5, 0.0), -1.0, 1.0)]
+        )
+        pts = np.array([[3.0, 0.0, 0.0], [1.5, 0.5, 0.0]])
+        message = (
+            "evaluation point (1.5, 0.5, 0.0) within 1e-12 A of atom 1"
+            " center (1.5, 0.5, 0.0)"
+        )
+        with pytest.raises(SingularityError, match=re.escape(message)):
+            dirichlet_boundary(atoms, pts, self.params)
+
     def test_gradient_matches_finite_difference(self):
         p = np.array([1.3, -0.7, 2.1])
         grad = green_gradient(self.atoms, p, self.params)
@@ -187,11 +200,12 @@ class TestSolvationEnergy:
         atoms = AtomSet(
             [Atom((0.0, 0.0, 0.0), 1.0, 1.0), Atom((1.0, 0.5, -0.5), 0.5, 1.0)]
         )
-        params = PhysicalParams()
         expect = 0.5 * KBT_KCAL * (-3.0) * 1.5
-        assert solvation_energy(field, atoms, params) == pytest.approx(
-            expect, rel=1e-13
-        )
+        assert solvation_energy(field, atoms) == pytest.approx(expect, rel=1e-13)
+        # The stencil is keyword-only: a PhysicalParams passed where the
+        # signature once took it fails, and is not read as a stencil.
+        with pytest.raises(TypeError):
+            solvation_energy(field, atoms, PhysicalParams())
 
     def test_interpolates_at_centers(self):
         grid = Grid((-2.0, -2.0, -2.0), 1.0, (5, 5, 5))
@@ -201,6 +215,4 @@ class TestSolvationEnergy:
         atoms = AtomSet([Atom((0.3, -0.2, 0.7), 2.0, 1.0)])
         u_at = 2.0 * 0.3 + 0.2 + 0.5 * 0.7 + 1.0
         expect = 0.5 * KBT_KCAL * 2.0 * u_at
-        assert solvation_energy(field, atoms, PhysicalParams()) == pytest.approx(
-            expect, rel=1e-12
-        )
+        assert solvation_energy(field, atoms) == pytest.approx(expect, rel=1e-12)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import re
 
-from gfmpbe import stepping
+from gfmpbe import stepping, surface
 from gfmpbe.control import ControllerConfig
 from gfmpbe.driver import (
     RunConfig,
@@ -41,7 +41,7 @@ from gfmpbe.stepping import (
     lod_step,
     nonlinear_substep,
 )
-from gfmpbe.surface import Crossing, classify_union, export_interface
+from gfmpbe.surface import classify_union, export_interface
 from line_arrays import axis_lines, line_solve, neg_matrix, operator_from_lines
 
 # Adaptive RK4 value for dw/dt = -sinh(w), w(0)=1, over t=0.1 (stable to 1e-13
@@ -747,27 +747,24 @@ class TestLayerCalls:
 
 
 class TestBuildPath:
-    """The build runs on the crossing arrays: no Crossing object on the way
-    to a full problem, also from an imported interface."""
+    """The build runs on the crossing arrays, also from an imported
+    interface; the package has no per-crossing record type."""
 
-    @pytest.mark.parametrize("surface", ["ses-grid", "sphere", "import:"])
-    def test_no_per_line_or_per_crossing_objects(self, monkeypatch, tmp_path, surface):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("per-crossing object built")
-
+    @pytest.mark.parametrize("surface_kind", ["ses-grid", "sphere", "import:"])
+    def test_no_per_line_or_per_crossing_objects(self, tmp_path, surface_kind):
+        assert not hasattr(surface, "Crossing") and not hasattr(surface, "RowMap")
         box = (-4.0,) * 3 + (4.0,) * 3
-        if surface == "sphere":
+        if surface_kind == "sphere":
             cfg = kirkwood_config(h=0.5, box_half=4.0)
         else:
             atoms = AtomSet(
                 [Atom((-0.8, 0.0, 0.2), 0.5, 1.6), Atom((1.1, 0.4, -0.3), -0.5, 1.3)]
             )
             cfg = RunConfig(atoms=atoms, h=0.5, surface="ses-grid", box=box)
-        if surface == "import:":
+        if surface_kind == "import:":
             path = tmp_path / "ses.srf"
             export_interface(build_problem(cfg).data, path)
             cfg = RunConfig(atoms=cfg.atoms, h=0.5, surface=f"import:{path}", box=box)
-        monkeypatch.setattr(Crossing, "__init__", forbidden)
         problem = build_problem(cfg)
         data = problem.data
         assert data.grid.shape == (17, 17, 17)
@@ -775,7 +772,13 @@ class TestBuildPath:
             int(np.count_nonzero(np.diff(data.inside, axis=a))) for a in range(3)
         )
         assert n_mixed > 0
-        assert len(data.crossings) == n_mixed
+        assert len(data.crossings) == n_mixed == len(data.theta)
+        # The keys are one read-only integer array; axis and index are its
+        # columns.
+        keys = data.crossings
+        assert keys.shape == (n_mixed, 4) and keys.dtype.kind == "i"
+        assert not keys.flags.writeable
+        assert np.array_equal(keys, np.column_stack((data.axis, data.index)))
         assert [op.diag.shape for op in problem.split.ops] == [(15, 225)] * 3
 
 

@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from gfmpbe.surface import (
     _T_TOL,
     AXIS_NAMES,
     THETA_MIN,
-    Crossing,
     InterfaceData,
     _cover,
     _stable_roots,
@@ -28,18 +28,22 @@ from gfmpbe.surface import (
 
 GRID17 = Grid((-4.0, -4.0, -4.0), 0.5, (17, 17, 17))
 
+Cut = namedtuple("Cut", "axis index theta location")
+"""One crossing as the tests write it down; _interface takes a list of them."""
+
+
+def _key(c: Cut) -> tuple:
+    return (c.axis, *c.index)
+
+
+def _interface(grid: Grid, inside, cuts) -> InterfaceData:
+    """InterfaceData on the four arrays of a list of Cut records."""
+    return InterfaceData(grid, inside, *zip(*cuts))
+
 
 def _assert_consistent(data: InterfaceData):
     """Every mixed edge has one crossing, no crossing on uniform edges."""
     data.validate()
-
-
-def _edge_points(data: InterfaceData):
-    for c in data.crossings.values():
-        lo = data.grid.node(*c.index)
-        hi = lo.copy()
-        hi[c.axis] += data.grid.h
-        yield c, lo, hi
 
 
 class TestSphere:
@@ -56,17 +60,17 @@ class TestSphere:
     def test_crossing_locations_on_sphere(self):
         center = np.array([0.3, -0.2, 0.1])
         data = classify_sphere(GRID17, center, 1.7)
-        assert data.crossings
-        for c in data.crossings.values():
-            r = np.linalg.norm(np.asarray(c.location) - center)
-            assert r == pytest.approx(1.7, abs=1e-12)
+        assert len(data.theta) > 0
+        r = np.linalg.norm(data.location - center, axis=1)
+        np.testing.assert_allclose(r, 1.7, rtol=0.0, atol=1e-12)
 
     def test_crossing_between_endpoints(self):
         data = classify_sphere(GRID17, (0.0, 0.0, 0.0), 2.0)
-        for c, lo, hi in _edge_points(data):
-            t = (c.location[c.axis] - lo[c.axis]) / GRID17.h
-            assert -1e-9 <= t <= 1.0 + 1e-9
-            assert 1e-6 <= c.theta <= 1.0 - 1e-6
+        rows = np.arange(len(data.theta))
+        lo = np.asarray(GRID17.origin) + GRID17.h * data.index
+        t = (data.location - lo)[rows, data.axis] / GRID17.h
+        assert np.all((t >= -1e-9) & (t <= 1.0 + 1e-9))
+        assert np.all((data.theta >= 1e-6) & (data.theta <= 1.0 - 1e-6))
 
     def test_node_on_surface_counts_inside(self):
         # R=2 with h=0.5 puts nodes exactly on the surface along the axes.
@@ -103,14 +107,10 @@ class TestUnion:
     def test_crossings_on_union_boundary(self):
         atoms = self._atoms()
         data = classify_union(GRID17, atoms)
-        assert data.crossings
-        for c in data.crossings.values():
-            loc = np.asarray(c.location)
-            signed = min(
-                np.linalg.norm(loc - ctr) - r
-                for ctr, r in zip(atoms.centers, atoms.radii)
-            )
-            assert signed == pytest.approx(0.0, abs=1e-10)
+        assert len(data.theta) > 0
+        offsets = data.location[:, None, :] - atoms.centers
+        signed = (np.linalg.norm(offsets, axis=2) - atoms.radii).min(axis=1)
+        np.testing.assert_allclose(signed, 0.0, rtol=0.0, atol=1e-10)
 
     def test_inside_is_union_of_balls(self):
         atoms = self._atoms()
@@ -147,7 +147,7 @@ class TestSesGrid:
         ses = classify_ses_grid(GRID17, one, probe_radius=1.4)
         sph = classify_sphere(GRID17, (0.1, 0.2, -0.3), 1.8)
         np.testing.assert_array_equal(ses.inside, sph.inside)
-        assert set(ses.crossings) == set(sph.crossings)
+        assert np.array_equal(ses.crossings, sph.crossings)
 
     def test_single_atom_thetas_interpolate_node_levels(self):
         # One atom: the level is psi = r - |x - c| at every node, and each
@@ -237,6 +237,7 @@ class TestExhaustive17:
             _assert_consistent(data)
             # Exhaustive edge sweep: crossing exactly where flags change.
             inside = data.inside
+            keys = set(map(tuple, data.crossings.tolist()))
             for axis in range(3):
                 nx, ny, nz = grid.shape
                 for i in range(nx - (axis == 0)):
@@ -247,7 +248,7 @@ class TestExhaustive17:
                             if hi[axis] >= grid.shape[axis]:
                                 continue
                             mixed = inside[i, j, k] != inside[tuple(hi)]
-                            has = (axis, i, j, k) in data.crossings
+                            has = (axis, i, j, k) in keys
                             assert mixed == has
 
 
@@ -309,11 +310,11 @@ class TestInterchange:
         inside = np.zeros((4, 4, 4), dtype=bool)
         inside[0, :, :] = True
         crossings = [
-            Crossing(0, (0, j, k), 0.25, (0.25, float(j), float(k)))
+            Cut(0, (0, j, k), 0.25, (0.25, float(j), float(k)))
             for j in range(4)
             for k in range(4)
         ]
-        data = InterfaceData(grid, inside, crossings)
+        data = _interface(grid, inside, crossings)
         path = tmp_path / "iface.txt"
         export_interface(data, path)
         # Strip the locations from every cross line.
@@ -325,8 +326,8 @@ class TestInterchange:
                 lines.append(line)
         path.write_text("\n".join(lines) + "\n")
         back = import_interface(path)
-        for key, c in back.crossings.items():
-            assert c.location == data.crossings[key].location
+        assert np.array_equal(back.crossings, data.crossings)
+        assert np.array_equal(back.location, data.location)
 
     def test_format_errors_carry_line_numbers(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -390,12 +391,13 @@ class TestInterchange:
 class TestValidation:
     @pytest.mark.parametrize("arrays", [False, True])
     def test_inside_is_a_read_only_copy(self, arrays):
+        # The crossing fields as Python sequences or as numpy arrays.
         grid, inside, crossings = _single_node()
         before = inside.copy()
+        fields = [list(f) for f in zip(*crossings)]
         if arrays:
-            data = _single_node_arrays(grid, inside, crossings)
-        else:
-            data = InterfaceData(grid, inside, crossings)
+            fields = [np.array(f) for f in fields]
+        data = InterfaceData(grid, inside, *fields)
         assert inside.flags.writeable and np.array_equal(inside, before)
         assert not data.inside.flags.writeable
         inside[2, 2, 2] = True  # a later edit of the caller's mask
@@ -404,16 +406,16 @@ class TestValidation:
         # as the classifiers hand over, is kept.
         view = before.view()
         view.flags.writeable = False
-        assert InterfaceData(grid, view, crossings).inside is not view
+        assert _interface(grid, view, crossings).inside is not view
         before.flags.writeable = False
-        assert InterfaceData(grid, before, crossings).inside is before
+        assert _interface(grid, before, crossings).inside is before
 
     def test_duplicate_crossing_rejected(self):
         grid = Grid((0.0, 0.0, 0.0), 1.0, (4, 4, 4))
         inside = np.zeros((4, 4, 4), dtype=bool)
-        c = Crossing(0, (1, 1, 1), 0.5, (1.5, 1.0, 1.0))
+        c = Cut(0, (1, 1, 1), 0.5, (1.5, 1.0, 1.0))
         with pytest.raises(ConfigError, match="duplicate"):
-            InterfaceData(grid, inside, [c, c])
+            _interface(grid, inside, [c, c])
 
     def test_theta_bounds_validated(self):
         grid = Grid((0.0, 0.0, 0.0), 1.0, (4, 4, 4))
@@ -430,14 +432,11 @@ class TestValidation:
                 idx[axis] -= delta
                 loc = [1.0, 1.0, 1.0]
                 loc[axis] += (0.5 - delta)
-                crossings.append(Crossing(axis, tuple(idx), 0.5, tuple(loc)))
-        InterfaceData(grid, inside, crossings).validate()
-        bad = [
-            Crossing(c.axis, c.index, 1.5 if n == 0 else c.theta, c.location)
-            for n, c in enumerate(crossings)
-        ]
+                crossings.append(Cut(axis, tuple(idx), 0.5, tuple(loc)))
+        _interface(grid, inside, crossings).validate()
+        bad = [crossings[0]._replace(theta=1.5), *crossings[1:]]
         with pytest.raises(AssemblyError, match="theta"):
-            InterfaceData(grid, inside, bad)
+            _interface(grid, inside, bad)
 
 
 def _generators():
@@ -457,19 +456,20 @@ def _generators():
 
 
 class TestArrayLayout:
-    """Crossing arrays, the Crossing-list constructor and the interchange."""
+    """The crossing arrays, their key array and the interchange."""
 
     @pytest.mark.parametrize("kind", ["sphere", "union", "ses"])
     def test_shuffled_crossing_list_equals_classifier(self, kind):
         data = _generators()[kind]
-        crossings = list(data.crossings.values())
-        np.random.default_rng(4).shuffle(crossings)
-        rebuilt = InterfaceData(data.grid, data.inside, crossings)
+        perm = np.random.default_rng(4).permutation(len(data.theta))
+        rows = [a[perm] for a in (data.axis, data.index, data.theta, data.location)]
+        rebuilt = InterfaceData(data.grid, data.inside, *rows)
         assert rebuilt == data
-        keys = np.column_stack([rebuilt.axis, rebuilt.index])
-        assert [tuple(k) for k in keys.tolist()] == sorted(data.crossings)
+        keys = rebuilt.crossings.tolist()
+        assert keys == sorted(np.column_stack(rows[:2]).tolist())
+        again = [np.concatenate([a, a[5:6]]) for a in rows]
         with pytest.raises(ConfigError, match="duplicate"):
-            InterfaceData(data.grid, data.inside, crossings + crossings[5:6])
+            InterfaceData(data.grid, data.inside, *again)
 
     @pytest.mark.parametrize("kind", ["sphere", "union", "ses"])
     def test_export_import_round_trip(self, kind, tmp_path):
@@ -478,27 +478,27 @@ class TestArrayLayout:
         export_interface(data, path)
         assert import_interface(path) == data
 
-    def test_mapping_view(self):
+    def test_key_array_and_row_lookup(self):
         data = _generators()["union"]
-        assert len(data.crossings) == len(data.theta) > 0
+        keys = data.crossings
+        assert keys.shape == (len(data.theta), 4) and len(data.theta) > 0
         row = len(data.theta) // 3
         key = data.key(row)
-        c = data.crossings[key]
-        assert c.key == key and data.row(key) == row
-        assert c.theta == data.theta[row]
-        assert c.location == tuple(data.location[row])
-        assert (3, 0, 0, 0) not in data.crossings
-        with pytest.raises(KeyError):
-            data.crossings[(0, 0, 0, 0)]
+        assert key == tuple(keys[row].tolist()) and data.row(key) == row
+        for bad in ((3, 0, 0, 0), (0, 0, 0, 0)):
+            with pytest.raises(KeyError):
+                data.row(bad)
         with pytest.raises(ValueError):
             data.theta[0] = 0.5
+        with pytest.raises(ValueError):
+            keys[0, 0] = 1
         assert not data.inside.flags.writeable
 
     def test_crossing_off_grid_rejected(self):
         grid = Grid((0.0, 0.0, 0.0), 1.0, (4, 4, 4))
         inside = np.zeros((4, 4, 4), dtype=bool)
         with pytest.raises(ConfigError, match=re.escape("(1, 4, 0, 0) off the grid")):
-            InterfaceData(grid, inside, [Crossing(1, (4, 0, 0), 0.5, (4.0, 0.5, 0.0))])
+            _interface(grid, inside, [Cut(1, (4, 0, 0), 0.5, (4.0, 0.5, 0.0))])
 
 
 def _single_node():
@@ -513,26 +513,12 @@ def _single_node():
             idx[axis] -= delta
             loc = [1.0, 1.0, 1.0]
             loc[axis] += 0.5 - delta
-            crossings.append(Crossing(axis, tuple(idx), 0.5, tuple(loc)))
+            crossings.append(Cut(axis, tuple(idx), 0.5, tuple(loc)))
     return grid, inside, crossings
 
 
-def _single_node_arrays(grid, inside, crossings) -> InterfaceData:
-    """InterfaceData.from_arrays on the fields of crossings."""
-    fields = ("axis", "index", "theta", "location")
-    arrays = ([getattr(c, f) for c in crossings] for f in fields)
-    return InterfaceData.from_arrays(grid, inside, *arrays)
-
-
 def _replaced(crossings, key, **changes):
-    out = []
-    for c in crossings:
-        if c.key == key:
-            fields = dict(axis=c.axis, index=c.index, theta=c.theta, location=c.location)
-            fields.update(changes)
-            c = Crossing(**fields)
-        out.append(c)
-    return out
+    return [c._replace(**changes) if _key(c) == key else c for c in crossings]
 
 
 class TestValidateMessages:
@@ -540,22 +526,22 @@ class TestValidateMessages:
 
     def test_missing_crossing(self):
         grid, inside, crossings = _single_node()
-        kept = [c for c in crossings if c.key not in ((1, 1, 0, 1), (2, 1, 1, 1))]
+        kept = [c for c in crossings if _key(c) not in ((1, 1, 0, 1), (2, 1, 1, 1))]
         with pytest.raises(
             AssemblyError, match=re.escape("mixed edge without crossing record: (1, 1, 0, 1)")
         ):
-            InterfaceData(grid, inside, kept)
+            _interface(grid, inside, kept)
 
     def test_crossing_on_uniform_edge(self):
         grid, inside, crossings = _single_node()
         extra = [
-            Crossing(2, (2, 2, 2), 0.5, (2.0, 2.0, 2.5)),
-            Crossing(0, (3, 0, 0), 0.5, (3.5, 0.0, 0.0)),  # past the last node
+            Cut(2, (2, 2, 2), 0.5, (2.0, 2.0, 2.5)),
+            Cut(0, (3, 0, 0), 0.5, (3.5, 0.0, 0.0)),  # past the last node
         ]
         with pytest.raises(
             AssemblyError, match=re.escape("crossing on uniform edge: (0, 3, 0, 0)")
         ):
-            InterfaceData(grid, inside, crossings + extra)
+            _interface(grid, inside, crossings + extra)
 
     def test_theta_out_of_range(self):
         grid, inside, crossings = _single_node()
@@ -564,7 +550,7 @@ class TestValidateMessages:
         with pytest.raises(
             AssemblyError, match=re.escape("theta out of (0,1) on edge (1, 1, 0, 1): 0.0")
         ):
-            InterfaceData(grid, inside, bad)
+            _interface(grid, inside, bad)
 
     def test_theta_outside_clamp_range(self):
         grid, inside, crossings = _single_node()
@@ -575,10 +561,10 @@ class TestValidateMessages:
             " on edge (1, 1, 0, 1)"
         )
         with pytest.raises(AssemblyError, match=re.escape(message)):
-            InterfaceData(grid, inside, bad)
+            _interface(grid, inside, bad)
         # The classifiers clamp to the ends of the range, which pass.
         ends = _replaced(bad, (1, 1, 0, 1), theta=THETA_MIN)
-        InterfaceData(grid, inside, _replaced(ends, (2, 1, 1, 0), theta=1.0 - THETA_MIN))
+        _interface(grid, inside, _replaced(ends, (2, 1, 1, 0), theta=1.0 - THETA_MIN))
 
     def test_non_finite_location(self):
         grid, inside, crossings = _single_node()
@@ -586,7 +572,7 @@ class TestValidateMessages:
         with pytest.raises(
             AssemblyError, match=re.escape("non-finite location on edge (1, 1, 1, 1)")
         ):
-            InterfaceData(grid, inside, bad)
+            _interface(grid, inside, bad)
 
     def test_location_off_the_edge_line(self):
         grid, inside, crossings = _single_node()
@@ -595,7 +581,7 @@ class TestValidateMessages:
         with pytest.raises(
             AssemblyError, match=re.escape("location off the edge line for (0, 0, 1, 1)")
         ):
-            InterfaceData(grid, inside, bad)
+            _interface(grid, inside, bad)
 
     def test_location_outside_the_edge(self):
         grid, inside, crossings = _single_node()
@@ -603,7 +589,7 @@ class TestValidateMessages:
         with pytest.raises(
             AssemblyError, match=re.escape("location outside the edge for (0, 1, 1, 1)")
         ):
-            InterfaceData(grid, inside, bad)
+            _interface(grid, inside, bad)
 
     def test_first_failing_check_of_the_first_edge(self):
         # (0, 0, 1, 1) fails the line check only; (0, 1, 1, 1), later in
@@ -612,7 +598,7 @@ class TestValidateMessages:
         bad = _replaced(crossings, (0, 0, 1, 1), location=(0.5, 1.0, 1.1))
         bad = _replaced(bad, (0, 1, 1, 1), theta=2.0)
         with pytest.raises(AssemblyError, match=re.escape("off the edge line for (0, 0, 1, 1)")):
-            InterfaceData(grid, inside, bad)
+            _interface(grid, inside, bad)
 
 
 def _mid_edge_crossings(grid, inside):
@@ -622,7 +608,7 @@ def _mid_edge_crossings(grid, inside):
         for idx in np.argwhere(np.diff(inside, axis=axis)).tolist():
             loc = grid.node(*idx)
             loc[axis] += 0.5 * grid.h
-            crossings.append(Crossing(axis, tuple(idx), 0.5, tuple(loc)))
+            crossings.append(Cut(axis, tuple(idx), 0.5, tuple(loc)))
     return crossings
 
 
@@ -639,16 +625,16 @@ class TestValidateFastPath:
         with pytest.raises(
             AssemblyError, match=re.escape("mixed edge without crossing record: (0, 1, 1, 1)")
         ):
-            InterfaceData(grid, inside, moved)
+            _interface(grid, inside, moved)
 
     def test_crossing_past_the_last_node(self):
         # Low node x = 3 is the last along x: the edge leaves the grid.
         grid, inside, crossings = _single_node()
-        extra = Crossing(0, (3, 1, 1), 0.5, (3.5, 1.0, 1.0))
+        extra = Cut(0, (3, 1, 1), 0.5, (3.5, 1.0, 1.0))
         with pytest.raises(
             AssemblyError, match=re.escape("crossing on uniform edge: (0, 3, 1, 1)")
         ):
-            InterfaceData(grid, inside, crossings + [extra])
+            _interface(grid, inside, crossings + [extra])
 
     def test_crossing_past_the_last_node_of_the_fastest_axis(self):
         # One step up z from (1, 1, 3) in flat C order is (1, 2, 0), an
@@ -657,24 +643,24 @@ class TestValidateFastPath:
         inside = np.zeros(grid.shape, dtype=bool)
         inside[1, 1, 1] = inside[1, 2, 0] = True
         crossings = _mid_edge_crossings(grid, inside)
-        InterfaceData(grid, inside, crossings).validate()
+        _interface(grid, inside, crossings).validate()
         moved = _replaced(
             crossings, (2, 1, 1, 1), index=(1, 1, 3), location=(1.0, 1.0, 3.5)
         )
         with pytest.raises(
             AssemblyError, match=re.escape("mixed edge without crossing record: (2, 1, 1, 1)")
         ):
-            InterfaceData(grid, inside, moved)
+            _interface(grid, inside, moved)
 
     def test_missing_on_one_axis_extra_on_another(self):
         grid, inside, crossings = _single_node()
-        kept = [c for c in crossings if c.key != (1, 1, 0, 1)]
-        extra = Crossing(0, (2, 2, 2), 0.5, (2.5, 2.0, 2.0))
+        kept = [c for c in crossings if _key(c) != (1, 1, 0, 1)]
+        extra = Cut(0, (2, 2, 2), 0.5, (2.5, 2.0, 2.0))
         assert len(kept) + 1 == len(crossings)
         with pytest.raises(
             AssemblyError, match=re.escape("mixed edge without crossing record: (1, 1, 0, 1)")
         ):
-            InterfaceData(grid, inside, kept + [extra])
+            _interface(grid, inside, kept + [extra])
 
 
 def _greedy_cover(intervals, low_inside) -> float:
