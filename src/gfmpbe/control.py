@@ -47,7 +47,9 @@ POST_MIN_STEPS = 100
 @dataclass(frozen=True)
 class ControllerConfig:
     """Controller kind plus its numeric parameters; the PID gains, setpoint,
-    clamp and FastPID's step count are the module constants above."""
+    clamp and FastPID's step count are the module constants above.  A NaN
+    field, or an infinite dt_min, dt_max or dt0, raises ConfigError naming
+    it."""
 
     kind: str = "Constant"
     dt_max: float = 1.0
@@ -60,6 +62,14 @@ class ControllerConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown controller kind {self.kind!r}")
+        for name in ("dt_max", "dt_min", "dt0", "tol", "t_end", "t_min_stop"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if name.startswith("dt") and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+            if math.isnan(value):
+                raise ConfigError(f"{name} must be a number, got {value}")
         if not (0 < self.dt_min <= self.dt_max):
             raise ConfigError(
                 f"need 0 < dt_min <= dt_max, got {self.dt_min}, {self.dt_max}"
@@ -233,19 +243,25 @@ class Schedule(Controller):
     switches is a list of (t_switch, dt) with strictly increasing times
     starting at 0; each dt applies from the first step, the first one too,
     whose start time t (accumulated from the steps observed) satisfies
-    t >= t_switch - 1e-9.  Stopping is the Constant kind's under cfg.
+    t >= t_switch - 1e-9.  Stopping is the Constant kind's under cfg.  A NaN
+    time, or a dt that is not positive and finite, raises ConfigError.
     """
 
     def __init__(self, switches: list[tuple[float, float]], cfg: ControllerConfig):
         if not switches:
             raise ConfigError("schedule needs at least one (t, dt) switch")
+        for t, dt in switches:
+            if math.isnan(t):
+                raise ConfigError(f"switch time must be a number, got {t}")
+            if not 0 < dt < math.inf:
+                raise ConfigError(
+                    f"schedule time steps must be positive and finite, got {dt} at t={t}"
+                )
         times = [s[0] for s in switches]
         if times[0] > _T_EPS:
             raise ConfigError("first switch must start at t = 0")
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ConfigError("switch times must be strictly increasing")
-        if any(dt <= 0 for _, dt in switches):
-            raise ConfigError("schedule time steps must be positive")
         self.switches = list(switches)
         self.t = 0.0
         self.cfg = replace(cfg, kind="Constant")

@@ -161,14 +161,18 @@ def _boundary_field(grid: Grid, atoms: AtomSet, params: PhysicalParams) -> Field
     mask[0, :, :] = mask[-1, :, :] = True
     mask[:, 0, :] = mask[:, -1, :] = True
     mask[:, :, 0] = mask[:, :, -1] = True
-    # the face nodes' coordinates alone, in C order, as grid.nodes() has them
-    face = np.unravel_index(np.flatnonzero(mask), grid.shape)
-    pts = np.stack([grid.axis_coords(a)[i] for a, i in enumerate(face)], axis=-1)
     values = np.zeros(grid.shape)
-    values[mask] = dirichlet_boundary(atoms, pts, params)
+    values[mask] = dirichlet_boundary(atoms, _node_coords(grid, mask), params)
     # the split holds a view of these values in place of a copy
     values.flags.writeable = False
     return Field(grid, values)
+
+
+def _node_coords(grid: Grid, mask: np.ndarray) -> np.ndarray:
+    """Coordinates (m, 3) of the nodes where mask is set, in C order, as
+    grid.nodes()[mask] has them, without every node's coordinates."""
+    at = np.nonzero(mask)
+    return np.stack([grid.axis_coords(a)[i] for a, i in enumerate(at)], axis=-1)
 
 
 def _step_once(u: np.ndarray, dt: float, split: SplitOperators, scheme: str) -> np.ndarray:
@@ -484,7 +488,7 @@ def export_potential(
         if inside is None:
             raise ConfigError("phi mode needs the inside mask")
         values = u.values.copy()
-        pts = u.grid.nodes()[inside]
+        pts = _node_coords(u.grid, inside)
         if len(pts):
             g = np.zeros(len(pts))
             for center, charge in zip(atoms.centers, atoms.charges):

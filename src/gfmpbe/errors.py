@@ -22,7 +22,7 @@ class ParseError(ConfigError):
 
 
 class FormatError(ParseError):
-    """Malformed interface interchange document."""
+    """Malformed interface interchange document or binary field file."""
 
 
 class DomainError(GfmpbeError):

@@ -71,9 +71,10 @@ def ldlt_factor_into(
     """Factor I + tau*M = L D L^T for a batch of symmetric tridiagonal lines.
 
     M has the diagonal diag (m, ...) and the off-diagonal off (m-1, ...), the
-    line index first and any batch shape after it; o = tau*off is given,
-    and is overwritten with the unit lower multipliers cp, L[i+1, i] =
-    cp[i].  Returns (cp, inv), cp the array o and inv = 1/D (m, ...).
+    line index first and at least one batch axis after it, so that one line
+    is an (m, 1) column; o = tau*off is given, and is overwritten with the
+    unit lower multipliers cp, L[i+1, i] = cp[i].  Returns (cp, inv), cp the
+    array o and inv = 1/D (m, ...).
 
     The pivots are built in a new array that becomes inv and follow the two-op
     recurrence D[i] = d[i] - o[i-1]^2 / D[i-1] on the squared off-diagonal,
@@ -86,7 +87,7 @@ def ldlt_factor_into(
     piv += 1.0
     scratch = np.empty_like(piv)
     o2 = np.multiply(o, o, out=scratch[:-1])
-    rows = _rows(piv)
+    rows = list(piv)
     t = np.empty_like(rows[0])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for prev, sq, row in zip(rows, o2, rows[1:]):
@@ -107,15 +108,10 @@ def ldlt_solve(cp: np.ndarray, inv: np.ndarray, b: np.ndarray) -> None:
     calls pass their outputs positionally, which numpy parses faster than
     the out keyword; on short rows the call, not the arithmetic, is the cost.
     """
-    rows = _rows(b)
+    rows = list(b)
     t = np.empty_like(rows[0])
     for c, prev, row in zip(cp, rows, rows[1:]):
         np.subtract(row, np.multiply(c, prev, t), row)
     b *= inv
     for c, nxt, row in zip(cp[::-1], rows[:0:-1], rows[-2::-1]):
         np.subtract(row, np.multiply(c, nxt, t), row)
-
-
-def _rows(a: np.ndarray) -> list[np.ndarray]:
-    """The rows of a (m, ...) as writable views, also for one line."""
-    return list(a[:, None] if a.ndim == 1 else a)

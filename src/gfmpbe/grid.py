@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import math
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, FormatError
 
 if TYPE_CHECKING:
     from .molecule import AtomSet
@@ -18,6 +20,9 @@ MIN_NODES = 4
 
 _EXTENT_TOL = 1e-9
 """Relative tolerance when checking that a box extent is a multiple of h."""
+
+_HEADER_BYTES = 7 * 8
+"""Bytes of a binary field file's header: the shape, h and the origin."""
 
 
 @dataclass(frozen=True)
@@ -208,11 +213,25 @@ def write_field_binary(field: Field, path) -> None:
 
 
 def read_field_binary(path) -> Field:
-    """Inverse of write_field_binary."""
+    """Inverse of write_field_binary.  A file shorter than its header, or not
+    exactly as long as its header's field needs, raises FormatError with the
+    expected and found byte counts."""
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size < _HEADER_BYTES:
+            raise FormatError(
+                f"field file {path}: the header needs {_HEADER_BYTES} bytes,"
+                f" found {size}"
+            )
         shape = tuple(int(n) for n in np.fromfile(f, dtype="<i8", count=3))
         h = float(np.fromfile(f, dtype="<f8", count=1)[0])
         origin = tuple(float(c) for c in np.fromfile(f, dtype="<f8", count=3))
-        n_vals = shape[0] * shape[1] * shape[2]
-        values = np.fromfile(f, dtype="<f8", count=n_vals).reshape(shape)
-    return Field(Grid(origin, h, shape), values)
+        grid = Grid(origin, h, shape)
+        expected = _HEADER_BYTES + 8 * math.prod(shape)
+        if size != expected:
+            raise FormatError(
+                f"field file {path}: a {shape} field needs {expected} bytes,"
+                f" found {size}"
+            )
+        values = np.fromfile(f, dtype="<f8").reshape(shape)
+    return Field(grid, values)

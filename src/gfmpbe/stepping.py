@@ -23,10 +23,9 @@ systems are equal: the three operators share one factor table that holds
 the weights of each distinct line once, the three axes' columns side by
 side, and sums them into the diagonal.  A new tau factors the whole table
 in one row loop and expands every axis's columns to every line by one take
-per array; the table keeps one LRU of the expanded factors of the last
-_FACTOR_CACHE_SIZE (two) taus for the split, and a miss on a full LRU writes
-the new factors into the arrays of the entry it evicts, so the factors a
-sweep gets are valid until their tau is evicted.
+per array into the arrays of the tau it replaces: the table holds the
+factors of one tau, so the factors a sweep gets are valid until the split
+is swept at another.
 kappa^2 is zero inside the solute and one scalar in the solvent, so the
 substep runs once over the field with one log and its coefficients as
 Python floats, and the inside nodes are copied back from a flat index.
@@ -58,7 +57,6 @@ at 129^3 at 221 MiB.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +67,10 @@ from .grid import Field
 from .molecule import AtomSet, PhysicalParams, green_axis_terms
 from .surface import InterfaceData
 
-_FACTOR_CACHE_SIZE = 2
+_FACTOR_CACHE_SIZE = 1
+"""Taus whose factors a split's table holds: the last one.  The table is
+written for one and does not read this; bench/tracing.py replays its hits
+through it."""
 
 _TINY = float(np.finfo(float).tiny)
 
@@ -116,7 +117,7 @@ def nonlinear_substep(
 
 class _FactorTable:
     """The tau-independent line systems of the distinct lines of one or more
-    axis operators, and the expanded L D L^T factors of recent taus.
+    axis operators, and the expanded L D L^T factors of the last tau.
 
     A line with no cut edge and the same E on all its edges is fixed by its
     length and that E, so it shares one column with every such line of its
@@ -129,18 +130,17 @@ class _FactorTable:
     gfm.ldlt_factor_into row loop thus factors every member for a new tau,
     and _take expands a member's columns to its line-major layout.
 
-    factors keeps an LRU of _FACTOR_CACHE_SIZE taus, each entry every
-    member's expanded (cp, inv).  The steps give the three sweeps of a split
-    the same tau, so the one LRU sees the taus each sweep asks for.  A miss
-    factors the table before it evicts the oldest entry, so that a zero
-    pivot leaves the cache as it was, and then expands the new factors into
-    the evicted entry's arrays, so returned factors are valid until their
-    tau is evicted.  The adaptive controllers shrink dt as t grows, so an
-    old tau seldom comes back; the second entry keeps the one a dt bouncing
-    off dt_max returns to.  The table keeps _d and _w after a factorization,
-    because an adaptive march brings a new tau nearly every step; under
-    Constant they outlive the one tau, ~0.6 MiB at 65^3 beside the ~5 fields
-    of that tau's factors.
+    factors holds every member's expanded (cp, inv) for one tau.  The steps
+    give the three sweeps of a split the same tau, so the table factors
+    once per change of tau.  The adaptive controllers shrink dt as t grows
+    and Constant keeps it, so a tau that has been left seldom comes back.
+    A new tau first factors the table, so that a zero pivot leaves the held
+    tau and its arrays as they were, and then expands the new factors into
+    the held arrays, allocated on the first factorization only: returned
+    factors are valid until the next different tau.  The table keeps _d
+    and _w after a factorization, because an adaptive march brings a new
+    tau nearly every step; under Constant they outlive the one tau, ~0.6
+    MiB at 65^3 beside the ~5 fields of its factors.
 
     sources holds each member's axis length n, E on its lines' edges
     (n-1, t1, t2), and its cut edges' flat line-major indices and weights;
@@ -152,7 +152,8 @@ class _FactorTable:
     def __init__(self, sources: list[tuple]):
         self.sources = sources
         self._cols: list[np.ndarray] | None = None
-        self._cache: OrderedDict[float, list[tuple]] = OrderedDict()
+        self._tau: float | None = None
+        self._held: list[tuple] = [(None, None)] * len(sources)
 
     @classmethod
     def share(cls, ops) -> None:
@@ -212,27 +213,20 @@ class _FactorTable:
 
     def factors(self, member: int, tau: float) -> tuple[np.ndarray, np.ndarray]:
         """Member's factors (cp, inv) of I - tau*A, line-major (n-3, L) and
-        (n-2, L), from the cache or from a new factorization of the table.
-        -A has the diagonal of -A on it and -W off it, so the scaled
+        (n-2, L), the held ones or those of a new factorization of the
+        table.  -A has the diagonal of -A on it and -W off it, so the scaled
         off-diagonal is -tau*W (negation is exact).  The arrays are valid
-        until tau is evicted: a later miss writes another tau's factors
-        into them."""
-        entry = self._cache.get(tau)
-        if entry is not None:
-            self._cache.move_to_end(tau)
-            return entry[member]
-        if self._cols is None:
-            self._build()
-        cp, inv = ldlt_factor_into(self._d, np.multiply(self._w, -tau), tau)
-        if len(self._cache) < _FACTOR_CACHE_SIZE:
-            held = [(None, None)] * len(self.sources)
-        else:
-            held = self._cache.popitem(last=False)[1]
-        self._cache[tau] = entry = [
-            (self._take(k, cp, 3, c), self._take(k, inv, 2, i))
-            for k, (c, i) in enumerate(held)
-        ]
-        return entry[member]
+        until the next different tau writes its factors into them."""
+        if tau != self._tau:
+            if self._cols is None:
+                self._build()
+            cp, inv = ldlt_factor_into(self._d, np.multiply(self._w, -tau), tau)
+            self._held = [
+                (self._take(k, cp, 3, c), self._take(k, inv, 2, i))
+                for k, (c, i) in enumerate(self._held)
+            ]
+            self._tau = tau
+        return self._held[member]
 
 
 class AxisOperator:
@@ -262,12 +256,11 @@ class AxisOperator:
     weights and the cut edges as its cuts.  solve takes the L D L^T
     multipliers cp and inverse pivots inv of every line, line-major, from
     the operator's _FactorTable, which factors the distinct lines of all its
-    member operators at once and keeps the factors of the last
-    _FACTOR_CACHE_SIZE taus, valid until their tau is evicted;
-    build_split_operators gives the three operators of a split one table,
-    and an operator built alone has a table of its own.  The right-hand
-    side is copied into line layout and takes tau times the Dirichlet ends
-    and then tau times the corrections there.
+    member operators at once and holds the factors of the last tau, valid
+    until the next different tau; build_split_operators gives the three
+    operators of a split one table, and an operator built alone has a table
+    of its own.  The right-hand side is copied into line layout and takes
+    tau times the Dirichlet ends and then tau times the corrections there.
 
     apply and solve take an optional out array for the result.  The flux
     temporary of apply and the line-major buffer of solve come from a flat
@@ -660,8 +653,8 @@ def adi_step(u: np.ndarray, dt: float, split: SplitOperators) -> np.ndarray:
     right-hand side is built in it and each sweep writes over its own
     right-hand side.  dt*d2y(v0) and dt*d2z(v0) live in the workspace.
     """
-    if dt <= 0:
-        raise ConfigError(f"time step must be positive, got {dt}")
+    if not 0 < dt < np.inf:
+        raise ConfigError(f"time step must be positive and finite, got {dt}")
     ox, oy, oz = split.ops
     dy, dz = split._workspace(2)
     v = _substep(u, split, dt, 1.0, dy)
@@ -684,8 +677,8 @@ def lod_step(u: np.ndarray, dt: float, split: SplitOperators) -> np.ndarray:
     Each sweep writes over the field it started from; the right-hand side
     and the substeps' temporary live in the workspace.
     """
-    if dt <= 0:
-        raise ConfigError(f"time step must be positive, got {dt}")
+    if not 0 < dt < np.inf:
+        raise ConfigError(f"time step must be positive and finite, got {dt}")
     (d,) = split._workspace(1)
     v = _substep(u, split, dt, 0.5, d)
     half = 0.5 * dt

@@ -162,19 +162,20 @@ def line_solve(weights, corr, dir_lo, dir_hi, tau: float, rhs) -> np.ndarray:
     of weights (n-1,), corr (n-2,) and end terms dir_lo, dir_hi, rhs (n-2,).
 
     The Dirichlet ends are added first and the nonzero corrections after
-    them, then ldlt_factor_into and ldlt_solve run on the one line; tau = 0
-    returns rhs.  AxisOperator.solve adds the same terms in the same order,
-    so its lines equal these bit for bit.
+    them, then ldlt_factor_into and ldlt_solve run on the one line as an
+    (m, 1) column; tau = 0 returns rhs.  AxisOperator.solve adds the same
+    terms in the same order, so its lines equal these bit for bit.
     """
     b = np.array(rhs, dtype=float)
     if tau == 0.0:
         return b
-    w = np.asarray(weights, dtype=float)
+    w = np.asarray(weights, dtype=float)[:, None]
     b[0] += tau * dir_lo
     b[-1] += tau * dir_hi
     nz = np.flatnonzero(corr)
     b[nz] += tau * np.asarray(corr)[nz]
-    ldlt_solve(*ldlt_factor_into(w[:-1] + w[1:], np.multiply(w[1:-1], -tau), tau), b)
+    factors = ldlt_factor_into(w[:-1] + w[1:], np.multiply(w[1:-1], -tau), tau)
+    ldlt_solve(*factors, b[:, None])
     return b
 
 

@@ -193,6 +193,21 @@ class TestKirkwood:
         assert "march time:" in out
 
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--dt", "inf"], "dt_max must be finite"),
+            (["--dt", "nan"], "dt0 must be finite"),
+            (["--tol", "nan"], "tol must be a number"),
+            (["--tend", "nan"], "t_end must be a number"),
+        ],
+    )
+    def test_nonfinite_input_is_config_error(self, flags, message, capsys):
+        rc = main(["kirkwood", "--h", "2.0", "--ic", "zero", *flags])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+
 class TestConvergence:
     def test_smoke_without_atoms(self, capsys):
         rc = main(
@@ -244,6 +259,12 @@ class TestSchedule:
     def test_bad_switch_spec(self, capsys):
         rc = main(["schedule", "--switch", "nonsense", "--h", "2.0"])
         assert rc == 2
+
+    @pytest.mark.parametrize("spec", ["0:nan", "0:inf"])
+    def test_nonfinite_switch_dt_is_config_error(self, spec, capsys):
+        rc = main(["schedule", "--switch", spec, "--h", "2.0", "--ic", "zero"])
+        assert rc == 2
+        assert "positive and finite" in capsys.readouterr().err
 
 
 class TestCompareControllers:

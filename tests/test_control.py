@@ -235,6 +235,9 @@ class TestSchedule:
             ([(1.0, 0.1)], "start at t = 0"),
             ([(0.0, 0.1), (0.0, 0.05)], "strictly increasing"),
             ([(0.0, 0.1), (0.5, -0.1)], "must be positive"),
+            ([(0.0, math.nan)], "positive and finite, got nan"),
+            ([(0.0, math.inf)], "positive and finite, got inf"),
+            ([(0.0, 0.1), (math.nan, 0.05)], "switch time must be a number"),
         ],
     )
     def test_validation(self, switches, message):
@@ -364,6 +367,22 @@ class TestConfigValidation:
     def test_dt0_out_of_range(self):
         with pytest.raises(ConfigError):
             ControllerConfig(dt0=2.0, dt_max=1.0)
+
+    @pytest.mark.parametrize(
+        "name", ["dt_max", "dt_min", "dt0", "tol", "t_end", "t_min_stop"]
+    )
+    def test_nan_rejected_naming_the_field(self, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be"):
+            ControllerConfig(**{name: math.nan})
+
+    @pytest.mark.parametrize("name", ["dt_max", "dt_min", "dt0"])
+    def test_infinite_step_rejected_naming_the_field(self, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be finite, got inf"):
+            ControllerConfig(**{name: math.inf})
+
+    def test_infinite_horizon_and_tolerance_allowed(self):
+        cfg = ControllerConfig(tol=math.inf, t_end=math.inf)
+        assert stop_reason(1e300, 1.0, ControllerState(dt=0.1), cfg) == "tolerance"
 
     def test_for_kind_recommended_row(self):
         cfg = ControllerConfig.for_kind("NonincreasingPID")

@@ -30,6 +30,7 @@ from gfmpbe.molecule import (
     Atom,
     AtomSet,
     CHARGE_FACTOR,
+    SINGULARITY_GUARD,
     PhysicalParams,
     solvation_energy,
 )
@@ -572,6 +573,19 @@ class TestExportPotential:
         np.testing.assert_allclose(
             got[inside], u.values[inside] + coulomb, rtol=0, atol=1e-12
         )
+        # bit for bit as the dump built from every node's coordinates was
+        g = np.zeros(len(pts))
+        for center, charge in zip(prob.atoms.centers, prob.atoms.charges):
+            d = np.sqrt(((pts - center) ** 2).sum(axis=1))
+            with np.errstate(divide="ignore"):
+                g += np.where(
+                    d < SINGULARITY_GUARD,
+                    np.inf,
+                    charge / np.where(d < SINGULARITY_GUARD, 1.0, d),
+                )
+        want = u.values.copy()
+        want[inside] += (CHARGE_FACTOR / prob.params.eps_in) * g
+        assert got.tobytes() == want.tobytes()
 
     def test_csv_extension_writes_text(self, tmp_path):
         prob, u = self._small_run()

@@ -353,10 +353,10 @@ class TestFactorInPlace:
         with pytest.raises(NumericalError, match="zero pivot"):
             _factor(diag, off, 1.0)
         with pytest.raises(NumericalError, match="zero pivot"):
-            _factor(diag[:, 1], off[:, 1], 1.0)
+            _factor(diag[:, 1:2], off[:, 1:2], 1.0)
 
     def test_nan_pivot_is_not_a_zero_pivot(self):
-        cp, inv = _factor(np.array([np.nan, 2.0, 2.0]), np.array([-0.5, -0.5]), 1.0)
+        cp, inv = _factor(np.c_[[np.nan, 2.0, 2.0]], np.c_[[-0.5, -0.5]], 1.0)
         assert np.isnan(inv).all() and np.isnan(cp).all()
 
 

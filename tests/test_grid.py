@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfmpbe.errors import ConfigError, DomainError
+from gfmpbe.errors import ConfigError, DomainError, FormatError
 from gfmpbe.grid import (
     Field,
     Grid,
@@ -246,6 +246,19 @@ class TestFieldIO:
         write_field_csv(f, tmp_path / "new.csv")
         per_node(f, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "size, needs",
+        [(20, 56), (56 + 8 * 119, 1016), (1016 + 7, 1016)],
+        ids=["header", "values", "trailing"],
+    )
+    def test_bad_length_is_format_error(self, tmp_path, size, needs):
+        """A (4, 5, 6) field takes a 56-byte header and 960 bytes of values."""
+        path = tmp_path / "field.bin"
+        write_field_binary(self._field(), path)
+        path.write_bytes((path.read_bytes() + bytes(8))[:size])
+        with pytest.raises(FormatError, match=f"needs {needs} bytes, found {size}$"):
+            read_field_binary(path)
 
     def test_shape_mismatch_rejected(self):
         grid = Grid((0.0, 0.0, 0.0), 1.0, (4, 4, 4))

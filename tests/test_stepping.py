@@ -322,9 +322,8 @@ class TestBatchedSweeps:
         rhs = np.random.default_rng(6).normal(size=split.shape)
         for op, new in zip(split.ops, fresh.ops):
             op.solve(0.3, rhs, split.boundary)
-            for k in range(stepping._FACTOR_CACHE_SIZE):
-                op.solve(0.4 + 0.1 * k, rhs, split.boundary)
-            assert 0.3 not in op._table._cache
+            op.solve(0.4, rhs, split.boundary)
+            assert op._table._tau == 0.4
             got = op.solve(0.3, rhs, split.boundary)
             np.testing.assert_array_equal(got, new.solve(0.3, rhs, fresh.boundary))
 
@@ -346,16 +345,18 @@ class TestFactorTable:
         for tau in (0.05, 1.7):
             self._sweep_all(split, tau, rhs)
             for op in split.ops:
-                cp, inv = op._table._cache[tau][op._member]
+                assert op._table._tau == tau
+                cp, inv = op._table._held[op._member]
                 diag, w, *_ = axis_lines(data, params, jumps, bvals, op.axis)
                 for line in range(diag.shape[1]):
-                    want = ldlt_factor_into(diag[:, line], -tau * w[1:-1, line], tau)
-                    np.testing.assert_array_equal(_bits(cp[:, line]), _bits(want[0]))
-                    np.testing.assert_array_equal(_bits(inv[:, line]), _bits(want[1]))
+                    at = (slice(None), [line])
+                    want = ldlt_factor_into(diag[at], -tau * w[1:-1][at], tau)
+                    np.testing.assert_array_equal(_bits(cp[at]), _bits(want[0]))
+                    np.testing.assert_array_equal(_bits(inv[at]), _bits(want[1]))
                 inside_lines += int(_line_major(op, data.inside).all(axis=0).sum())
         table = split.ops[0]._table
         assert all(op._table is table for op in split.ops)
-        assert list(table._cache) == [0.05, 1.7]
+        assert table._tau == 1.7
         # The table holds each distinct column once: fewer than the lines,
         # and lines share them.
         cols = table._cols
@@ -382,11 +383,12 @@ class TestFactorTable:
         assert len(alone._cut_w) == 0
         tau = 0.3
         alone.solve(tau, rhs, split.boundary)
-        ((cp, inv),) = alone._table._cache[tau]
+        ((cp, inv),) = alone._table._held
         for line in range(w.shape[1]):
-            want = ldlt_factor_into(diag[:, line], -tau * w[1:-1, line], tau)
-            np.testing.assert_array_equal(_bits(cp[:, line]), _bits(want[0]))
-            np.testing.assert_array_equal(_bits(inv[:, line]), _bits(want[1]))
+            at = (slice(None), [line])
+            want = ldlt_factor_into(diag[at], -tau * w[1:-1][at], tau)
+            np.testing.assert_array_equal(_bits(cp[at]), _bits(want[0]))
+            np.testing.assert_array_equal(_bits(inv[at]), _bits(want[1]))
         (cols,) = alone._table._cols
         assert len(np.unique(cols[:5])) == 1
         assert cols[0] not in cols[5:]
@@ -394,6 +396,8 @@ class TestFactorTable:
 
     @pytest.mark.parametrize("step, scale", [(adi_step, 1.0), (lod_step, 0.5)])
     def test_one_factorization_per_tau_per_split(self, monkeypatch, step, scale):
+        """The three sweeps of a step share one factorization, and the
+        table holds one tau: it factors once per change of tau."""
         *_, bvals, split = _two_sphere_problem()
         taus = []
 
@@ -406,7 +410,7 @@ class TestFactorTable:
         u = bvals.copy()
         for dt in (0.05, 0.05, 0.07, 0.05, 0.07):
             u = step(u, dt, split)
-        assert taus == [scale * 0.05, scale * 0.07]
+        assert taus == [scale * 0.05, scale * 0.07, scale * 0.05, scale * 0.07]
 
     def test_zero_pivot_in_one_member_raises_from_every_sweep(self):
         *_, bvals, split = _two_sphere_problem()
@@ -416,31 +420,38 @@ class TestFactorTable:
         for o in ops:
             with pytest.raises(NumericalError, match="zero pivot"):
                 o.solve(1.0, rhs, split.boundary)
-        assert not ops[0]._table._cache
+        assert ops[0]._table._tau is None
         ops[0].solve(0.5, rhs, split.boundary)
 
     def test_failed_factorization_evicts_nothing(self, monkeypatch):
+        """A zero pivot leaves the held tau and its arrays as they were."""
         *_, split = _two_sphere_problem()
         ops = (split.ops[0], _zero_pivot_operator(split, 1), split.ops[2])
         stepping._FactorTable.share(ops)
         table = ops[0]._table
         rhs = np.random.default_rng(13).normal(size=split.shape)
-        taus = [0.1 * (k + 1) for k in range(stepping._FACTOR_CACHE_SIZE)]
-        for tau in taus:
-            for o in ops:
-                o.solve(tau, rhs, split.boundary)
-        assert list(table._cache) == taus
+        for o in ops:
+            o.solve(0.1, rhs, split.boundary)
+        held = table._held
+        kept = [[_bits(a).copy() for a in f] for f in held]
         with pytest.raises(NumericalError, match="zero pivot"):
             ops[0].solve(1.0, rhs, split.boundary)
-        assert list(table._cache) == taus
+        assert table._tau == 0.1
+        assert table._held is held
+        for f, bits in zip(held, kept):
+            for a, b in zip(f, bits):
+                np.testing.assert_array_equal(_bits(a), b)
         calls = []
         monkeypatch.setattr(stepping, "ldlt_factor_into", lambda *a: calls.append(a))
         for o in ops:
-            o.solve(taus[0], rhs, split.boundary)
+            o.solve(0.1, rhs, split.boundary)
         assert calls == []
 
-    def test_lru_eviction(self, monkeypatch):
-        *_, bvals, split = _two_sphere_problem()
+    def test_new_tau_replaces_the_held_factors(self, monkeypatch):
+        """Each new tau is factored once for the split and written into the
+        arrays of the first factorization; a tau that comes back after
+        another is factored again, bit for bit as a fresh split does."""
+        *_, split = _two_sphere_problem()
         *_, fresh = _two_sphere_problem()
         calls = Counter()
 
@@ -448,22 +459,22 @@ class TestFactorTable:
             calls[tau] += 1
             return factor(diag, o, tau)
 
+        rhs = np.random.default_rng(12).normal(size=split.shape)
+        wants = [new.solve(0.1, rhs, fresh.boundary) for new in fresh.ops]
         factor = stepping.ldlt_factor_into
         monkeypatch.setattr(stepping, "ldlt_factor_into", counting)
-        rhs = np.random.default_rng(12).normal(size=split.shape)
-        taus = [0.1 * (k + 1) for k in range(stepping._FACTOR_CACHE_SIZE + 1)]
-        for tau in taus:
-            self._sweep_all(split, tau, rhs)
-        for tau in taus[1:]:
-            self._sweep_all(split, tau, rhs)
-        assert list(split.ops[0]._table._cache) == taus[1:]
-        assert set(calls.values()) == {1}
-        for op, new in zip(split.ops, fresh.ops):
-            got = op.solve(taus[0], rhs, split.boundary)
-            assert list(op._table._cache) == taus[2:] + taus[:1]
-            want = new.solve(taus[0], rhs, fresh.boundary)
+        table = split.ops[0]._table
+        self._sweep_all(split, 0.1, rhs)
+        arrays = [a for f in table._held for a in f]
+        self._sweep_all(split, 0.2, rhs)
+        assert table._tau == 0.2
+        assert calls == {0.1: 1, 0.2: 1}
+        for op, want in zip(split.ops, wants):
+            got = op.solve(0.1, rhs, split.boundary)
             np.testing.assert_array_equal(_bits(got), _bits(want))
-        assert calls[taus[0]] == 3
+        assert calls == {0.1: 2, 0.2: 1}
+        held = [a for f in table._held for a in f]
+        assert all(a is b for a, b in zip(arrays, held))
 
     def test_deleted_problem_is_freed_without_the_collector(self):
         ctrl = ControllerConfig(kind="Constant", dt0=0.01, t_end=0.03)
@@ -474,7 +485,7 @@ class TestFactorTable:
             problem = build_problem(cfg)
             run(cfg, problem=problem)
             split = problem.split
-            assert split.ops[0]._table._cache
+            assert split.ops[0]._table._tau is not None
             refs = [weakref.ref(o) for o in (problem, split, split.ops[0]._table)]
             refs += [weakref.ref(op) for op in split.ops]
             del problem, split
@@ -599,8 +610,9 @@ class TestSchemeOracles:
         np.testing.assert_array_equal(lod_step(u, 0.4, split), 0.0)
 
     def test_nonpositive_dt_rejected(self):
+        """NaN and inf are rejected with the nonpositive dts."""
         _, _, split, _, _, u = self._setup()
-        for bad in (0.0, -0.1):
+        for bad in (0.0, -0.1, np.nan, np.inf):
             with pytest.raises(ConfigError):
                 adi_step(u, bad, split)
             with pytest.raises(ConfigError):
@@ -1007,7 +1019,7 @@ class TestStepWorkspace:
         split.ops = (op, *split.ops[1:])
         with pytest.raises(NumericalError, match="zero pivot"):
             adi_step(self._start(bvals, 64), 1.0, split)
-        assert 1.0 not in op._table._cache
+        assert op._table._tau != 1.0
         rhs = self._start(bvals, 65)
         with pytest.raises(NumericalError, match="zero pivot"):
             op.solve(1.0, rhs, split.boundary, out=rhs)
@@ -1035,8 +1047,8 @@ class TestStepMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        entries = problem.split.ops[0]._table._cache.values()
-        cache = sum(a.nbytes for entry in entries for f in entry for a in f)
+        held = problem.split.ops[0]._table._held
+        cache = sum(a.nbytes for f in held for a in f)
         assert (peak - before - cache) / u.nbytes <= bound
 
     def test_built_operators_hold_no_off_diagonal(self):
@@ -1080,53 +1092,44 @@ class TestStepMemory:
 
 
 class TestFactorCachePolicy:
-    """The split's factor cache holds at most _FACTOR_CACHE_SIZE taus, and a
-    miss on a full cache writes the new tau's factors into the arrays of the
-    entry it evicts.  TestStepMemory subtracts the cache's bytes, so it
-    cannot see how many taus the cache holds; these tests can."""
+    """The split's factor table holds the factors of one tau, and each new
+    tau's factors are written into the arrays of the first factorization.
+    TestStepMemory subtracts the held bytes, so it cannot see how many taus
+    the table holds; these tests can."""
 
     DTS = (0.01, 0.02, 0.015, 0.03, 0.025, 0.04, 0.035, 0.05)
 
     @pytest.mark.parametrize("step", [adi_step, lod_step])
     def test_bounded_and_refilled_in_place(self, step):
         """On 33^3 Kirkwood, eight distinct dts.  The peak above the built
-        problem and the start field, cache included, is 14.6 field sizes for
-        ADI and 14.1 for LOD; one cached tau's factors are ~4.9 field sizes,
-        so the bound of 16 fails a cache that keeps a third tau (a four-tau
-        cache measured 24.4 and 23.9)."""
+        problem and the start field, factors included, is 9.7 field sizes
+        for ADI and 9.3 for LOD; one tau's factors are ~4.9 field sizes, so
+        the bound of 12 fails a table that keeps a second tau (a two-tau
+        cache measured 14.6 and 14.1)."""
         problem = build_problem(kirkwood_config(h=0.5, ic="zero"))
         assert problem.grid.shape == (33, 33, 33)
         table = problem.split.ops[0]._table
-        size = stepping._FACTOR_CACHE_SIZE
-        refilled = 0
         tracemalloc.start()
         try:
             u = problem.boundary.values.copy()
             before = tracemalloc.get_traced_memory()[0]
+            arrays = None
             for dt in self.DTS:
-                oldest = next(iter(table._cache.values()), None)
-                full = len(table._cache) == size
                 u = step(u, dt, problem.split)
-                assert len(table._cache) <= size
-                if full:
-                    newest = table._cache[next(reversed(table._cache))]
-                    assert all(
-                        np.shares_memory(a, b)
-                        for old, new in zip(oldest, newest)
-                        for a, b in zip(old, new)
-                    )
-                    refilled += 1
+                held = [a for f in table._held for a in f]
+                arrays = arrays or held
+                assert all(a is b for a, b in zip(arrays, held))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert refilled == len(self.DTS) - size
-        assert (peak - before) / u.nbytes <= 16.0
+        assert table._tau == self.DTS[-1] * (1.0 if step is adi_step else 0.5)
+        assert (peak - before) / u.nbytes <= 12.0
 
-    def test_adaptive_march_factors_each_tau_about_once(self, monkeypatch):
+    def test_adaptive_march_factors_once_per_change_of_tau(self, monkeypatch):
         """The desk solute at h = 0.5 under LOD and PID1 takes 18 distinct
         taus in 53 steps, and its dt bounces off dt_max: a tau comes back
-        after one other.  Two cached taus factor 19 times; one would factor
-        34 times."""
+        after one other.  The table factors at the first step and at each
+        step whose tau differs from the step before, 34 times."""
         calls = []
 
         def counting(diag, o, tau):
@@ -1150,10 +1153,10 @@ class TestFactorCachePolicy:
             controller=ControllerConfig.for_kind("PID1"),
             params=PhysicalParams(eps_in=1.0, eps_out=80.0, ionic_strength=0.15),
         )
-        trace = run(cfg)
-        taus = set(0.5 * trace.dts)
-        assert set(calls) == taus
-        assert len(calls) <= len(taus) + 1
+        taus = list(0.5 * run(cfg).dts)
+        changes = [t for k, t in enumerate(taus) if k == 0 or t != taus[k - 1]]
+        assert calls == changes
+        assert len(set(taus)) < len(changes)
 
 
 class TestSetupMemory:
