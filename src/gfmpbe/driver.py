@@ -30,6 +30,7 @@ from .molecule import (
     dirichlet_boundary,
     solvation_energy,
 )
+from .steady import CG_RTOL, linearized_steady_state
 from .stepping import SplitOperators, adi_step, build_split_operators, lod_step
 from .surface import (
     InterfaceData,
@@ -42,16 +43,11 @@ from .surface import (
 ENERGY_GUARD = 1e8
 """Absolute energies beyond this abort the run as divergent."""
 
-CG_RTOL = 1e-8
-"""Relative residual at which the linearized steady-state CG stops."""
-
-CG_MAXITER = 5000
-"""Iteration cap of the linearized steady-state CG."""
-
 
 @dataclass
 class RunConfig:
-    """Everything needed to assemble and run one problem."""
+    """Everything needed to assemble and run one problem; h, probe_radius
+    and the box corners must be finite."""
 
     atoms: AtomSet
     h: float
@@ -67,6 +63,11 @@ class RunConfig:
     field_mode: str = "u"  # u | phi
 
     def __post_init__(self):
+        for name, value in (("h", self.h), ("probe_radius", self.probe_radius)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        if self.box is not None and not all(map(math.isfinite, self.box)):
+            raise ConfigError(f"box corners must be finite, got {self.box}")
         if self.scheme not in ("ADI", "LOD"):
             raise ConfigError(f"scheme must be ADI or LOD, got {self.scheme!r}")
         if self.ic not in ("zero", "lpb"):
@@ -162,17 +163,10 @@ def _boundary_field(grid: Grid, atoms: AtomSet, params: PhysicalParams) -> Field
     mask[:, 0, :] = mask[:, -1, :] = True
     mask[:, :, 0] = mask[:, :, -1] = True
     values = np.zeros(grid.shape)
-    values[mask] = dirichlet_boundary(atoms, _node_coords(grid, mask), params)
+    values[mask] = dirichlet_boundary(atoms, grid.nodes_at(mask), params)
     # the split holds a view of these values in place of a copy
     values.flags.writeable = False
     return Field(grid, values)
-
-
-def _node_coords(grid: Grid, mask: np.ndarray) -> np.ndarray:
-    """Coordinates (m, 3) of the nodes where mask is set, in C order, as
-    grid.nodes()[mask] has them, without every node's coordinates."""
-    at = np.nonzero(mask)
-    return np.stack([grid.axis_coords(a)[i] for a, i in enumerate(at)], axis=-1)
 
 
 def _step_once(u: np.ndarray, dt: float, split: SplitOperators, scheme: str) -> np.ndarray:
@@ -211,53 +205,18 @@ def _divergence(message: str, u: np.ndarray, step: int, t, dt) -> DivergenceErro
 
 
 def initial_condition(kind: str, problem: Problem) -> Field:
-    """Starting field: zeros, or the steady state of the linearized problem.
-
-    "lpb" solves the discrete linearized steady state on the interior nodes,
-    (sum_a M_a + kappa^2) u = sum_a (c_a + Dirichlet_a) with M_a = -A_a the
-    axis operators, by Jacobi-preconditioned conjugate gradients (_jacobi_cg)
-    applied matrix-free.  A non-finite field, a runaway energy or a solve
-    that misses its tolerance raises InitializationError.  kappa^2 is the
-    split's scalar and solute index, and the matrix-vector products run in
-    the split's step workspace, which is released on return.  The
-    right-hand side is read from the boundary field itself, and the start
-    field, a copy of it, is made after the solve, so that the solve's peak
-    holds one field fewer.
-    """
+    """Starting field: zeros, or ("lpb") the linearized steady state of
+    steady.linearized_steady_state, where a non-finite field, a runaway
+    energy or a solve that misses CG_RTOL raises InitializationError.  The
+    start field, a copy of the boundary field, is made after the solve, so
+    that the solve's peak holds one field fewer."""
     if kind == "zero":
         return Field(problem.grid, problem.boundary.values.copy())
     if kind != "lpb":
         raise ConfigError(f"unknown initial condition kind {kind!r}")
-    split = problem.split
-    interior_shape = tuple(n - 2 for n in split.shape)
-    # kappa^2 on the interior nodes is kappa_sq but at the solute's nodes,
-    # listed here as flat indices into the interior block.
-    at = np.unravel_index(split.inside, split.shape)
-    on = np.all([(i > 0) & (i < n - 1) for i, n in zip(at, split.shape)], axis=0)
-    solute = np.ravel_multi_index(tuple(i[on] - 1 for i in at), interior_shape)
-    v = np.zeros(split.shape)
-    block = v[1:-1, 1:-1, 1:-1]
-    try:
-        work = split._workspace(2)
-
-        def matvec(p, q):
-            block[...] = p.reshape(interior_shape)
-            np.multiply(p, split.kappa_sq, out=q)
-            q[solute] = p[solute] * 0.0
-            q3 = q.reshape(interior_shape)
-            q3 -= split.delta2_sum(v, corr=False, work=work)
-
-        r = split.delta2_sum(problem.boundary.values, work=work).ravel()
-        d = split.diag_sum().ravel()
-        kept = d[solute]
-        d += split.kappa_sq
-        d[solute] = kept
-        inv_diag = np.divide(1.0, d, out=d)
-        x, iterations, rel = _jacobi_cg(matvec, r, inv_diag)
-    finally:
-        split._release_workspace()
+    x, iterations, rel = linearized_steady_state(problem.split, problem.boundary.values)
     u = problem.boundary.values.copy()
-    u[1:-1, 1:-1, 1:-1] = x.reshape(interior_shape)
+    u[1:-1, 1:-1, 1:-1] = x
     try:
         _check_finite(u, iterations)
         _checked_energy(u, problem, iterations)
@@ -272,46 +231,6 @@ def initial_condition(kind: str, problem: Problem) -> Field:
             iterations,
         )
     return Field(problem.grid, u)
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    # einsum calls no BLAS, so no thread pool wakes up for a small vector
-    return float(np.einsum("i,i->", a, b))
-
-
-def _jacobi_cg(matvec, r: np.ndarray, inv_diag: np.ndarray):
-    """Conjugate gradients from x = 0 for an SPD operator, preconditioned by
-    the inverse diagonal inv_diag.
-
-    r holds the right-hand side b on entry and is overwritten with the
-    residual.  matvec(p, q) writes the operator times p into q.  Stops when
-    the recursively updated residual satisfies ||r|| / ||b|| <= CG_RTOL
-    (2-norms) or after CG_MAXITER iterations; returns x, the iteration
-    count and ||r|| / ||b||.  Besides r and x it holds three vectors, z, p
-    and q; the steps alpha*p and alpha*q are built in z and q, which the
-    iteration overwrites next.
-    """
-    x = np.zeros_like(r)
-    rr = _dot(r, r)
-    b_norm = math.sqrt(rr) or 1.0
-    rel = math.sqrt(rr) / b_norm
-    z = inv_diag * r
-    p = z.copy()
-    q = np.empty_like(r)
-    rz = _dot(r, z)
-    iterations = 0
-    while rel > CG_RTOL and iterations < CG_MAXITER:
-        matvec(p, q)
-        alpha = rz / _dot(p, q)
-        x += np.multiply(p, alpha, out=z)
-        r -= np.multiply(q, alpha, out=q)
-        np.multiply(inv_diag, r, out=z)
-        rz, rz_old = _dot(r, z), rz
-        p *= rz / rz_old
-        p += z
-        rel = math.sqrt(_dot(r, r)) / b_norm
-        iterations += 1
-    return x, iterations, rel
 
 
 def run(cfg: RunConfig, problem: Problem | None = None) -> EnergyTrace:
@@ -488,7 +407,7 @@ def export_potential(
         if inside is None:
             raise ConfigError("phi mode needs the inside mask")
         values = u.values.copy()
-        pts = _node_coords(u.grid, inside)
+        pts = u.grid.nodes_at(inside)
         if len(pts):
             g = np.zeros(len(pts))
             for center, charge in zip(atoms.centers, atoms.charges):

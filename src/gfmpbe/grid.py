@@ -34,6 +34,8 @@ class Grid:
     shape: tuple[int, int, int]
 
     def __post_init__(self):
+        if not all(math.isfinite(o) for o in self.origin):
+            raise ConfigError(f"grid origin must be finite, got {self.origin}")
         if self.h <= 0 or not np.isfinite(self.h):
             raise ConfigError(f"grid spacing must be positive, got {self.h}")
         if any(n < MIN_NODES for n in self.shape):
@@ -62,6 +64,12 @@ class Grid:
         """All node coordinates, shape (Nx, Ny, Nz, 3), C order."""
         x, y, z = (self.axis_coords(a) for a in range(3))
         return np.stack(np.meshgrid(x, y, z, indexing="ij"), axis=-1)
+
+    def nodes_at(self, mask: np.ndarray) -> np.ndarray:
+        """Coordinates (m, 3) of the nodes where mask is set, in C order, as
+        nodes()[mask] has them, without every node's coordinates."""
+        at = np.nonzero(mask)
+        return np.stack([self.axis_coords(a)[i] for a, i in enumerate(at)], axis=-1)
 
 
 @dataclass
@@ -100,7 +108,7 @@ def build_grid(
     if box is not None:
         lo = np.array(box[:3], dtype=float)
         hi = np.array(box[3:], dtype=float)
-        if np.any(hi <= lo):
+        if not np.all(hi > lo):
             raise ConfigError(f"box upper corner must exceed lower corner: {box}")
         cells = (hi - lo) / h
         n_cells = np.round(cells).astype(int)

@@ -89,6 +89,7 @@ class PhysicalParams:
     kappa_sq is the solvent-region screening parameter in A^-2; it is zero
     inside the solute.  If not given it is derived from the ionic strength;
     if the ionic strength is not given it is back-computed from kappa_sq.
+    A non-finite value raises ConfigError naming its field.
     """
 
     eps_in: float = 1.0
@@ -97,6 +98,10 @@ class PhysicalParams:
     kappa_sq: float | None = None
 
     def __post_init__(self):
+        for name in ("eps_in", "eps_out", "ionic_strength", "kappa_sq"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if not (0 < self.eps_in <= self.eps_out):
             raise ConfigError(
                 f"need 0 < eps_in <= eps_out, got {self.eps_in}, {self.eps_out}"
@@ -105,8 +110,10 @@ class PhysicalParams:
             self.kappa_sq = debye_kappa_sq(self.ionic_strength or 0.0)
         if self.ionic_strength is None:
             self.ionic_strength = self.kappa_sq / DEBYE_COEFF
-        if self.kappa_sq < 0:
-            raise ConfigError(f"kappa_sq must be nonnegative, got {self.kappa_sq}")
+        if not 0 <= self.kappa_sq < np.inf:
+            raise ConfigError(
+                f"kappa_sq must be nonnegative and finite, got {self.kappa_sq}"
+            )
 
 
 def debye_kappa_sq(ionic_strength: float) -> float:

@@ -412,9 +412,6 @@ class AxisOperator:
         _reset_faces(out, boundary)
         inner = rhs[1:-1, 1:-1, 1:-1]
         rows = self._lines(out[1:-1, 1:-1, 1:-1])
-        if tau == 0.0:
-            rows[...] = self._lines(inner)
-            return out
         cp, inv = self._table.factors(self._member, tau)
         b = self._scratch(inner.size).reshape(self.n - 2, -1)
         lines = b.reshape(rows.shape)
@@ -444,9 +441,9 @@ class SplitOperators:
     the arrays from one step to the next: allocating them afresh each step
     costs page faults once the allocator has returned them to the system.
     The driver's march calls _release_workspace when it returns, and so
-    does the LPB start, which borrows the workspace for its matrix-vector
-    products.  A split is therefore not safe to step from two threads at
-    once.
+    does steady.linearized_steady_state, which borrows the workspace for
+    its matrix-vector products.  A split is therefore not safe to step from
+    two threads at once.
     """
 
     ops: tuple[AxisOperator, AxisOperator, AxisOperator]

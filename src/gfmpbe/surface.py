@@ -338,7 +338,7 @@ def _ses_levels(grid: Grid, atoms: AtomSet, probe_radius: float):
         deepest[upd] = ia
     sas_inside = depth > -CLASSIFY_TOL
     edt = distance_transform_edt(sas_inside, sampling=(grid.h,) * 3)
-    points = grid.nodes()[sas_inside]
+    points = grid.nodes_at(sas_inside)
     exact = _radial_exit_clear(points, deepest[sas_inside], centers, sas_r)
     depth[sas_inside] = np.where(exact, depth[sas_inside], edt[sas_inside])
     return vdw, depth - probe_radius

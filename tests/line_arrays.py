@@ -163,12 +163,10 @@ def line_solve(weights, corr, dir_lo, dir_hi, tau: float, rhs) -> np.ndarray:
 
     The Dirichlet ends are added first and the nonzero corrections after
     them, then ldlt_factor_into and ldlt_solve run on the one line as an
-    (m, 1) column; tau = 0 returns rhs.  AxisOperator.solve adds the same
-    terms in the same order, so its lines equal these bit for bit.
+    (m, 1) column.  AxisOperator.solve adds the same terms in the same
+    order, so its lines equal these bit for bit, at tau = 0 too.
     """
     b = np.array(rhs, dtype=float)
-    if tau == 0.0:
-        return b
     w = np.asarray(weights, dtype=float)[:, None]
     b[0] += tau * dir_lo
     b[-1] += tau * dir_hi

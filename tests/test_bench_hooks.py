@@ -8,6 +8,7 @@ traced solve here fails on a rename in the solver before the benchmark does.
 
 import importlib.util
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,33 @@ def test_traced_run_yields_every_layer_metric_and_restores_the_solver():
     assert metrics["sweep.factor_hit_ratio"][0] == pytest.approx((sweeps - 3) / sweeps)
     assert metrics["apply.gbps_computed"][0] > 0
     assert metrics["sweep.gbps_computed"][0] > 0
+
+
+def test_traced_lpb_start_is_one_ic_span_per_run(monkeypatch):
+    """bench/tracing.py times the LPB start by wrapping
+    driver.initial_condition, which the march looks up in driver's globals:
+    each run has one ic span, and the linearized solve runs inside it."""
+    tracing = _tracing()
+    solves = []
+
+    def timed(*args):
+        start = time.perf_counter_ns()
+        result = solve(*args)
+        solves.append((start, time.perf_counter_ns()))
+        return result
+
+    solve = driver.linearized_steady_state
+    monkeypatch.setattr(driver, "linearized_steady_state", timed)
+    ctrl = ControllerConfig(kind="Constant", dt0=0.01, t_end=0.02)
+    cfg = kirkwood_config(h=1.0, controller=ctrl, ic="lpb", box_half=4.0)
+    with tracing.Tracer() as tracer:
+        for _ in range(2):
+            run(cfg)
+    spans = [i for i, name in enumerate(tracer.names) if name == "ic"]
+    assert len(spans) == len(solves) == 2
+    for i, (start, end) in zip(spans, solves):
+        assert tracer.starts[i] <= start < end <= tracer.ends[i]
+    assert tracing.layer_metrics(tracer)["ic.s"][0] > 0
 
 
 @pytest.mark.parametrize("scheme", ["ADI", "LOD"])

@@ -159,6 +159,24 @@ class TestSolve:
         assert rc == 3
         assert "diverged" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--ionic", "inf"], "ionic_strength must be finite, got inf"),
+            (["--eps-out", "inf"], "eps_out must be finite, got inf"),
+            (["--eps-in", "nan"], "eps_in must be finite, got nan"),
+            (["--probe", "nan"], "probe_radius must be finite, got nan"),
+            (["--h", "nan"], "h must be finite, got nan"),
+            (["--box", "nan", "-8", "-8", "8", "8", "8"],
+             "box corners must be finite, got (nan, -8.0, -8.0, 8.0, 8.0, 8.0)"),
+        ],
+    )
+    def test_nonfinite_physical_input_is_config_error(self, atom_file, flags, message,
+                                                      capsys):
+        rc = main(["solve", "--atoms", atom_file, "--surface", "vdw", *flags])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_vdw_surface_smoke(self, atom_file):
         rc = main(
             [

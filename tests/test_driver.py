@@ -9,10 +9,9 @@ import pytest
 import scipy.sparse as sparse
 from scipy.sparse.linalg import spsolve
 
-from gfmpbe import driver
+from gfmpbe import driver, steady
 from gfmpbe.control import POST_MIN_STEPS, ControllerConfig
 from gfmpbe.driver import (
-    CG_RTOL,
     RunConfig,
     build_problem,
     convergence_study,
@@ -34,6 +33,7 @@ from gfmpbe.molecule import (
     PhysicalParams,
     solvation_energy,
 )
+from gfmpbe.steady import CG_RTOL, linearized_steady_state
 from gfmpbe.surface import InterfaceData, export_interface
 
 
@@ -347,6 +347,20 @@ def _two_sphere_config():
     return RunConfig(atoms=atoms, h=0.5, surface="vdw", probe_radius=0.5, params=params)
 
 
+def _desk_config():
+    """The four-atom SES solute of acceptance criteria 5 and 6, 0.15 M."""
+    atoms = AtomSet(
+        [
+            Atom((0.0, 0.0, 0.0), 1.0, 2.0),
+            Atom((2.8, 0.0, 0.0), -0.7, 1.7),
+            Atom((0.0, 2.9, 0.4), 0.5, 1.8),
+            Atom((-2.7, 0.3, -0.6), -0.8, 1.6),
+        ]
+    )
+    params = PhysicalParams(eps_in=1.0, eps_out=80.0, ionic_strength=0.15)
+    return RunConfig(atoms=atoms, h=0.5, params=params)
+
+
 def _interior_kappa_sq(split):
     kappa = np.full(split.shape, split.kappa_sq)
     kappa.flat[split.inside] = 0.0
@@ -401,12 +415,30 @@ class TestLinearizedSteadyState:
         assert np.abs(res).max() <= np.linalg.norm(res) <= CG_RTOL * np.linalg.norm(b)
 
     def test_missed_tolerance_is_initialization_error(self, monkeypatch):
-        monkeypatch.setattr(driver, "CG_MAXITER", 1)
+        monkeypatch.setattr(steady, "CG_MAXITER", 1)
         prob = build_problem(kirkwood_config(h=0.5, box_half=4.0))
         with pytest.raises(InitializationError, match="after 1 iterations") as exc:
             initial_condition("lpb", prob)
         assert exc.value.step == 1
         assert "relative residual" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "make, iterations",
+        [
+            (lambda: kirkwood_config(h=0.5, box_half=4.0), 39),
+            (lambda: kirkwood_config(h=0.5), 71),
+            (_desk_config, 82),
+        ],
+        ids=["kirkwood-17", "kirkwood-33", "desk"],
+    )
+    def test_pinned_iteration_counts(self, make, iterations):
+        """The Jacobi CG's iteration counts: a change to the operator, the
+        right-hand side, the preconditioner or the CG moves them."""
+        prob = build_problem(make())
+        x, got, rel = linearized_steady_state(prob.split, prob.boundary.values)
+        assert x.shape == tuple(n - 2 for n in prob.grid.shape)
+        assert (got, rel <= CG_RTOL) == (iterations, True)
+        assert prob.split._pool == []
 
 
 class TestSchedule:
@@ -597,6 +629,23 @@ class TestExportPotential:
         prob, u = self._small_run()
         with pytest.raises(ConfigError):
             export_potential(u, prob.atoms, prob.params, "phi", tmp_path / "x.bin")
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(h=math.nan), "h must be finite, got nan"),
+            (dict(h=math.inf), "h must be finite, got inf"),
+            (dict(probe_radius=math.nan), "probe_radius must be finite, got nan"),
+            (dict(box=(-8.0, -8.0, -8.0, 8.0, math.inf, 8.0)),
+             r"box corners must be finite, got \(-8.0, -8.0, -8.0, 8.0, inf, 8.0\)"),
+        ],
+    )
+    def test_nonfinite_number_is_config_error(self, change, message):
+        cfg = _coarse_kirkwood()
+        with pytest.raises(ConfigError, match=message):
+            replace(cfg, **change)
 
 
 class TestProblemAssembly:

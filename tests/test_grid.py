@@ -1,5 +1,7 @@
 """Tests for grid construction, interpolation, and field serialization."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,24 @@ class TestBuildGrid:
     def test_bad_spacing(self):
         with pytest.raises(ConfigError):
             build_grid(_single_atom(), h=-1.0)
+
+    @pytest.mark.parametrize("origin", [(math.nan, 0.0, 0.0), (0.0, 0.0, -math.inf)])
+    def test_nonfinite_origin_rejected(self, origin):
+        with pytest.raises(ConfigError, match=r"grid origin must be finite, got \("):
+            Grid(origin, 0.5, (4, 4, 4))
+
+    @pytest.mark.parametrize("corner", [0, 4])
+    def test_nan_box_corner_rejected(self, corner):
+        box = [-8.0, -8.0, -8.0, 8.0, 8.0, 8.0]
+        box[corner] = math.nan
+        with pytest.raises(ConfigError, match="upper corner must exceed lower"):
+            build_grid(_single_atom(), h=0.5, box=tuple(box))
+
+    def test_nodes_at_matches_every_node_masked(self):
+        grid = Grid((-1.0, 0.5, 2.0), 0.3, (5, 6, 4))
+        mask = np.random.default_rng(3).random(grid.shape) < 0.3
+        np.testing.assert_array_equal(grid.nodes_at(mask), grid.nodes()[mask])
+        assert grid.nodes_at(np.zeros(grid.shape, dtype=bool)).shape == (0, 3)
 
     @given(
         cx=st.floats(-3, 3),
@@ -258,6 +278,15 @@ class TestFieldIO:
         write_field_binary(self._field(), path)
         path.write_bytes((path.read_bytes() + bytes(8))[:size])
         with pytest.raises(FormatError, match=f"needs {needs} bytes, found {size}$"):
+            read_field_binary(path)
+
+    def test_nan_origin_in_the_header_rejected(self, tmp_path):
+        path = tmp_path / "field.bin"
+        write_field_binary(self._field(), path)
+        raw = bytearray(path.read_bytes())
+        raw[32:40] = np.array([math.nan], dtype="<f8").tobytes()  # origin x
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ConfigError, match=r"grid origin must be finite, got \(nan"):
             read_field_binary(path)
 
     def test_shape_mismatch_rejected(self):

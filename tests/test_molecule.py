@@ -98,6 +98,16 @@ class TestPhysicalParams:
         with pytest.raises(ConfigError):
             PhysicalParams(eps_in=80.0, eps_out=1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["eps_in", "eps_out", "ionic_strength", "kappa_sq"])
+    def test_nonfinite_value_rejected_naming_the_field(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be finite, got {value}$"):
+            PhysicalParams(**{name: value})
+
+    def test_overflowing_kappa_sq_rejected(self):
+        with pytest.raises(ConfigError, match="kappa_sq must be nonnegative and finite"):
+            PhysicalParams(ionic_strength=1e308)
+
 
 class TestGreenPotential:
     def setup_method(self):
