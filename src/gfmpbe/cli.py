@@ -12,6 +12,7 @@ from .driver import (
     RunConfig,
     build_problem,
     convergence_study,
+    export_potential,
     kirkwood_config,
     reference_config,
     run,
@@ -37,14 +38,21 @@ _CONTROLLER_NAMES = {
     "nipid": "NonincreasingPID",
 }
 
+# The solute flags by dest, with the values an --atoms run takes for those not
+# given.  They default to None, so that the Kirkwood problem can reject them.
+_SOLUTE_DEFAULTS = {"surface": "ses-grid", "probe": 1.4, "ionic": 0.0,
+                    "eps_in": 1.0, "eps_out": 80.0, "box": None}
+
 
 def _add_problem_flags(p: argparse.ArgumentParser, atoms_required: bool) -> None:
+    note = "" if atoms_required else (
+        "; without it, the built-in Kirkwood sphere, which takes no solute flag")
     p.add_argument("--atoms", required=atoms_required, metavar="FILE",
-                   help="atom file, one `x y z q r` record per line")
+                   help="atom file, one `x y z q r` record per line" + note)
     p.add_argument("--h", type=float, default=0.5, help="grid spacing (A)")
-    p.add_argument("--surface", default="ses-grid",
-                   help="sphere | vdw | ses-grid | import:PATH")
-    p.add_argument("--probe", type=float, default=1.4, help="probe radius (A)")
+    p.add_argument("--surface",
+                   help="sphere | vdw | ses-grid | import:PATH (default ses-grid)")
+    p.add_argument("--probe", type=float, help="probe radius (A, default 1.4)")
     p.add_argument("--scheme", choices=("adi", "lod"), default="adi")
     p.add_argument("--controller", choices=sorted(_CONTROLLER_NAMES),
                    default="constant")
@@ -55,13 +63,12 @@ def _add_problem_flags(p: argparse.ArgumentParser, atoms_required: bool) -> None
     p.add_argument("--tend", type=float, help="time horizon")
     p.add_argument("--tmin-stop", type=float, help="earliest stop time")
     p.add_argument("--ic", choices=("zero", "lpb"), default="lpb")
-    p.add_argument("--ionic", type=float, default=0.0,
-                   help="ionic strength (molar)")
-    p.add_argument("--eps-in", type=float, default=1.0)
-    p.add_argument("--eps-out", type=float, default=80.0)
+    p.add_argument("--ionic", type=float, help="ionic strength (molar, default 0)")
+    p.add_argument("--eps-in", type=float, help="solute dielectric (default 1)")
+    p.add_argument("--eps-out", type=float, help="solvent dielectric (default 80)")
     p.add_argument("--box", type=float, nargs=6,
-                   metavar=("X0", "Y0", "Z0", "X1", "Y1", "Z1"))
-    _add_output_flags(p)
+                   metavar=("X0", "Y0", "Z0", "X1", "Y1", "Z1"),
+                   help="grid box corners (default: fitted to the atoms)")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -72,17 +79,9 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _controller_from_args(args) -> ControllerConfig:
-    overrides = {}
-    if args.dt_min is not None:
-        overrides["dt_min"] = args.dt_min
-    if args.dt_max is not None:
-        overrides["dt_max"] = args.dt_max
-    if args.tol is not None:
-        overrides["tol"] = args.tol
-    if args.tend is not None:
-        overrides["t_end"] = args.tend
-    if args.tmin_stop is not None:
-        overrides["t_min_stop"] = args.tmin_stop
+    given = {"dt_min": args.dt_min, "dt_max": args.dt_max, "tol": args.tol,
+             "t_end": args.tend, "t_min_stop": args.tmin_stop}
+    overrides = {name: value for name, value in given.items() if value is not None}
     kind = _CONTROLLER_NAMES[args.controller]
     cfg = ControllerConfig.for_kind(kind, **overrides)
     if args.dt is not None:
@@ -96,24 +95,29 @@ def _controller_from_args(args) -> ControllerConfig:
 
 
 def _config_from_args(args) -> RunConfig:
+    """The run that args ask for: the solute of --atoms, or without it the
+    built-in Kirkwood problem, which rejects any solute flag given."""
+    controller = _controller_from_args(args)
+    scheme = args.scheme.upper()
+    if args.atoms is None:
+        for dest in _SOLUTE_DEFAULTS:
+            if getattr(args, dest) is not None:
+                flag = "--" + dest.replace("_", "-")
+                raise ConfigError(
+                    f"{flag} needs --atoms: the built-in Kirkwood problem fixes it"
+                )
+        return kirkwood_config(h=args.h, scheme=scheme, controller=controller,
+                               ic=args.ic)
+    flags = {dest: default if getattr(args, dest) is None else getattr(args, dest)
+             for dest, default in _SOLUTE_DEFAULTS.items()}
     with open(args.atoms) as f:
         atoms = parse_atoms(f.read())
-    params = PhysicalParams(
-        eps_in=args.eps_in, eps_out=args.eps_out, ionic_strength=args.ionic
-    )
+    params = PhysicalParams(eps_in=flags["eps_in"], eps_out=flags["eps_out"],
+                            ionic_strength=flags["ionic"])
     return RunConfig(
-        atoms=atoms,
-        h=args.h,
-        surface=args.surface,
-        probe_radius=args.probe,
-        scheme=args.scheme.upper(),
-        controller=_controller_from_args(args),
-        ic=args.ic,
-        params=params,
-        box=tuple(args.box) if args.box else None,
-        trace_path=args.trace,
-        field_path=args.field,
-        field_mode=args.field_mode,
+        atoms=atoms, h=args.h, surface=flags["surface"], probe_radius=flags["probe"],
+        scheme=scheme, controller=controller, ic=args.ic, params=params,
+        box=tuple(flags["box"]) if flags["box"] else None,
     )
 
 
@@ -124,19 +128,21 @@ def _timed(fn, *args):
     return result, time.perf_counter() - start
 
 
-def _timed_run(march, cfg: RunConfig, *args):
-    """march(cfg, *args, problem=...) on a problem built here: the trace, the
-    whole run's wall time and the build's, in s."""
+def _run_and_write(args, cfg: RunConfig, march, *march_args) -> None:
+    """march(cfg, *march_args, problem=...) on a problem built here; writes
+    --trace and --field, then prints the summary.  wall time covers the
+    build, the initial condition and the march, not the writes; setup time
+    is the build alone and march time the march alone."""
     start = time.perf_counter()
     problem = build_problem(cfg)
     setup = time.perf_counter() - start
-    trace = march(cfg, *args, problem=problem)
-    return trace, time.perf_counter() - start, setup
-
-
-def _print_trace_summary(trace, wall: float, setup: float) -> None:
-    """wall is the whole run's time: build, initial condition and march;
-    setup is the build alone and the march alone is trace.wall_time."""
+    trace = march(cfg, *march_args, problem=problem)
+    wall = time.perf_counter() - start
+    if args.trace:
+        trace.write_csv(args.trace)
+    if args.field:
+        export_potential(trace.final_field, problem.atoms, problem.params,
+                         args.field_mode, args.field, inside=problem.data.inside)
     print(f"final energy: {trace.final_energy:.6f} kcal/mol")
     print(f"steps: {trace.steps}")
     print(f"wall time: {wall:.3f} s")
@@ -146,38 +152,12 @@ def _print_trace_summary(trace, wall: float, setup: float) -> None:
 
 
 def _cmd_solve(args) -> int:
-    _print_trace_summary(*_timed_run(run, _config_from_args(args)))
+    _run_and_write(args, _config_from_args(args), run)
     return 0
-
-
-def _cmd_kirkwood(args) -> int:
-    ctrl = ControllerConfig(
-        kind="Constant",
-        dt0=args.dt,
-        dt_min=min(0.001, args.dt),
-        dt_max=max(1.0, args.dt),
-        tol=args.tol,
-        t_end=args.tend,
-        t_min_stop=args.tmin_stop,
-    )
-    cfg = kirkwood_config(h=args.h, scheme=args.scheme.upper(), controller=ctrl,
-                          ic=args.ic)
-    cfg = replace(cfg, trace_path=args.trace, field_path=args.field,
-                  field_mode=args.field_mode)
-    _print_trace_summary(*_timed_run(run, cfg))
-    return 0
-
-
-def _base_config(args) -> RunConfig:
-    if args.atoms:
-        return _config_from_args(args)
-    ctrl = _controller_from_args(args)
-    return kirkwood_config(h=args.h, scheme=args.scheme.upper(), controller=ctrl,
-                           ic=args.ic)
 
 
 def _cmd_convergence(args) -> int:
-    cfg = _base_config(args)
+    cfg = _config_from_args(args)
     result = convergence_study(cfg, args.vary, args.values)
     print(f"{args.vary:>10}  {'energy':>14}  {'error':>12}")
     for row in result.rows:
@@ -204,17 +184,17 @@ def _parse_switches(specs: list[str]) -> list[tuple[float, float]]:
 
 
 def _cmd_schedule(args) -> int:
-    cfg = _base_config(args)
+    cfg = _config_from_args(args)
     switches = _parse_switches(args.switch)
     Schedule(switches, cfg.controller)  # a bad table fails before the build
-    _print_trace_summary(*_timed_run(run_schedule, cfg, switches))
+    _run_and_write(args, cfg, run_schedule, switches)
     return 0
 
 
 def _cmd_compare(args) -> int:
     """One row a controller on one shared problem: wall(s) times the member's
     run, its initial condition and march; march(s) is the march alone."""
-    cfg = _base_config(args)
+    cfg = _config_from_args(args)
     problem = build_problem(cfg)
     members = [("reference(0.01)", reference_config(cfg))]
     for name in sorted(_CONTROLLER_NAMES):
@@ -251,6 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run one problem from an atom file")
     _add_problem_flags(p, atoms_required=True)
+    _add_output_flags(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("kirkwood", help="built-in unit-charge sphere benchmark")
@@ -262,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmin-stop", type=float, default=1.0)
     p.add_argument("--ic", choices=("zero", "lpb"), default="lpb")
     _add_output_flags(p)
-    p.set_defaults(func=_cmd_kirkwood)
+    p.set_defaults(func=_cmd_solve, atoms=None, controller="constant", dt_min=None,
+                   dt_max=None, **dict.fromkeys(_SOLUTE_DEFAULTS))
 
     p = sub.add_parser("convergence", help="self-convergence study")
     p.add_argument("--vary", choices=("h", "dt"), required=True)
@@ -275,6 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--switch", action="append", required=True, metavar="T:DT",
                    help="dt taking effect at time T (repeatable)")
     _add_problem_flags(p, atoms_required=False)
+    _add_output_flags(p)
     p.set_defaults(func=_cmd_schedule)
 
     p = sub.add_parser("compare-controllers",

@@ -44,10 +44,12 @@ ENERGY_GUARD = 1e8
 """Absolute energies beyond this abort the run as divergent."""
 
 
-@dataclass
+@dataclass(slots=True)
 class RunConfig:
-    """Everything needed to assemble and run one problem; h, probe_radius
-    and the box corners must be finite."""
+    """Everything needed to assemble and run one problem: h must be positive
+    and finite, probe_radius nonnegative and finite, and the box's corners
+    finite, the upper above the lower on each axis.  A run writes no file:
+    see EnergyTrace.write_csv and export_potential."""
 
     atoms: AtomSet
     h: float
@@ -58,22 +60,28 @@ class RunConfig:
     ic: str = "lpb"  # zero | lpb
     params: PhysicalParams = field(default_factory=PhysicalParams)
     box: tuple[float, float, float, float, float, float] | None = None
-    trace_path: str | None = None
-    field_path: str | None = None
-    field_mode: str = "u"  # u | phi
 
     def __post_init__(self):
         for name, value in (("h", self.h), ("probe_radius", self.probe_radius)):
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
-        if self.box is not None and not all(map(math.isfinite, self.box)):
-            raise ConfigError(f"box corners must be finite, got {self.box}")
+        if self.h <= 0:
+            raise ConfigError(f"h must be positive, got {self.h}")
+        if self.probe_radius < 0:
+            raise ConfigError(f"probe_radius must be nonnegative, got {self.probe_radius}")
+        if self.box is not None:
+            if len(self.box) != 6:
+                raise ConfigError(f"box must be (x0, y0, z0, x1, y1, z1), got {self.box}")
+            if not all(map(math.isfinite, self.box)):
+                raise ConfigError(f"box corners must be finite, got {self.box}")
+            if not all(hi > lo for lo, hi in zip(self.box[:3], self.box[3:])):
+                raise ConfigError(
+                    f"box upper corner must exceed lower corner, got {self.box}"
+                )
         if self.scheme not in ("ADI", "LOD"):
             raise ConfigError(f"scheme must be ADI or LOD, got {self.scheme!r}")
         if self.ic not in ("zero", "lpb"):
             raise ConfigError(f"ic must be zero or lpb, got {self.ic!r}")
-        if self.field_mode not in ("u", "phi"):
-            raise ConfigError(f"field mode must be u or phi, got {self.field_mode!r}")
         ok = self.surface in ("sphere", "vdw", "ses-grid") or self.surface.startswith(
             "import:"
         )
@@ -237,8 +245,7 @@ def run(cfg: RunConfig, problem: Problem | None = None) -> EnergyTrace:
     """Pseudo-time iteration under cfg's controller until the stop predicate.
 
     Reuses a prebuilt Problem when given (the assembly is the expensive
-    part of parameter studies).  Writes the trace CSV and the field dump
-    when cfg carries output paths.
+    part of parameter studies).
     """
     return _march(cfg, Controller(cfg.controller), problem)
 
@@ -290,19 +297,7 @@ def _march(cfg: RunConfig, policy, problem: Problem | None) -> EnergyTrace:
         problem.split._release_workspace()
     _check_finite(u, step, rows[-1].t, rows[-1].dt)
     wall = time.perf_counter() - start
-    trace = EnergyTrace(rows, energy, step, wall, Field(problem.grid, u), reason)
-    if cfg.trace_path:
-        trace.write_csv(cfg.trace_path)
-    if cfg.field_path:
-        export_potential(
-            trace.final_field,
-            problem.atoms,
-            problem.params,
-            cfg.field_mode,
-            cfg.field_path,
-            inside=problem.data.inside,
-        )
-    return trace
+    return EnergyTrace(rows, energy, step, wall, Field(problem.grid, u), reason)
 
 
 @dataclass(frozen=True)
@@ -467,7 +462,7 @@ def reference_config(cfg: RunConfig) -> RunConfig:
         t_end=50.0,
         t_min_stop=5.0,
     )
-    return replace(cfg, controller=ctrl, ic="lpb", trace_path=None, field_path=None)
+    return replace(cfg, controller=ctrl, ic="lpb")
 
 
 def scaling_study(

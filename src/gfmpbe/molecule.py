@@ -13,6 +13,7 @@ in biomolecular units, together with kBT_kcal = 0.592183 kcal/mol
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -89,7 +90,9 @@ class PhysicalParams:
     kappa_sq is the solvent-region screening parameter in A^-2; it is zero
     inside the solute.  If not given it is derived from the ionic strength;
     if the ionic strength is not given it is back-computed from kappa_sq.
-    A non-finite value raises ConfigError naming its field.
+    When both are given, they must agree to 1e-12 relative (the round trip
+    through DEBYE_COEFF is not exact), and the ionic strength must be
+    nonnegative.  A non-finite value raises ConfigError naming its field.
     """
 
     eps_in: float = 1.0
@@ -108,6 +111,18 @@ class PhysicalParams:
             )
         if self.kappa_sq is None:
             self.kappa_sq = debye_kappa_sq(self.ionic_strength or 0.0)
+        elif self.ionic_strength is not None:
+            if self.ionic_strength < 0:
+                raise ConfigError(
+                    f"ionic_strength must be nonnegative, got {self.ionic_strength}"
+                    f" with kappa_sq {self.kappa_sq}"
+                )
+            implied = debye_kappa_sq(self.ionic_strength)
+            if not math.isclose(implied, self.kappa_sq, rel_tol=1e-12):
+                raise ConfigError(
+                    f"ionic_strength {self.ionic_strength} gives kappa_sq {implied},"
+                    f" not the kappa_sq {self.kappa_sq} given"
+                )
         if self.ionic_strength is None:
             self.ionic_strength = self.kappa_sq / DEBYE_COEFF
         if not 0 <= self.kappa_sq < np.inf:

@@ -4,12 +4,15 @@ of the package's public names."""
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import gfmpbe
 from gfmpbe import cli, driver
 from gfmpbe.cli import build_parser, main
-from gfmpbe.grid import Grid
+from gfmpbe.control import ControllerConfig
+from gfmpbe.driver import kirkwood_config
+from gfmpbe.grid import Grid, read_field_binary
 from gfmpbe.surface import AXIS_NAMES, THETA_MIN, classify_sphere, export_interface
 
 
@@ -55,16 +58,29 @@ def _solve_args(atom_file, extra=()):
 class TestSolve:
     def test_smoke_with_outputs(self, atom_file, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
-        fieldf = tmp_path / "field.bin"
-        rc = main(
-            _solve_args(atom_file, ["--trace", str(trace), "--field", str(fieldf)])
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "final energy:" in out
-        assert "stopped: horizon" in out.splitlines()
-        assert trace.read_text().startswith("step,t,dt,e_n,F,E_sol,dE")
-        assert fieldf.stat().st_size > 0
+        for mode, suffix in (("u", ".bin"), ("phi", ".csv")):
+            fieldf = tmp_path / f"field{suffix}"
+            args = _solve_args(atom_file, ["--trace", str(trace), "--field", str(fieldf),
+                                           "--field-mode", mode])
+            rc = main(args)
+            assert rc == 0
+            out = capsys.readouterr().out
+            assert "final energy:" in out
+            assert "stopped: horizon" in out.splitlines()
+            # the files hold what the library writes for the same run
+            cfg = cli._config_from_args(build_parser().parse_args(args))
+            problem = driver.build_problem(cfg)
+            want = driver.run(cfg, problem=problem)
+            want.write_csv(tmp_path / "want.csv")
+            assert trace.read_text() == (tmp_path / "want.csv").read_text()
+            assert len(trace.read_text().splitlines()) == want.steps + 2
+            driver.export_potential(want.final_field, cfg.atoms, cfg.params, mode,
+                                    tmp_path / f"want{suffix}",
+                                    inside=problem.data.inside)
+            assert fieldf.read_bytes() == (tmp_path / f"want{suffix}").read_bytes()
+        dumped = read_field_binary(tmp_path / "field.bin")
+        assert dumped.grid == problem.grid
+        assert np.array_equal(dumped.values, want.final_field.values)
 
     def test_missing_atoms_file_is_io_error(self, tmp_path, capsys):
         rc = main(_solve_args(str(tmp_path / "nope.txt")))
@@ -177,6 +193,21 @@ class TestSolve:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--h", "0"], "h must be positive, got 0.0"),
+            (["--probe", "-1"], "probe_radius must be nonnegative, got -1.0"),
+            (["--box", "1", "1", "1", "0", "0", "0"],
+             "box upper corner must exceed lower corner, got"
+             " (1.0, 1.0, 1.0, 0.0, 0.0, 0.0)"),
+        ],
+    )
+    def test_bad_geometry_is_config_error(self, atom_file, flags, message, capsys):
+        rc = main(["solve", "--atoms", atom_file, "--surface", "vdw", *flags])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_vdw_surface_smoke(self, atom_file):
         rc = main(
             [
@@ -210,6 +241,25 @@ class TestKirkwood:
         assert "final energy:" in out
         assert "march time:" in out
 
+    @pytest.mark.parametrize("dt", [0.0001, 0.001, 2.0])
+    def test_controller_is_the_fixed_kirkwood_formula(self, dt):
+        # the ControllerConfig that kirkwood built by hand before it ran
+        # through _config_from_args
+        args = build_parser().parse_args(["kirkwood", "--dt", str(dt)])
+        cfg = cli._config_from_args(args)
+        assert cfg.controller == ControllerConfig(
+            kind="Constant",
+            dt0=dt,
+            dt_min=min(0.001, dt),
+            dt_max=max(1.0, dt),
+            tol=1e-4,
+            t_end=50.0,
+            t_min_stop=1.0,
+        )
+        want = kirkwood_config(h=0.25, controller=cfg.controller)
+        for name in ("h", "surface", "probe_radius", "scheme", "ic", "params", "box"):
+            assert getattr(cfg, name) == getattr(want, name)
+        assert cfg.atoms.atoms == want.atoms.atoms
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -224,6 +274,50 @@ class TestKirkwood:
         rc = main(["kirkwood", "--h", "2.0", "--ic", "zero", *flags])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+
+class TestKirkwoodPath:
+    """Without --atoms, convergence, schedule and compare-controllers run the
+    built-in Kirkwood problem, which fixes the solute flags."""
+
+    COMMANDS = {
+        "convergence": ["convergence", "--vary", "dt", "--values", "0.2", "0.1", "0.05"],
+        "schedule": ["schedule", "--switch", "0:0.1"],
+        "compare-controllers": ["compare-controllers"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize(
+        "flags",
+        [["--surface", "vdw"], ["--probe", "1.0"], ["--ionic", "0.5"],
+         ["--eps-in", "2"], ["--eps-out", "40"], ["--box", "-4", "-4", "-4", "4", "4", "4"]],
+        ids=lambda flags: flags[0],
+    )
+    def test_solute_flag_needs_atoms(self, command, flags, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("problem built despite a dropped flag")
+
+        monkeypatch.setattr(cli, "build_problem", never)
+        monkeypatch.setattr(driver, "build_problem", never)
+        rc = main([*self.COMMANDS[command], "--h", "2.0", *flags])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {flags[0]} needs --atoms: the built-in Kirkwood problem fixes it\n"
+        )
+
+    @pytest.mark.parametrize("command", ["convergence", "compare-controllers"])
+    @pytest.mark.parametrize(
+        "flags", [["--trace", "t.csv"], ["--field", "f.bin"], ["--field-mode", "phi"]],
+        ids=lambda flags: flags[0],
+    )
+    def test_studies_take_no_output_flags(self, command, flags, tmp_path, capsys,
+                                          monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*self.COMMANDS[command], "--h", "2.0", *flags])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConvergence:
@@ -273,6 +367,18 @@ class TestSchedule:
         assert "final energy:" in out
         assert "stopped: horizon" in out.splitlines()
         assert "march time:" in out
+
+    def test_outputs_without_atoms(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        fieldf = tmp_path / "field.csv"
+        rc = main(["schedule", "--switch", "0:0.1", "--h", "1.0", "--tend", "0.3",
+                   "--trace", str(trace), "--field", str(fieldf)])
+        assert rc == 0
+        assert "steps: 3" in capsys.readouterr().out.splitlines()
+        lines = trace.read_text().splitlines()
+        assert lines[0] == "step,t,dt,e_n,F,E_sol,dE"
+        assert [line.split(",")[2] for line in lines[1:]] == ["0.1"] * 4
+        assert fieldf.read_text().splitlines()[0] == "i,j,k,value"
 
     def test_bad_switch_spec(self, capsys):
         rc = main(["schedule", "--switch", "nonsense", "--h", "2.0"])

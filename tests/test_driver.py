@@ -182,11 +182,15 @@ class TestRunLoop:
         with pytest.raises(InitializationError):
             run(cfg)
 
-    def test_trace_and_field_outputs(self, tmp_path):
+    def test_trace_and_field_outputs(self, tmp_path, monkeypatch):
+        # run writes no file; the caller writes the trace and the field
+        monkeypatch.chdir(tmp_path)
         cfg = _coarse_kirkwood(t_end=0.3)
-        cfg.trace_path = str(tmp_path / "trace.csv")
-        cfg.field_path = str(tmp_path / "field.bin")
         trace = run(cfg)
+        assert list(tmp_path.iterdir()) == []
+        trace.write_csv(tmp_path / "trace.csv")
+        export_potential(trace.final_field, cfg.atoms, cfg.params, "u",
+                         tmp_path / "field.bin")
         lines = (tmp_path / "trace.csv").read_text().splitlines()
         assert lines[0] == "step,t,dt,e_n,F,E_sol,dE"
         assert len(lines) == len(trace.rows) + 1
@@ -503,8 +507,8 @@ class TestSchedule:
 
     def test_trace_csv_has_nan_error_and_factor(self, tmp_path):
         cfg = _coarse_kirkwood(t_end=0.5)
-        cfg.trace_path = str(tmp_path / "trace.csv")
         trace = run_schedule(cfg, [(0.0, 0.25), (0.25, 0.125)])
+        trace.write_csv(tmp_path / "trace.csv")
         lines = (tmp_path / "trace.csv").read_text().splitlines()
         assert len(lines) == len(trace.rows) + 1 == 5
         for line in lines[1:]:
@@ -647,6 +651,27 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=message):
             replace(cfg, **change)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(h=0.0), "h must be positive, got 0.0"),
+            (dict(h=-1.0), "h must be positive, got -1.0"),
+            (dict(probe_radius=-1.0), "probe_radius must be nonnegative, got -1.0"),
+            (dict(box=(-4.0, -4.0, -4.0)),
+             "box must be (x0, y0, z0, x1, y1, z1), got (-4.0, -4.0, -4.0)"),
+            (dict(box=(1, 1, 1, 0, 0, 0)),
+             "box upper corner must exceed lower corner, got (1, 1, 1, 0, 0, 0)"),
+            (dict(box=(-8.0, -8.0, -8.0, 8.0, -8.0, 8.0)),
+             "box upper corner must exceed lower corner, got"
+             " (-8.0, -8.0, -8.0, 8.0, -8.0, 8.0)"),
+        ],
+    )
+    def test_bad_geometry_is_config_error_at_construction(self, change, message):
+        cfg = _coarse_kirkwood()
+        with pytest.raises(ConfigError) as exc:
+            replace(cfg, **change)
+        assert str(exc.value) == message
+
 
 class TestProblemAssembly:
     def test_sphere_needs_single_atom(self):
@@ -738,9 +763,12 @@ class TestProblemAssembly:
         with pytest.raises(ConfigError):
             RunConfig(atoms=atoms, h=0.5, ic="warm")
         with pytest.raises(ConfigError):
-            RunConfig(atoms=atoms, h=0.5, field_mode="grad")
-        with pytest.raises(ConfigError):
             RunConfig(atoms=atoms, h=0.5, surface="msms")
+        # slotted: a misspelt or removed field fails rather than doing nothing
+        cfg = RunConfig(atoms=atoms, h=0.5)
+        for name in ("trace_path", "field_path", "field_mode"):
+            with pytest.raises(AttributeError):
+                setattr(cfg, name, "x")
 
 
 class TestBenchmarkConfigs:
@@ -760,14 +788,11 @@ class TestBenchmarkConfigs:
         )
 
     def test_reference_config_protocol(self):
-        base = _coarse_kirkwood()
-        base.trace_path = "x.csv"
-        ref = reference_config(base)
+        ref = reference_config(_coarse_kirkwood())
         assert ref.controller.kind == "Constant"
         assert ref.controller.dt0 == 0.01
         assert ref.controller.t_end == 50.0
         assert ref.ic == "lpb"
-        assert ref.trace_path is None
 
     def test_scaling_validation(self):
         with pytest.raises(ConfigError):

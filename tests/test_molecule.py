@@ -2,7 +2,7 @@
 
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -107,6 +107,38 @@ class TestPhysicalParams:
     def test_overflowing_kappa_sq_rejected(self):
         with pytest.raises(ConfigError, match="kappa_sq must be nonnegative and finite"):
             PhysicalParams(ionic_strength=1e308)
+
+    @pytest.mark.parametrize(
+        "ionic_strength, kappa_sq, message",
+        [
+            (-1.0, 0.5, "ionic_strength must be nonnegative, got -1.0 with kappa_sq 0.5"),
+            (0.15, 0.0, "ionic_strength 0.15 gives kappa_sq 1.27303542105, not the"
+             " kappa_sq 0.0 given"),
+            (0.0, 1e-300, "ionic_strength 0.0 gives kappa_sq 0.0, not the kappa_sq"
+             " 1e-300 given"),
+        ],
+    )
+    def test_contradictory_screening_rejected_naming_both(
+        self, ionic_strength, kappa_sq, message
+    ):
+        with pytest.raises(ConfigError) as exc:
+            PhysicalParams(ionic_strength=ionic_strength, kappa_sq=kappa_sq)
+        assert str(exc.value) == message
+
+    def test_agreeing_screening_accepted_and_replace_round_trips(self):
+        # DEBYE_COEFF * (k / DEBYE_COEFF) != k for ~5% of these k, and replace
+        # passes both fields of a built PhysicalParams back to __post_init__.
+        mismatched = 0
+        for k in np.linspace(0.0, 10.0, 1001):
+            built = PhysicalParams(kappa_sq=float(k))
+            mismatched += debye_kappa_sq(built.ionic_strength) != built.kappa_sq
+            again = replace(built, eps_in=2.0)
+            assert (again.ionic_strength, again.kappa_sq) == (
+                built.ionic_strength, built.kappa_sq
+            )
+        assert mismatched > 0
+        p = PhysicalParams(ionic_strength=0.15, kappa_sq=debye_kappa_sq(0.15))
+        assert p.kappa_sq == debye_kappa_sq(0.15)
 
 
 class TestGreenPotential:
