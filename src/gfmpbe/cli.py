@@ -19,13 +19,7 @@ from .driver import (
     run_schedule,
     scaling_study,
 )
-from .errors import (
-    AssemblyError,
-    ConfigError,
-    DivergenceError,
-    DomainError,
-    SingularityError,
-)
+from .errors import ConfigError, DivergenceError, GfmpbeError, ParseError
 from .molecule import PhysicalParams, parse_atoms
 
 _CONTROLLER_NAMES = {
@@ -110,8 +104,15 @@ def _config_from_args(args) -> RunConfig:
                                ic=args.ic)
     flags = {dest: default if getattr(args, dest) is None else getattr(args, dest)
              for dest, default in _SOLUTE_DEFAULTS.items()}
-    with open(args.atoms) as f:
-        atoms = parse_atoms(f.read())
+    if flags["surface"].startswith("import:") and args.probe is not None:
+        raise ConfigError("--probe does not apply to --surface import:, whose"
+                          " file fixes the surface")
+    try:
+        with open(args.atoms, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"atom file {args.atoms} is not UTF-8 text: {exc}") from exc
+    atoms = parse_atoms(text)
     params = PhysicalParams(eps_in=flags["eps_in"], eps_out=flags["eps_out"],
                             ionic_strength=flags["ionic"])
     return RunConfig(
@@ -278,12 +279,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, AssemblyError, DomainError, SingularityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DivergenceError as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return 3
+    except GfmpbeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .control import Controller, ControllerConfig, Schedule
-from .errors import ConfigError, DivergenceError, InitializationError
+from .errors import ConfigError, DivergenceError, InitializationError, NumericalError
 from .grid import (
     Field,
     Grid,
@@ -143,13 +143,16 @@ class EnergyTrace:
 def build_problem(cfg: RunConfig) -> Problem:
     """Build grid, classify the surface, and assemble the axis operators.
 
-    An atom center outside the grid box raises DomainError before the
-    surface is classified."""
+    An imported surface brings its own grid: an h that differs from its
+    spacing by more than 1e-9 relative, or a box that differs from its
+    corners, raises ConfigError.  An atom center outside the grid box raises
+    DomainError before the surface is classified."""
     if cfg.surface == "sphere" and len(cfg.atoms) != 1:
         raise ConfigError("sphere surface requires exactly one atom")
     if cfg.surface.startswith("import:"):
         data = import_interface(cfg.surface[len("import:") :])
         grid = data.grid
+        _check_imported_grid(cfg, grid)
     else:
         grid = build_grid(cfg.atoms, cfg.h, cfg.probe_radius, box=cfg.box)
     stencil = trilinear_stencil(grid, cfg.atoms.centers)
@@ -162,6 +165,22 @@ def build_problem(cfg: RunConfig) -> Problem:
     boundary = _boundary_field(grid, cfg.atoms, cfg.params)
     split = build_split_operators(data, cfg.atoms, cfg.params, boundary)
     return Problem(grid, data, cfg.atoms, cfg.params, split, boundary, stencil)
+
+
+def _check_imported_grid(cfg: RunConfig, grid: Grid) -> None:
+    """ConfigError when cfg's h or box disagrees with an imported grid."""
+    if abs(cfg.h - grid.h) > 1e-9 * grid.h:
+        raise ConfigError(
+            f"h {cfg.h} does not match the imported interface's spacing {grid.h}"
+        )
+    if cfg.box is not None:
+        corners = (*grid.origin, *grid.upper)
+        tol = 1e-9 * max(1.0, *(hi - lo for lo, hi in zip(grid.origin, grid.upper)))
+        if any(abs(a - b) > tol for a, b in zip(cfg.box, corners)):
+            raise ConfigError(
+                f"box {tuple(cfg.box)} does not match the imported interface's"
+                f" corners {corners}"
+            )
 
 
 def _boundary_field(grid: Grid, atoms: AtomSet, params: PhysicalParams) -> Field:
@@ -278,11 +297,14 @@ def _march(cfg: RunConfig, policy, problem: Problem | None) -> EnergyTrace:
             dt = policy.dt
             try:
                 u_new = _step_once(u, dt, problem.split, cfg.scheme)
-            except ConfigError:
+            except NumericalError as exc:
                 # The step's substep scans u, the field of the last row, so
-                # that the loop need not scan it again.
+                # that the loop need not scan it again.  A finite u leaves
+                # this step as the one that failed.
                 _check_finite(u, step, rows[-1].t, rows[-1].dt)
-                raise
+                raise DivergenceError(
+                    f"step failed: {exc}", step + 1, t + dt, dt
+                ) from exc
             step += 1
             t += dt
             e_new = _checked_energy(u_new, problem, step, t, dt)

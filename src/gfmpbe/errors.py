@@ -38,7 +38,8 @@ class AssemblyError(GfmpbeError):
 
 
 class NumericalError(GfmpbeError):
-    """A linear solve failed (zero pivot or similar)."""
+    """A numerical kernel failed: a zero pivot in a linear solve, or a
+    non-finite field entering the nonlinear substep."""
 
 
 class DivergenceError(GfmpbeError):

@@ -65,8 +65,11 @@ class AtomSet:
             raise ConfigError("atom set must contain at least one atom")
         centers = np.array([a.center for a in atoms], dtype=float)
         if len(atoms) > 1:
-            diff = centers[:, None, :] - centers[None, :, :]
-            dist = np.sqrt((diff**2).sum(axis=2))
+            # centres ~1e308 apart overflow to an infinite distance, which
+            # is not coincident
+            with np.errstate(over="ignore"):
+                diff = centers[:, None, :] - centers[None, :, :]
+                dist = np.sqrt((diff**2).sum(axis=2))
             dist[np.diag_indices(len(atoms))] = np.inf
             if dist.min() < SINGULARITY_GUARD:
                 i, j = np.unravel_index(np.argmin(dist), dist.shape)

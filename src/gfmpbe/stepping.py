@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AssemblyError, ConfigError
+from .errors import AssemblyError, ConfigError, NumericalError
 from .gfm import apply_flux, cut_terms, ldlt_factor_into, ldlt_solve
 from .grid import Field
 from .molecule import AtomSet, PhysicalParams, green_axis_terms
@@ -87,9 +87,9 @@ def nonlinear_substep(
     holds it, so g, 1-g and 1+g are Python floats taken from numpy's exp and
     expm1; 1-g is floored at the smallest normal float, so that the ratio
     stays finite.  A zero rate returns a copy of w.  A kappa_sq that is not
-    a scalar or a non-finite w raises ConfigError.  work, a float array of
-    the result's shape, holds the denominator's temporary when it is given;
-    the result is always a new array.
+    a scalar raises ConfigError, and a non-finite w NumericalError.  work, a
+    float array of the result's shape, holds the denominator's temporary
+    when it is given; the result is always a new array.
     """
     if np.ndim(kappa_sq) != 0:
         raise ConfigError(f"kappa^2 must be a scalar, got shape {np.shape(kappa_sq)}")
@@ -98,7 +98,7 @@ def nonlinear_substep(
     if dt < 0 or strength < 0 or lam < 0:
         raise ConfigError("substep requires dt, strength, kappa^2 all nonnegative")
     if not np.all(np.isfinite(w)):
-        raise ConfigError("non-finite field entering nonlinear substep")
+        raise NumericalError("non-finite field entering nonlinear substep")
     if lam <= 0:
         return w.copy()
     g = float(np.exp(-lam))

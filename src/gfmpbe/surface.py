@@ -6,15 +6,15 @@ exactly one crossing (the fraction theta measured from the low-index node,
 plus the Cartesian location of the cut).  InterfaceData holds the flags as
 one boolean array and the crossings as arrays in canonical (axis, i, j, k)
 order: the (m, 4) keys, the thetas and the locations, so assembly reads them
-without one Python object per cut edge.  Three generators are provided,
-each computing its crossings with whole-array numpy: an analytic sphere and
-a union of atom spheres (van der Waals), both cut at the exact roots along
-each edge, and a probe-rolled molecular surface.  That surface is a level
-set on the grid: its node levels come from a signed distance to the
-solvent-accessible surface, and each cut is the linear interpolation of the
-levels at the edge's two nodes.  Each InterfaceData is checked once, where
-it is made: its one constructor rejects inconsistent flags and crossings,
-and the operator assembly relies on that.
+without one Python object per cut edge.  Crossings come from two cut rules,
+each in whole-array numpy: the union of atom spheres (van der Waals; a single
+sphere is the one-atom union) is cut at the exact roots along each edge, and
+the probe-rolled molecular surface, the level set of one node level psi (the
+depth inside the union of probe-inflated spheres minus the probe radius), by
+linear interpolation of psi at the edge's two nodes.  psi >= 0 at every node
+inside an atom sphere, so psi alone gives the inside mask.  Each InterfaceData
+is checked once, where it is made: its one constructor rejects inconsistent
+flags and crossings, and the operator assembly relies on that.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from scipy.ndimage import distance_transform_edt
 
 from .errors import AssemblyError, ConfigError, FormatError
 from .grid import Grid
-from .molecule import AtomSet
+from .molecule import Atom, AtomSet
 
 AXIS_NAMES = ("x", "y", "z")
 
@@ -213,13 +213,17 @@ def _classified(grid: Grid, inside: np.ndarray, fraction) -> InterfaceData:
 
 
 def _stable_roots(a: float, b: np.ndarray, c: np.ndarray):
-    """Real roots of a*t^2 + b*t + c, paired stably; returns (lo, hi)."""
-    sq = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
+    """Roots of a*t^2 + b*t + c, paired stably; returns (lo, hi), which is
+    (inf, -inf), an empty interval, where the discriminant is not positive."""
+    disc = b * b - 4.0 * a * c
+    sq = np.sqrt(np.maximum(disc, 0.0))
     q = -0.5 * (b + np.copysign(sq, b))
     r1 = q / a
     with np.errstate(divide="ignore", invalid="ignore"):
         r2 = np.where(q != 0.0, c / np.where(q != 0.0, q, 1.0), r1)
-    return np.minimum(r1, r2), np.maximum(r1, r2)
+    real = disc > 0.0
+    lo, hi = np.minimum(r1, r2), np.maximum(r1, r2)
+    return np.where(real, lo, np.inf), np.where(real, hi, -np.inf)
 
 
 def _node_distance(grid: Grid, center) -> np.ndarray:
@@ -229,26 +233,6 @@ def _node_distance(grid: Grid, center) -> np.ndarray:
     (nx, ny, nz, 3) temporaries."""
     dx, dy, dz = ((grid.axis_coords(a) - center[a]) ** 2 for a in range(3))
     return np.sqrt((dx[:, None, None] + dy[:, None]) + dz)
-
-
-def classify_sphere(grid: Grid, center, radius: float) -> InterfaceData:
-    """Classify a single sphere; crossings from the exact quadratic roots."""
-    if radius <= 0:
-        raise ConfigError(f"sphere radius must be positive, got {radius}")
-    c = np.asarray(center, dtype=float)
-    dist = _node_distance(grid, c)
-    inside = dist - radius < CLASSIFY_TOL
-    h = grid.h
-
-    def fraction(axis, idx, p0):
-        d0 = p0 - c
-        b = 2.0 * h * d0[:, axis]
-        c0 = (d0**2).sum(axis=1) - radius * radius
-        t_lo, t_hi = _stable_roots(h * h, b, c0)
-        # Going out of the sphere the quadratic rises through its larger root.
-        return np.where(inside[tuple(idx.T)], t_hi, t_lo)
-
-    return _classified(grid, inside, fraction)
 
 
 def _cover(t1: np.ndarray, t2: np.ndarray, start: float) -> np.ndarray:
@@ -272,27 +256,34 @@ def classify_union(grid: Grid, atoms: AtomSet) -> InterfaceData:
     Each edge's intervals inside the atom spheres are chained from the
     inside endpoint; the cut is where the chain ends.
     """
-    signed = np.full(grid.shape, np.inf)
-    for center, radius in zip(atoms.centers, atoms.radii):
+    centers, radii = atoms.centers, atoms.radii
+    signed = _node_distance(grid, centers[0])
+    signed -= radii[0]
+    for center, radius in zip(centers[1:], radii[1:]):
         d = _node_distance(grid, center)
-        np.minimum(signed, d - radius, out=signed)
+        d -= radius
+        np.minimum(signed, d, out=signed)
     inside = signed < CLASSIFY_TOL
     h = grid.h
 
     def fraction(axis, idx, p0):
-        d0 = p0[:, None, :] - atoms.centers  # (m, atoms, 3)
+        d0 = p0[:, None, :] - centers  # (m, atoms, 3)
         b = 2.0 * h * d0[..., axis]
-        c0 = (d0**2).sum(axis=-1) - atoms.radii**2
+        c0 = (d0**2).sum(axis=-1) - radii**2
         t1, t2 = _stable_roots(h * h, b, c0)
-        real = (b * b - 4.0 * (h * h) * c0) > 0.0
-        t1 = np.where(real, t1, np.inf)
-        t2 = np.where(real, t2, -np.inf)
         # From an outside low node, chain down from t = 1 on the mirror image.
         return np.where(
             inside[tuple(idx.T)], _cover(t1, t2, 0.0), -_cover(-t2, -t1, -1.0)
         )
 
     return _classified(grid, inside, fraction)
+
+
+def classify_sphere(grid: Grid, center, radius: float) -> InterfaceData:
+    """Classify a single sphere: classify_union of one atom."""
+    if radius <= 0:
+        raise ConfigError(f"sphere radius must be positive, got {radius}")
+    return classify_union(grid, AtomSet([Atom(center, 0.0, radius)]))
 
 
 def _radial_exit_clear(points, ia, centers, sas_r) -> np.ndarray:
@@ -313,26 +304,22 @@ def _radial_exit_clear(points, ia, centers, sas_r) -> np.ndarray:
     return ~blocked
 
 
-def _ses_levels(grid: Grid, atoms: AtomSet, probe_radius: float):
-    """Node levels (vdw_signed, psi) of the probe-rolled surface.
+def _ses_levels(grid: Grid, atoms: AtomSet, probe_radius: float) -> np.ndarray:
+    """Node levels psi of the probe-rolled surface: the probe-sharpened depth
+    inside the union of probe-inflated spheres, minus probe_radius.
 
-    vdw_signed is the signed distance to the union of the atom spheres.  psi
-    is the probe-sharpened depth inside the union of probe-inflated spheres,
-    minus probe_radius, so psi >= 0 at the nodes the probe cannot reach.
-    Where the inward radial ray from the deepest inflated sphere exits into
-    free space the depth is exact; where another inflated sphere blocks that
-    exit it is the lattice distance to the nearest exterior node (an upper
-    bound on the true depth).
+    psi >= 0 where the probe cannot reach, so at every node inside an atom
+    sphere, which the inside mask relies on and exact levels must keep.  Where
+    the inward radial ray from the deepest inflated sphere exits into free
+    space the depth is exact; where another inflated sphere blocks that exit
+    it is the lattice distance to the nearest exterior node (an upper bound).
     """
     centers = atoms.centers
     sas_r = atoms.radii + probe_radius
     depth = np.full(grid.shape, -np.inf)
     deepest = np.zeros(grid.shape, dtype=int)
-    vdw = np.full(grid.shape, np.inf)
     for ia, (center, radius) in enumerate(zip(centers, atoms.radii)):
-        d = _node_distance(grid, center)
-        np.minimum(vdw, d - radius, out=vdw)
-        v = (radius + probe_radius) - d
+        v = (radius + probe_radius) - _node_distance(grid, center)
         upd = v > depth
         depth[upd] = v[upd]
         deepest[upd] = ia
@@ -341,7 +328,7 @@ def _ses_levels(grid: Grid, atoms: AtomSet, probe_radius: float):
     points = grid.nodes_at(sas_inside)
     exact = _radial_exit_clear(points, deepest[sas_inside], centers, sas_r)
     depth[sas_inside] = np.where(exact, depth[sas_inside], edt[sas_inside])
-    return vdw, depth - probe_radius
+    return depth - probe_radius
 
 
 def classify_ses_grid(
@@ -349,16 +336,17 @@ def classify_ses_grid(
 ) -> InterfaceData:
     """Classify the probe-rolled molecular surface of a solute.
 
-    A node is inside when it lies inside an atom sphere or at depth at least
-    probe_radius inside the probe-inflated union.  Crossing fractions come
-    from linear interpolation of the node levels psi along each mixed edge.
+    A node is inside when psi > -CLASSIFY_TOL, that is at depth at least
+    probe_radius inside the probe-inflated union; this takes in every node
+    inside an atom sphere (see _ses_levels).  Crossing fractions come from
+    linear interpolation of the node levels psi along each mixed edge.
     """
     if probe_radius < 0:
         raise ConfigError(f"probe radius must be nonnegative, got {probe_radius}")
     if probe_radius == 0.0:
         return classify_union(grid, atoms)
-    vdw_signed, psi = _ses_levels(grid, atoms, probe_radius)
-    inside = (vdw_signed < CLASSIFY_TOL) | (psi > -CLASSIFY_TOL)
+    psi = _ses_levels(grid, atoms, probe_radius)
+    inside = psi > -CLASSIFY_TOL
 
     def fraction(axis, idx, p0):
         psi_lo = psi[tuple(idx.T)]
@@ -421,13 +409,17 @@ def _parse_floats(parts, count, lineno, what):
 def import_interface(path) -> InterfaceData:
     """Read the text interchange format back into an InterfaceData.
 
-    The eses sign convention (+1 inside) is accepted and negated on import.
+    The file is UTF-8 text.  The eses sign convention (+1 inside) is
+    accepted and negated on import.
     Consistency between box, node counts, and spacing is enforced to 1e-9,
     and every crossing must sit on a mixed edge; an interface InterfaceData
     rejects raises FormatError with its message.
     """
-    with open(path) as f:
-        text = f.read()
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"interface file {path} is not UTF-8 text: {exc}") from exc
     box = shape = hval = None
     convention = "native"
     rows: dict[tuple[int, int], np.ndarray] = {}

@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface and its exit codes, and
 of the package's public names."""
 
+import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from gfmpbe import cli, driver
 from gfmpbe.cli import build_parser, main
 from gfmpbe.control import ControllerConfig
 from gfmpbe.driver import kirkwood_config
+from gfmpbe.errors import DivergenceError
 from gfmpbe.grid import Grid, read_field_binary
 from gfmpbe.surface import AXIS_NAMES, THETA_MIN, classify_sphere, export_interface
 
@@ -208,6 +211,49 @@ class TestSolve:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_non_utf8_input_is_format_error(self, atom_file, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe\x00bad")
+        decode = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+        for args, what in (
+            (["--atoms", str(bad), "--h", "0.5"], "atom"),
+            (["--atoms", atom_file, "--surface", f"import:{bad}"], "interface"),
+        ):
+            assert main(["solve", *args]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {what} file {bad} is not UTF-8 text: {decode}\n"
+
+    def test_imported_surface_takes_no_probe(self, atom_file, tmp_path, capsys,
+                                             monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("problem built")
+
+        monkeypatch.setattr(driver, "build_problem", never)
+        path = tmp_path / "iface.srf"
+        rc = main(["solve", "--atoms", atom_file, "--surface", f"import:{path}",
+                   "--probe", "1.4"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: --probe does not apply to --surface import:, whose file fixes"
+            " the surface\n"
+        )
+
+    def test_overflow_inside_an_lod_step_is_divergence(self, tmp_path, capsys):
+        # A huge charge overflows the first LOD step's sweeps; the trailing
+        # half substep finds the non-finite field that the step made.
+        huge = tmp_path / "huge.txt"
+        huge.write_text("0 0 0 1e300 2.0\n")
+        with np.errstate(all="ignore"):
+            rc = main(["solve", "--atoms", str(huge), "--h", "1.0", "--surface",
+                       "sphere", "--scheme", "lod", "--ic", "zero", "--dt", "1e8",
+                       "--tend", "5e8", "--tmin-stop", "0", "--box", "-6", "-6",
+                       "-6", "6", "6", "6", "--ionic", "0.1178"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "diverged: step failed: non-finite field entering nonlinear substep"
+            " (step 1, t=1e+08, dt=1e+08)\n"
+        )
+
     def test_vdw_surface_smoke(self, atom_file):
         rc = main(
             [
@@ -343,6 +389,39 @@ class TestConvergence:
         out = capsys.readouterr().out
         assert "rate:" in out
         assert "0.2" in out
+
+
+    def test_diverged_member_and_reference(self, monkeypatch, capsys):
+        # run stands in for each member: E = -10 + dt^2, or a DivergenceError
+        # for the dts in diverging.
+        diverging = {0.2}
+
+        def fake_run(cfg, problem=None):
+            dt = cfg.controller.dt0
+            if dt in diverging:
+                raise DivergenceError("runaway energy inf", 3, 0.6, dt)
+            return SimpleNamespace(final_energy=-10.0 + dt**2)
+
+        monkeypatch.setattr(driver, "run", fake_run)
+        args = ["convergence", "--vary", "dt", "--values", "0.4", "0.2", "0.1",
+                "0.05", "--h", "2.0", "--ic", "zero"]
+        header = f"{'dt':>10}  {'energy':>14}  {'error':>12}"
+        assert main(args) == 0
+        # the fit takes 0.4 and 0.1, errors 0.1575 and 0.0075
+        assert capsys.readouterr().out.splitlines() == [
+            header,
+            f"{0.4:>10.4g}  {-9.84:>14.6f}  {0.1575:>12.4e}",
+            f"{0.2:>10.4g}  {'diverged':>14}",
+            f"{0.1:>10.4g}  {-9.99:>14.6f}  {0.0075:>12.4e}",
+            f"{0.05:>10.4g}  {-9.9975:>14.6f}  {math.nan:>12.4e}",
+            f"rate: {math.log(21.0) / math.log(4.0):.3f}",
+        ]
+        diverging.add(0.05)
+        assert main(args) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            header,
+            "rate: nan (reference run diverged)",
+        ]
 
 
 class TestSchedule:

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import scipy.sparse as sparse
 from scipy.sparse.linalg import spsolve
 
-from gfmpbe import driver, steady
+from gfmpbe import driver, steady, stepping
 from gfmpbe.control import POST_MIN_STEPS, ControllerConfig
 from gfmpbe.driver import (
     RunConfig,
@@ -23,8 +24,20 @@ from gfmpbe.driver import (
     run_schedule,
     scaling_study,
 )
-from gfmpbe.errors import ConfigError, DivergenceError, DomainError, InitializationError
-from gfmpbe.grid import Field, read_field_binary, trilinear_stencil, write_field_binary
+from gfmpbe.errors import (
+    ConfigError,
+    DivergenceError,
+    DomainError,
+    InitializationError,
+    NumericalError,
+)
+from gfmpbe.grid import (
+    Field,
+    Grid,
+    read_field_binary,
+    trilinear_stencil,
+    write_field_binary,
+)
 from gfmpbe.molecule import (
     Atom,
     AtomSet,
@@ -256,6 +269,34 @@ class TestNonFiniteField:
         else:
             assert 0 < exc.max_abs_u < np.inf
         assert str(exc).endswith(f"dt=0.1, max|u|={exc.max_abs_u:g})")
+
+    def test_nan_from_an_lod_sweep_names_the_step_that_made_it(self, monkeypatch):
+        # LOD's trailing half substep scans the sweeps' output, not the
+        # step's input, so the step that fails is the one being taken.
+        cfg = _coarse_kirkwood(t_end=1.0)
+        cfg.scheme = "LOD"
+        original = stepping.AxisOperator.solve
+        sweeps = []
+
+        def poisoned(self, tau, rhs, boundary, *, out=None):
+            sweeps.append(tau)
+            x = original(self, tau, rhs, boundary, out=out)
+            if len(sweeps) == 3 * 4:  # the last sweep of step 4
+                x[1, 1, 1] = np.nan
+            return x
+
+        monkeypatch.setattr(stepping.AxisOperator, "solve", poisoned)
+        with pytest.raises(DivergenceError) as exc_info:
+            run(cfg)
+        exc = exc_info.value
+        assert isinstance(exc.__cause__, NumericalError)
+        assert (exc.step, exc.dt, exc.max_abs_u) == (4, 0.1, None)
+        assert exc.t == pytest.approx(0.4)
+        assert len(sweeps) == 12
+        assert str(exc) == (
+            "step failed: non-finite field entering nonlinear substep"
+            f" (step 4, t={exc.t:g}, dt=0.1)"
+        )
 
     def test_max_abs_u_leaves_out_nan(self, monkeypatch):
         cfg = _coarse_kirkwood(t_end=1.0)
@@ -698,6 +739,34 @@ class TestProblemAssembly:
         direct = run(cfg, problem=prob)
         imported = run(cfg_imp)
         assert imported.final_energy == direct.final_energy
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"h": 0.25}, "h 0.25 does not match the imported interface's spacing 0.5"),
+            ({"h": 0.5 * (1 + 1e-8)}, "h 0.500000005 does not match"),
+            (
+                {"box": (-8.0,) * 3 + (8.0,) * 3},
+                "box (-8.0, -8.0, -8.0, 8.0, 8.0, 8.0) does not match the imported"
+                " interface's corners (-4.0, -4.0, -4.0, 4.0, 4.0, 4.0)",
+            ),
+            ({"box": (-4.0,) * 3 + (4.0, 4.0, 4.5)}, "does not match the imported"),
+        ],
+        ids=["h", "h-1e-8", "box", "box-one-corner"],
+    )
+    def test_imported_surface_rejects_another_grid(self, tmp_path, change, message):
+        # The file holds h = 0.5 over +-4; a run on another grid would build
+        # on the file's grid without saying so.
+        cfg = _coarse_kirkwood()
+        path = tmp_path / "iface.srf"
+        export_interface(build_problem(cfg).data, path)
+        base = replace(cfg, surface=f"import:{path}", box=None)
+        for same in ({}, {"h": 0.5 * (1 + 1e-12)}, {"box": cfg.box}):
+            assert build_problem(replace(base, **same)).grid == Grid(
+                (-4.0,) * 3, 0.5, (17, 17, 17)
+            )
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build_problem(replace(base, **change))
 
     @pytest.mark.parametrize("surface", ["sphere", "vdw", "ses-grid", "import"])
     def test_interface_checked_once_where_it_is_made(

@@ -132,11 +132,11 @@ class TestNonlinearSubstep:
             nonlinear_substep(np.zeros(3), 1.0, -0.1, 1.0)
 
     def test_non_finite_field_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(NumericalError):
             nonlinear_substep(np.array([np.nan]), 1.0, 0.1, 1.0)
 
     def test_infinite_field_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(NumericalError):
             nonlinear_substep(np.array([0.5, -np.inf]), 1.0, 0.1, 1.0)
 
     def test_matches_closed_form_in_mpmath(self):
@@ -886,7 +886,7 @@ class TestScalarKappaSubstep:
     def test_non_finite_field_rejected(self, bad, kappa_sq):
         w = self._field()
         w[3, 2, 1] = bad
-        with pytest.raises(ConfigError, match="non-finite"):
+        with pytest.raises(NumericalError, match="non-finite"):
             nonlinear_substep(w, kappa_sq, 0.1, 1.0)
 
     def test_negative_kappa_rejected(self):

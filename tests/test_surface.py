@@ -1,10 +1,12 @@
 """Tests for interface classification and the interchange format."""
 
+import importlib.util
 import math
 import re
 import subprocess
 import sys
 from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +84,12 @@ class TestSphere:
         data = classify_sphere(GRID17, (0.0, 0.0, 0.0), 1.8)
         np.testing.assert_array_equal(data.inside, data.inside[::-1, :, :])
         np.testing.assert_array_equal(data.inside, data.inside[:, ::-1, :])
+
+    @pytest.mark.parametrize("radius", [0.0, -1.5])
+    def test_nonpositive_radius_rejected(self, radius):
+        message = f"sphere radius must be positive, got {radius}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            classify_sphere(GRID17, (0.0, 0.0, 0.0), radius)
 
 
 class TestUnion:
@@ -202,6 +210,41 @@ class TestSesGrid:
         edt = distance_transform_edt(sas, sampling=(0.5, 0.5, 0.5))
         oracle = vdw | (sas & (edt >= rp - 1e-12))
         assert np.all(oracle | ~data.inside)
+
+
+def _workloads():
+    """bench/workloads.py, for its seeded desk poses and branched chains."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSesContainsUnion:
+    """classify_ses_grid's inside mask reads the level psi alone, which holds
+    only because every node inside an atom sphere has psi >= 0: each node
+    that classify_union puts inside is inside the SES mask too."""
+
+    @staticmethod
+    def _check(atoms, h, probe):
+        grid = build_grid(atoms, h=h, probe_radius=probe)
+        vdw = classify_union(grid, atoms).inside
+        ses = classify_ses_grid(grid, atoms, probe_radius=probe).inside
+        assert vdw.any() and np.all(ses | ~vdw)
+
+    @pytest.mark.parametrize("h", [0.5, 0.25])
+    def test_desk_poses(self, h):
+        rng = np.random.default_rng(int(4 * h))
+        for atoms in _workloads().solute_poses(1, 8, h):
+            self._check(atoms, h, float(rng.uniform(0.3, 3.0)))
+
+    @pytest.mark.parametrize("n_atoms", [10, 12, 40])
+    def test_branched_chains(self, n_atoms):
+        atoms = _workloads().branched_chain(7, n_atoms)
+        for probe in (0.3, 1.4, 3.0):
+            self._check(atoms, 0.5, probe)
 
 
 def test_import_leaves_scipy_spatial_and_sparse_unloaded():
@@ -386,6 +429,114 @@ class TestInterchange:
         bad.write_text("\n".join(dropped) + "\n")
         with pytest.raises(FormatError, match="without crossing"):
             import_interface(bad)
+
+
+# A valid document: the x = 0 plane of a 4^3 grid inside.  Lines 1-4 are the
+# header, 5-20 the rows and 21-36 the crossings, (0, 0, 0) first.
+_DOC = (
+    ["box 0 0 0 3 3 3", "n 4 4 4", "h 1.0", "convention native"]
+    + [f"row {j} {k} 1*-1 3*1" for k in range(4) for j in range(4)]
+    + [f"cross x 0 {j} {k} 0.25" for k in range(4) for j in range(4)]
+)
+
+
+def _write_doc(path, edits: dict) -> None:
+    """_DOC with line n (1-based) replaced by edits[n], appended past the end;
+    an empty string leaves a blank line, so the numbers stay."""
+    lines = list(_DOC)
+    for n, text in sorted(edits.items()):
+        if n > len(lines):
+            lines.append(text)
+        else:
+            lines[n - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestImportRejections:
+    """One malformed document per rejection branch of import_interface."""
+
+    def test_base_document_and_reserved_normal(self, tmp_path):
+        path = tmp_path / "iface.txt"
+        _write_doc(path, {})
+        base = import_interface(path)
+        assert base.inside[0].all() and not base.inside[1:].any()
+        assert len(base.theta) == 16
+        # the 11-field form's normal is read and ignored
+        _write_doc(path, {21: "cross x 0 0 0 0.25 0.25 0 0 1 0 0"})
+        assert import_interface(path) == base
+
+    @pytest.mark.parametrize(
+        "edits, message, line",
+        [
+            ({1: "box 0 0 0 3 3"}, "box expects 6 numbers, got 5", 1),
+            ({1: "box 0 0 0 3 3 x"}, "malformed number in box", 1),
+            ({2: "n 4 4"}, "n expects 3 integers, got 2", 2),
+            ({2: "n 4 4 4.0"}, "malformed integer in n", 2),
+            ({2: "n 4 1 4"}, "node counts must be at least 2, got (4, 1, 4)", 2),
+            ({3: "h 1.0 1.0"}, "h expects 1 numbers, got 2", 3),
+            ({3: "h one"}, "malformed number in h", 3),
+            ({3: "h -1"}, "h must be positive, got -1.0", 3),
+            ({4: "convention eses native"}, "convention must be `native` or `eses`", 4),
+            ({2: "row 0 0 1*-1 3*1"}, "row before n directive", 2),
+            ({5: "row 0 0"}, "row expects j k and at least one run", 5),
+            ({5: "row 0 k 1*-1 3*1"}, "malformed row indices", 5),
+            ({5: "row 0 4 1*-1 3*1"}, "row indices (0, 4) out of range", 5),
+            ({6: "row 0 0 1*-1 3*1"}, "duplicate row (0, 0)", 6),
+            ({5: "row 0 0 1*-1 3"}, "malformed run '3'", 5),
+            ({5: "row 0 0 1*-1 3*0"}, "run must be count*(-1|1), got '3*0'", 5),
+            ({5: "row 0 0 0*-1 4*1"}, "run must be count*(-1|1), got '0*-1'", 5),
+            ({5: "row 0 0 1*-1 2*1"}, "row covers 3 nodes, expected 4", 5),
+            (
+                {21: "cross x 0 0 0 0.25 0.25"},
+                "cross expects axis, i j k, theta, then optional location and normal",
+                21,
+            ),
+            ({21: "cross w 0 0 0 0.25"}, "unknown axis 'w'", 21),
+            ({21: "cross x 0 0 z 0.25"}, "malformed crossing indices", 21),
+            ({21: "cross x 0 0 0 quarter"}, "malformed number in theta", 21),
+            ({21: "cross x 0 0 0 1.0"}, "theta must be in (0, 1), got 1.0", 21),
+            ({21: "cross x 0 0 0 0.25 0.25 0 o"}, "malformed number in location", 21),
+            (
+                {21: "cross x 0 0 0 0.25 0.25 0 0 1 0 o"},
+                "malformed number in normal",
+                21,
+            ),
+            ({37: "bogus 1"}, "unknown directive 'bogus'", 37),
+            ({3: ""}, "missing required directive (box, n, or h)", None),
+            (
+                {1: "box 0 0 0 3 3 4"},
+                "box extent on axis z inconsistent with n and h",
+                None,
+            ),
+            ({20: ""}, "expected 16 rows, got 15", None),
+            ({21: "cross x 3 0 0 0.25"}, "crossing edge (3, 0, 0) out of range", 21),
+            ({21: "cross x -1 0 0 0.25"}, "crossing edge (-1, 0, 0) out of range", 21),
+            (
+                {21: "cross y 0 0 0 0.25"},
+                "crossing on a uniform edge at (0, 0, 0) along y",
+                21,
+            ),
+            ({22: "cross x 0 0 0 0.25"}, "duplicate crossing on edge (0, 0, 0)", 22),
+            ({36: ""}, "mixed edge without crossing record: (0, 0, 3, 3)", None),
+        ],
+    )
+    def test_rejection_names_cause_and_line(self, tmp_path, edits, message, line):
+        path = tmp_path / "bad.txt"
+        _write_doc(path, edits)
+        with pytest.raises(FormatError) as exc_info:
+            import_interface(path)
+        assert exc_info.value.line == line
+        where = "" if line is None else f"line {line}: "
+        assert str(exc_info.value) == where + message
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"box 0 0 0 3 3 3\n\xff\xfe\x00bad\n")
+        with pytest.raises(FormatError) as exc_info:
+            import_interface(path)
+        assert exc_info.value.line is None
+        message = f"interface file {path} is not UTF-8 text: "
+        assert str(exc_info.value).startswith(message)
 
 
 class TestValidation:
