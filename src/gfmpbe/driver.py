@@ -241,7 +241,7 @@ def initial_condition(kind: str, problem: Problem) -> Field:
         return Field(problem.grid, problem.boundary.values.copy())
     if kind != "lpb":
         raise ConfigError(f"unknown initial condition kind {kind!r}")
-    x, iterations, rel = linearized_steady_state(problem.split, problem.boundary.values)
+    x, iterations, rel = linearized_steady_state(problem.split)
     u = problem.boundary.values.copy()
     u[1:-1, 1:-1, 1:-1] = x
     try:
@@ -285,38 +285,41 @@ def _march(cfg: RunConfig, policy, problem: Problem | None) -> EnergyTrace:
     Schedule) until it gives a stop_reason."""
     if problem is None:
         problem = build_problem(cfg)
-    u = initial_condition(cfg.ic, problem).values
-    energy = _energy(u, problem)
-    rows = [TraceRow(0, 0.0, policy.dt, math.nan, math.nan, energy, math.nan)]
-    t = 0.0
-    step = 0
-    start = time.perf_counter()
-    reason = policy.stop_reason(t, None)
-    try:
-        while reason is None:
-            dt = policy.dt
-            try:
-                u_new = _step_once(u, dt, problem.split, cfg.scheme)
-            except NumericalError as exc:
-                # The step's substep scans u, the field of the last row, so
-                # that the loop need not scan it again.  A finite u leaves
-                # this step as the one that failed.
-                _check_finite(u, step, rows[-1].t, rows[-1].dt)
-                raise DivergenceError(
-                    f"step failed: {exc}", step + 1, t + dt, dt
-                ) from exc
-            step += 1
-            t += dt
-            e_new = _checked_energy(u_new, problem, step, t, dt)
-            de = abs(e_new - energy)
-            policy.observe(u_new, u, e_new, energy)
-            st = policy.state
-            rows.append(TraceRow(step, t, dt, st.last_error, st.last_factor, e_new, de))
-            u, energy = u_new, e_new
-            reason = policy.stop_reason(t, de)
-    finally:
-        # A kept Problem holds no step workspace between runs.
-        problem.split._release_workspace()
+    # numpy stays quiet: the finiteness and energy checks raise on overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = initial_condition(cfg.ic, problem).values
+        energy = _energy(u, problem)
+        rows = [TraceRow(0, 0.0, policy.dt, math.nan, math.nan, energy, math.nan)]
+        t = 0.0
+        step = 0
+        start = time.perf_counter()
+        reason = policy.stop_reason(t, None)
+        try:
+            while reason is None:
+                dt = policy.dt
+                try:
+                    u_new = _step_once(u, dt, problem.split, cfg.scheme)
+                except NumericalError as exc:
+                    # The step's substep scans u, the field of the last row, so
+                    # that the loop need not scan it again.  A finite u leaves
+                    # this step as the one that failed.
+                    _check_finite(u, step, rows[-1].t, rows[-1].dt)
+                    raise DivergenceError(
+                        f"step failed: {exc}", step + 1, t + dt, dt
+                    ) from exc
+                step += 1
+                t += dt
+                e_new = _checked_energy(u_new, problem, step, t, dt)
+                de = abs(e_new - energy)
+                policy.observe(u_new, u, e_new, energy)
+                st = policy.state
+                row = TraceRow(step, t, dt, st.last_error, st.last_factor, e_new, de)
+                rows.append(row)
+                u, energy = u_new, e_new
+                reason = policy.stop_reason(t, de)
+        finally:
+            # A kept Problem holds no step workspace between runs.
+            problem.split._release_workspace()
     _check_finite(u, step, rows[-1].t, rows[-1].dt)
     wall = time.perf_counter() - start
     return EnergyTrace(rows, energy, step, wall, Field(problem.grid, u), reason)

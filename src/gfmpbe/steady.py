@@ -21,14 +21,14 @@ CG_MAXITER = 5000
 """Iteration cap of the linearized steady-state CG."""
 
 
-def linearized_steady_state(split: SplitOperators, boundary: np.ndarray):
+def linearized_steady_state(split: SplitOperators):
     """The linearized steady state's values x on the interior block, with
-    Dirichlet values boundary on the faces; the CG's iteration count; and
-    its relative residual ||r|| / ||b||.
+    the split's Dirichlet values split.boundary on the faces; the CG's
+    iteration count; and its relative residual ||r|| / ||b||.
 
     The right-hand side, the Dirichlet fold and the jump corrections, is
-    read from boundary itself by delta2_sum.  The Jacobi diagonal is the
-    diagonal of sum_a M_a, plus kappa^2 off the solute's nodes.  The
+    read from split.boundary itself by delta2_sum.  The Jacobi diagonal is
+    the diagonal of sum_a M_a, plus kappa^2 off the solute's nodes.  The
     matrix-vector products run in the split's step workspace, which is
     released on return.
     """
@@ -50,7 +50,7 @@ def linearized_steady_state(split: SplitOperators, boundary: np.ndarray):
             q3 = q.reshape(interior_shape)
             q3 -= split.delta2_sum(v, corr=False, work=work)
 
-        r = split.delta2_sum(boundary, work=work).ravel()
+        r = split.delta2_sum(split.boundary, work=work).ravel()
         d = split.diag_sum().ravel()
         kept = d[solute]
         d += split.kappa_sq

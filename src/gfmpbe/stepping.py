@@ -13,11 +13,11 @@ runs in the field's own C-order layout: the flux E * diff(v), with the cut
 edges' fluxes set over it, and its difference are whole-array passes over
 the flat field with the axis's stride, written straight into the result;
 the few nonzero jump corrections are added by index.  An implicit sweep
-copies the right-hand side into line-major layout, adds tau times the
-Dirichlet ends to the end rows and tau times the nonzero corrections by
-index, runs one L D L^T solve over all lines in place (the gfm kernel)
-and scatters the lines back; the line-major view is a transpose by a
-permutation stored with the operator.
+copies the right-hand side into line-major layout, adds tau times the end
+weights times the faces of the boundary it is given to the end rows and
+tau times the nonzero corrections by index, runs one L D L^T solve over
+all lines in place (the gfm kernel) and scatters the lines back; the
+line-major view is a transpose by a permutation stored with the operator.
 Most lines carry no cut edge and one E along their length, so their
 systems are equal: the three operators share one factor table that holds
 the weights of each distinct line once, the three axes' columns side by
@@ -244,7 +244,9 @@ class AxisOperator:
     - corr_index, corr_value: the nonzero entries of the jump correction c,
       as flat C-order indices into the field; corr_lines holds the same
       entries' flat indices in the line-major (n-2, L) layout.
-    - dir_lo, dir_hi, (L,): the end weights times the Dirichlet values.
+    - _end_w, (2, L): the weights of edges 0 and n-2, E or a cut edge's.
+      No operator holds Dirichlet values: a sweep folds the faces of the
+      boundary it is given.
 
     The constructor takes this compact form, which build_split_operators
     assembles straight from the crossing arrays: cuts = (index, W) of the
@@ -260,7 +262,8 @@ class AxisOperator:
     until the next different tau; build_split_operators gives the three
     operators of a split one table, and an operator built alone has a table
     of its own.  The right-hand side is copied into line layout and takes
-    tau times the Dirichlet ends and then tau times the corrections there.
+    tau times the end weights times boundary's faces and then tau times the
+    corrections there.
 
     apply and solve take an optional out array for the result.  The flux
     temporary of apply and the line-major buffer of solve come from a flat
@@ -270,24 +273,21 @@ class AxisOperator:
     """
 
     def __init__(
-        self,
-        axis: int,
-        shape: tuple,
-        edge_coeff: np.ndarray,
-        cuts: tuple,
-        corr: tuple,
-        dir_lo,
-        dir_hi,
+        self, axis: int, shape: tuple, edge_coeff: np.ndarray, cuts: tuple, corr: tuple
     ):
         self.axis, self.shape, self.n = axis, tuple(shape), shape[axis]
         self.stride = int(np.prod(shape[axis + 1 :]))
-        self.dir_lo, self.dir_hi = dir_lo, dir_hi
         t1, t2 = (a for a in range(3) if a != axis)
         self._perm = (axis, t1, t2)
         self.edge_coeff = edge_coeff
         # E on the interior lines' edges, line-major (n-1, t1, t2): a view.
         self._edge_lines = e = self._lines(edge_coeff[self._edges()])
         cut, self._cut_w = cuts
+        # the end edges' weights, (2, L): E or a cut edge's
+        pos, line = np.divmod(cut, e.shape[1] * e.shape[2])
+        self._end_w = e[[0, -1]].reshape(2, -1)
+        for row, at in enumerate((pos == 0, pos == self.n - 2)):
+            self._end_w[row, line[at]] = self._cut_w[at]
         self._cut_index = self._field_index(cut, 0)
         self.corr_lines, self.corr_value = corr
         self.corr_index = self._field_index(self.corr_lines, 1)
@@ -395,12 +395,12 @@ class AxisOperator:
         """Implicit sweep: rhs read at interior nodes, faces set from boundary.
 
         Solves (I - tau*A) x = rhs + tau*(c + Dirichlet fold) on every line:
-        the right-hand side is copied into line layout, tau times the
-        Dirichlet ends is added to the end rows and then tau times the
-        nonzero corrections at corr_lines.  The result goes into out, an
-        array of boundary's shape, when it is given, and is returned; out
-        may be rhs itself.  An array not of the operator's shape raises
-        ConfigError.
+        the right-hand side is copied into line layout, tau times the end
+        weights times boundary's faces is added to the end rows and then tau
+        times the nonzero corrections at corr_lines.  The result goes into
+        out, an array of boundary's shape, when it is given, and is
+        returned; out may be rhs itself.  An array not of the operator's
+        shape raises ConfigError.
         """
         for name, a in (("rhs", rhs), ("boundary", boundary), ("out", out)):
             if a is not None and a.shape != self.shape:
@@ -416,8 +416,11 @@ class AxisOperator:
         b = self._scratch(inner.size).reshape(self.n - 2, -1)
         lines = b.reshape(rows.shape)
         lines[...] = self._lines(inner)
-        b[0] += tau * self.dir_lo
-        b[-1] += tau * self.dir_hi
+        # the Dirichlet fold, tau * (end weight * face), from boundary
+        faces = self._lines(boundary)[:: self.n - 1, 1:-1, 1:-1]
+        ends = (faces * self._end_w.reshape(faces.shape) * tau).reshape(2, -1)
+        b[0] += ends[0]
+        b[-1] += ends[1]
         b.reshape(-1)[self.corr_lines] += tau * self.corr_value
         ldlt_solve(cp, inv, b)
         rows[...] = lines
@@ -531,11 +534,11 @@ def build_split_operators(
     boundary must be a field on the same grid whose face values hold the
     Dirichlet data; interior values are ignored.  The split keeps a
     read-only view of boundary's values, not a copy, so they must not be
-    written afterwards.  Each axis operator is assembled straight from the
-    crossing arrays, which data's constructor checked (_axis_operator);
-    crossings on the boundary transverse lines belong to no interior line.
-    The three operators share one read-only edge_coeff field and one factor
-    table.
+    written afterwards; the operators read none of them.  Each axis
+    operator is assembled straight from the crossing arrays, which data's
+    constructor checked (_axis_operator); crossings on the boundary
+    transverse lines belong to no interior line.  The three operators share
+    one read-only edge_coeff field and one factor table.
     """
     if boundary.grid != data.grid:
         raise ConfigError("boundary field grid does not match interface grid")
@@ -546,10 +549,7 @@ def build_split_operators(
     edge_coeff = np.where(data.inside, *eps)
     edge_coeff *= 1.0 / (h * h)
     edge_coeff.flags.writeable = False
-    ops = [
-        _axis_operator(axis, data, jumps, eps, edge_coeff, boundary.values)
-        for axis in range(3)
-    ]
+    ops = [_axis_operator(axis, data, jumps, eps, edge_coeff) for axis in range(3)]
     _FactorTable.share(ops)
     held = boundary.values.view()
     held.flags.writeable = False
@@ -562,12 +562,7 @@ def build_split_operators(
 
 
 def _axis_operator(
-    axis: int,
-    data: InterfaceData,
-    jumps: tuple,
-    eps: tuple,
-    edge_coeff: np.ndarray,
-    bvals: np.ndarray,
+    axis: int, data: InterfaceData, jumps: tuple, eps: tuple, edge_coeff: np.ndarray
 ) -> AxisOperator:
     """One axis's operator in its compact form, from the crossings on its
     interior lines, with no array of the lines' size.  jumps holds the
@@ -592,9 +587,8 @@ def _axis_operator(
     line = (idx[rows, t1] - 1) * (shape[t2] - 2) + idx[rows, t2] - 1
     cut = idx[rows, axis] * lines + line
     order = np.argsort(cut, kind="stable")
-    rows, line, cut = rows[order], line[order], cut[order]
+    rows, cut = rows[order], cut[order]
     pos, theta = idx[rows, axis], data.theta[rows]
-    perm = (axis, t1, t2)
     lo_in = data.inside[tuple(idx[rows].T)]
     a, b = (j[rows] for j in jumps)
     w, c_lo, c_hi = cut_terms(lo_in, eps, theta, a, b, h)
@@ -604,20 +598,8 @@ def _axis_operator(
     corr_value = np.zeros(len(corr_lines))
     np.add.at(corr_value, slot, np.concatenate((c_lo[below], c_hi[above])))
     nonzero = corr_value != 0
-    # the end edges' weights, E or a cut edge's, times the Dirichlet values
-    ends = edge_coeff.transpose(perm)[[0, n - 2], 1:-1, 1:-1].reshape(2, -1)
-    ends[0, line[pos == 0]] = w[pos == 0]
-    ends[1, line[pos == n - 2]] = w[pos == n - 2]
-    bc = bvals.transpose(perm)[[0, -1], 1:-1, 1:-1].reshape(2, -1)
-    return AxisOperator(
-        axis,
-        shape,
-        edge_coeff,
-        (cut, w),
-        (corr_lines[nonzero], corr_value[nonzero]),
-        ends[0] * bc[0],
-        ends[1] * bc[1],
-    )
+    corr = (corr_lines[nonzero], corr_value[nonzero])
+    return AxisOperator(axis, shape, edge_coeff, (cut, w), corr)
 
 
 def _reset_faces(v: np.ndarray, boundary) -> None:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.ndimage import distance_transform_edt
 
 from .errors import AssemblyError, ConfigError, FormatError
-from .grid import Grid
+from .grid import MIN_NODES, Grid
 from .molecule import Atom, AtomSet
 
 AXIS_NAMES = ("x", "y", "z")
@@ -410,7 +410,8 @@ def import_interface(path) -> InterfaceData:
     """Read the text interchange format back into an InterfaceData.
 
     The file is UTF-8 text.  The eses sign convention (+1 inside) is
-    accepted and negated on import.
+    accepted and negated on import.  Box corners and h must be finite, h
+    positive and node counts at least grid.MIN_NODES, each on its line.
     Consistency between box, node counts, and spacing is enforced to 1e-9,
     and every crossing must sit on a mixed edge; an interface InterfaceData
     rejects raises FormatError with its message.
@@ -432,6 +433,8 @@ def import_interface(path) -> InterfaceData:
         kw, args = parts[0], parts[1:]
         if kw == "box":
             vals = _parse_floats(args, 6, lineno, "box")
+            if not np.isfinite(vals).all():
+                raise FormatError(f"box corners must be finite, got {vals}", lineno)
             box = (tuple(vals[:3]), tuple(vals[3:]))
         elif kw == "n":
             if len(args) != 3:
@@ -440,10 +443,14 @@ def import_interface(path) -> InterfaceData:
                 shape = tuple(int(a) for a in args)
             except ValueError as exc:
                 raise FormatError("malformed integer in n", lineno) from exc
-            if any(v < 2 for v in shape):
-                raise FormatError(f"node counts must be at least 2, got {shape}", lineno)
+            if any(v < MIN_NODES for v in shape):
+                raise FormatError(
+                    f"node counts must be at least {MIN_NODES}, got {shape}", lineno
+                )
         elif kw == "h":
             hval = _parse_floats(args, 1, lineno, "h")[0]
+            if not np.isfinite(hval):
+                raise FormatError(f"h must be finite, got {hval}", lineno)
             if hval <= 0:
                 raise FormatError(f"h must be positive, got {hval}", lineno)
         elif kw == "convention":

@@ -3,15 +3,16 @@ solver's operators to.
 
 build_split_operators assembles each AxisOperator in its compact form
 straight from the crossings.  assemble_lines builds the same operator as
-dense line-major arrays, the position along the line first: diag, weights,
-corr, dir_lo and dir_hi, as AxisOperator's readers give them, and
-axis_lines calls it on the crossings of an InterfaceData.
-operator_from_lines turns such arrays into an AxisOperator.  line_split
-builds the production split of a grid whose interior lines along axis 0
-are one line repeated, on line_interface's interface, and neg_matrix
-writes one line's -A out as a dense matrix.  line_solve sweeps one line
-on its own with the solver's kernel, adding the right-hand-side terms in
-AxisOperator.solve's order.
+dense line-major arrays, the position along the line first: diag, weights
+and corr, as AxisOperator's readers give them, and the Dirichlet end terms
+dir_lo and dir_hi that a sweep folds from its boundary; axis_lines calls
+it on the crossings of an InterfaceData.  operator_from_lines turns diag,
+weights and corr into an AxisOperator, which holds no Dirichlet values.
+line_split builds the production split of a grid whose interior lines
+along axis 0 are one line repeated, on line_interface's interface, and
+neg_matrix writes one line's -A out as a dense matrix.  line_solve sweeps
+one line on its own with the solver's kernel, adding the right-hand-side
+terms in AxisOperator.solve's order, the end terms first.
 """
 
 from unittest import mock
@@ -74,7 +75,7 @@ def axis_lines(data, params, jumps, bvals, axis, lines=None) -> tuple:
 
 
 def operator_from_lines(
-    axis, shape, diag, weights, corr, dir_lo, dir_hi, edge_coeff=None
+    axis, shape, diag, weights, corr, edge_coeff=None
 ) -> AxisOperator:
     """The AxisOperator of line-major diag (n-2, L), weights (n-1, L) and
     corr (n-2, L).
@@ -104,13 +105,7 @@ def operator_from_lines(
     c = np.reshape(corr, -1)
     nonzero = np.flatnonzero(c != 0)
     return AxisOperator(
-        axis,
-        shape,
-        edge_coeff,
-        (cut, w.reshape(-1)[cut]),
-        (nonzero, c[nonzero]),
-        dir_lo,
-        dir_hi,
+        axis, shape, edge_coeff, (cut, w.reshape(-1)[cut]), (nonzero, c[nonzero])
     )
 
 
@@ -159,7 +154,8 @@ def neg_matrix(diag: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def line_solve(weights, corr, dir_lo, dir_hi, tau: float, rhs) -> np.ndarray:
     """Solve (I - tau*A) x = rhs + tau*(corr + Dirichlet fold) on one line
-    of weights (n-1,), corr (n-2,) and end terms dir_lo, dir_hi, rhs (n-2,).
+    of weights (n-1,), corr (n-2,) and end terms dir_lo, dir_hi, the end
+    weights times the Dirichlet values, rhs (n-2,).
 
     The Dirichlet ends are added first and the nonzero corrections after
     them, then ldlt_factor_into and ldlt_solve run on the one line as an

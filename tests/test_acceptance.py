@@ -216,7 +216,8 @@ def _check_manufactured(rng) -> float:
     op = line_split(flags, (eps_in, eps_out), {cut: (theta, a, b)}, (u[0], u[-1]), h).ops[0]
     m = n - 2
     fold = np.zeros(m)
-    fold[0], fold[-1] = op.dir_lo[0], op.dir_hi[0]
+    # the Dirichlet fold from the end edges' weights and the end values
+    fold[0], fold[-1] = op.weights[0, 0] * u[0], op.weights[-1, 0] * u[-1]
     mat = neg_matrix(op.diag[:, 0], op.weights[:, 0])
     x_sol = np.linalg.solve(mat, op.corr[:, 0] + fold)
     scale = max(1.0, np.abs(u).max())

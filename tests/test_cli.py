@@ -2,8 +2,11 @@
 of the package's public names."""
 
 import math
+import os
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,6 +26,25 @@ def test_public_names_resolve():
     names = gfmpbe.__all__
     assert len(set(names)) == len(names)
     assert [n for n in names if not hasattr(gfmpbe, n)] == []
+
+
+def _run_module(*args) -> subprocess.CompletedProcess:
+    """python args in a new process, with the gfmpbe under test on its path,
+    so that a bare pytest in a checkout runs it too."""
+    src = str(Path(gfmpbe.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env
+    )
+
+
+def _huge_lod_args(atoms) -> list[str]:
+    """An LOD solve of a 1e300 charge, whose first step overflows."""
+    return ["solve", "--atoms", str(atoms), "--h", "1.0", "--surface", "vdw",
+            "--scheme", "lod", "--ic", "zero", "--dt", "1e8", "--tend", "5e8",
+            "--tmin-stop", "0", "--box", "-6", "-6", "-6", "6", "6", "6",
+            "--ionic", "0.1178"]
 
 
 @pytest.fixture
@@ -253,6 +275,28 @@ class TestSolve:
             "diverged: step failed: non-finite field entering nonlinear substep"
             " (step 1, t=1e+08, dt=1e+08)\n"
         )
+
+    @pytest.mark.parametrize("warn", ["default", "error"])
+    def test_overflowing_march_writes_one_line(self, tmp_path, warn):
+        # numpy's overflow warnings stay out of stderr, and under -W error
+        # they end no run in a traceback: the exit code is 3.
+        huge = tmp_path / "huge.txt"
+        huge.write_text("0 0 0 1e300 2.0\n")
+        proc = _run_module("-W", warn, "-m", "gfmpbe.cli", *_huge_lod_args(huge))
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "diverged: step failed: non-finite field entering nonlinear substep"
+            " (step 1, t=1e+08, dt=1e+08)\n"
+        )
+
+    def test_overflowing_run_raises_divergence_under_error_filter(self, tmp_path):
+        huge = tmp_path / "huge.txt"
+        huge.write_text("0 0 0 1e300 2.0\n")
+        cfg = cli._config_from_args(build_parser().parse_args(_huge_lod_args(huge)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="step failed"):
+                driver.run(cfg)
 
     def test_vdw_surface_smoke(self, atom_file):
         rc = main(
@@ -517,10 +561,6 @@ class TestParser:
     def test_module_entry_point(self, tmp_path):
         atoms = tmp_path / "a.txt"
         atoms.write_text("0 0 0 1.0 1.7\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "gfmpbe.cli", *_solve_args(str(atoms))],
-            capture_output=True,
-            text=True,
-        )
+        proc = _run_module("-m", "gfmpbe.cli", *_solve_args(str(atoms)))
         assert proc.returncode == 0
         assert "final energy:" in proc.stdout

@@ -414,7 +414,8 @@ def _interior_kappa_sq(split):
 
 def _sparse_steady_state(split):
     """(sum_a M_a + kappa^2, sum_a (c_a + Dirichlet_a)) on the interior
-    nodes, assembled entry by entry from the AxisOperator arrays."""
+    nodes, assembled entry by entry from the AxisOperator arrays; the
+    Dirichlet fold from split.boundary's faces and the end edges' weights."""
     shape = tuple(n - 2 for n in split.shape)
     idx = np.arange(np.prod(shape)).reshape(shape)
     rows, cols = [idx.ravel()], [idx.ravel()]
@@ -427,8 +428,9 @@ def _sparse_steady_state(split):
         cols += [lines.ravel(), lines[1:].ravel(), lines[:-1].ravel()]
         vals += [op.diag.ravel(), off, off]
         np.add.at(b, lines.ravel(), op.corr.ravel())
-        np.add.at(b, lines[0], op.dir_lo)
-        np.add.at(b, lines[-1], op.dir_hi)
+        ends = np.moveaxis(split.boundary, op.axis, 0)[[0, -1], 1:-1, 1:-1]
+        np.add.at(b, lines[0], op.weights[0] * ends[0].ravel())
+        np.add.at(b, lines[-1], op.weights[-1] * ends[1].ravel())
     mat = sparse.csc_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(idx.size, idx.size),
@@ -480,7 +482,7 @@ class TestLinearizedSteadyState:
         """The Jacobi CG's iteration counts: a change to the operator, the
         right-hand side, the preconditioner or the CG moves them."""
         prob = build_problem(make())
-        x, got, rel = linearized_steady_state(prob.split, prob.boundary.values)
+        x, got, rel = linearized_steady_state(prob.split)
         assert x.shape == tuple(n - 2 for n in prob.grid.shape)
         assert (got, rel <= CG_RTOL) == (iterations, True)
         assert prob.split._pool == []

@@ -35,9 +35,8 @@ def _uniform_line(n=8, eps=3.0, h=0.5, bc=(1.0, -2.0), inside=True):
 
 
 def _column(op, line=0) -> tuple:
-    """One line's diag, weights, corr, dir_lo and dir_hi."""
-    return (op.diag[:, line], op.weights[:, line], op.corr[:, line],
-            op.dir_lo[line], op.dir_hi[line])
+    """One line's diag, weights and corr."""
+    return op.diag[:, line], op.weights[:, line], op.corr[:, line]
 
 
 def _fold(dir_lo, dir_hi, m) -> np.ndarray:
@@ -52,19 +51,33 @@ def _on_lines(values) -> np.ndarray:
     return np.broadcast_to(np.asarray(values)[:, None, None], (len(values), 4, 4)).copy()
 
 
-def _sweep(op, tau, rhs) -> np.ndarray:
+def _sweep(op, tau, rhs, bc=(0.0, 0.0)) -> np.ndarray:
     """op.solve on line_split's grid with rhs (n-2,) on every line along
-    axis 0; line 0's interior values."""
-    field = _on_lines(np.r_[0.0, rhs, 0.0])
-    return op.solve(tau, field, np.zeros(field.shape))[1:-1, 1, 1]
+    axis 0 and the Dirichlet values bc at its ends; line 0's interior
+    values."""
+    field = _on_lines(np.r_[bc[0], rhs, bc[1]])
+    return op.solve(tau, field, field)[1:-1, 1, 1]
 
 
-def _lines_operator(axis, shape, weights, corr, dir_lo, dir_hi):
-    """The AxisOperator of line-major weights (n-1, L), corr (n-2, L) and
-    end terms (L,), with diag = W_left + W_right."""
+def _lines_operator(axis, shape, weights, corr):
+    """The AxisOperator of line-major weights (n-1, L) and corr (n-2, L),
+    with diag = W_left + W_right."""
     weights = np.asarray(weights, dtype=float)
     diag = weights[:-1] + weights[1:]
-    return operator_from_lines(axis, shape, diag, weights, corr, dir_lo, dir_hi)
+    return operator_from_lines(axis, shape, diag, weights, corr)
+
+
+def _check_sweep(op, dense, tau, rhs, boundary, lines=None) -> None:
+    """op.solve(tau, rhs, boundary) equals line_solve on the dense arrays
+    (diag, weights, corr, dir_lo, dir_hi) of boundary's faces bit for bit,
+    on every interior line or on those in lines."""
+    got = np.moveaxis(op.solve(tau, rhs, boundary), op.axis, 0)[1:-1, 1:-1, 1:-1]
+    got = got.reshape(op.n - 2, -1)
+    b = np.moveaxis(rhs, op.axis, 0)[1:-1, 1:-1, 1:-1].reshape(op.n - 2, -1)
+    _, weights, corr, lo, hi = dense
+    for k in range(got.shape[1]) if lines is None else lines:
+        want = line_solve(weights[:, k], corr[:, k], lo[k], hi[k], tau, b[:, k])
+        np.testing.assert_array_equal(_bits(got[:, k]), _bits(want))
 
 
 def _bits(a) -> np.ndarray:
@@ -74,13 +87,18 @@ def _bits(a) -> np.ndarray:
 class TestRegularStencil:
     def test_constant_eps_tridiag(self):
         eps, h = 3.0, 0.5
-        diag, weights, corr, dir_lo, dir_hi = _column(_uniform_line(n=8, eps=eps, h=h))
+        op = _uniform_line(n=8, eps=eps, h=h)
+        diag, weights, corr = _column(op)
         w = eps / h**2
         np.testing.assert_allclose(diag, 2 * w, rtol=1e-15)
         np.testing.assert_allclose(weights, w, rtol=1e-15)
         np.testing.assert_allclose(corr, 0.0)
-        assert dir_lo == pytest.approx(w * 1.0)
-        assert dir_hi == pytest.approx(w * -2.0)
+        # The sweep folds the end weights times the Dirichlet values it is
+        # given: bc = (1, -2) as the split was built with, then others.
+        rhs = np.linspace(-1.0, 1.0, 6)
+        for bc in ((1.0, -2.0), (0.5, 3.0)):
+            want = line_solve(weights, corr, w * bc[0], w * bc[1], 0.3, rhs)
+            np.testing.assert_array_equal(_sweep(op, 0.3, rhs, bc), want)
 
     def test_homogeneous_jump_reduces_to_harmonic(self):
         # One cut with a = b = 0: harmonic edge weight, zero corrections.
@@ -90,7 +108,7 @@ class TestRegularStencil:
         op = line_split(flags, (eps_in, eps_out), cuts, (0.0, 0.0), h).ops[0]
         denom = eps_out * theta + eps_in * (1 - theta)
         w_hat = eps_in * eps_out / denom
-        _, weights, corr, _, _ = _column(op)
+        _, weights, corr = _column(op)
         assert weights[2] == pytest.approx(w_hat, rel=1e-14)
         np.testing.assert_allclose(corr, 0.0)
 
@@ -145,7 +163,9 @@ class TestManufactured:
             got = _column(op)
             for g, want in zip(got, dense):
                 assert np.array_equal(_bits(np.reshape(g, -1)), _bits(np.reshape(want, -1)))
-            diag, weights, corr, dir_lo, dir_hi = got
+            diag, weights, corr = got
+            # the oracle's end terms, from the end weights and bc
+            dir_lo, dir_hi = (float(a[0]) for a in dense[3:])
             scale = max(1.0, np.abs(u).max())
             # The profile is a discrete steady state: A u + c + fold = 0.
             res = op.apply(_on_lines(u))[:, 1, 1]
@@ -158,6 +178,8 @@ class TestManufactured:
             for dt in (1e-3, 0.1, 7.0):
                 y = op.solve(dt, _on_lines(u), split.boundary)[1:-1, 1, 1]
                 np.testing.assert_allclose(y, u[1:-1], rtol=0, atol=1e-11 * scale)
+                want = line_solve(weights, corr, dir_lo, dir_hi, dt, u[1:-1])
+                np.testing.assert_array_equal(_bits(y), _bits(want))
 
 
 class TestThomas:
@@ -168,33 +190,34 @@ class TestThomas:
         line_split's grid (four equal lines along axis 0), and its arrays."""
         weights = rng.uniform(0.5, 20.0, size=n - 1)
         corr = rng.normal(size=n - 2)
-        dir_lo, dir_hi = weights[0] * rng.normal(), weights[-1] * rng.normal()
+        bc = rng.normal(), rng.normal()
         lines = np.repeat(weights[:, None], 4, axis=1), np.repeat(corr[:, None], 4, axis=1)
-        op = _lines_operator(0, (n, 4, 4), *lines, np.full(4, dir_lo), np.full(4, dir_hi))
-        return op, weights[:-1] + weights[1:], weights, corr, _fold(dir_lo, dir_hi, n - 2)
+        op = _lines_operator(0, (n, 4, 4), *lines)
+        fold = _fold(weights[0] * bc[0], weights[-1] * bc[1], n - 2)
+        return op, weights[:-1] + weights[1:], weights, corr, fold, bc
 
     def test_identity_at_dt_zero(self):
         rng = np.random.default_rng(5)
-        op, *_ = self._random_system(rng)
+        op, *_, bc = self._random_system(rng)
         rhs = rng.normal(size=10)
-        np.testing.assert_array_equal(_sweep(op, 0.0, rhs), rhs)
+        np.testing.assert_array_equal(_sweep(op, 0.0, rhs, bc), rhs)
 
     def test_small_system_vs_dense(self):
         rng = np.random.default_rng(8)
-        op, diag, weights, corr, fold = self._random_system(rng, n=5)  # 3 unknowns
+        op, diag, weights, corr, fold, bc = self._random_system(rng, n=5)  # 3 unknowns
         dt = 0.37
         rhs = rng.normal(size=3)
-        got = _sweep(op, dt, rhs)
+        got = _sweep(op, dt, rhs, bc)
         mat = np.eye(3) + dt * neg_matrix(diag, weights)
         want = np.linalg.solve(mat, rhs + dt * (corr + fold))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
     def test_residual_bound_random_100(self):
         rng = np.random.default_rng(13)
-        op, diag, weights, corr, fold = self._random_system(rng, n=102)
+        op, diag, weights, corr, fold, bc = self._random_system(rng, n=102)
         dt = 2.5
         rhs = rng.normal(size=100)
-        x = _sweep(op, dt, rhs)
+        x = _sweep(op, dt, rhs, bc)
         mat = np.eye(100) + dt * neg_matrix(diag, weights)
         full_rhs = rhs + dt * (corr + fold)
         res = np.abs(mat @ x - full_rhs).max()
@@ -204,7 +227,7 @@ class TestThomas:
         # Weights [-2, 1, 1, 1]: 1 + dt*diag[0] == 0, the first pivot of
         # I + dt*M vanishes.
         w = np.repeat([[-2.0], [1.0], [1.0], [1.0]], 4, axis=1)
-        op = _lines_operator(0, (5, 4, 4), w, np.zeros((3, 4)), np.zeros(4), np.zeros(4))
+        op = _lines_operator(0, (5, 4, 4), w, np.zeros((3, 4)))
         with pytest.raises(NumericalError):
             op.solve(1.0, np.ones((5, 4, 4)), np.zeros((5, 4, 4)))
 
@@ -219,13 +242,16 @@ class TestThomas:
         corr = np.zeros((5, 12))
         corr[[0, -1]] = rng.normal(size=(2, 12)) * 10.0 ** rng.integers(-4, 5, size=(2, 12))
         corr[2, ::3] = rng.normal(size=4)
-        dir_lo, dir_hi = rng.normal(size=(2, 12)) * weights[[0, -1]]
+        bc = rng.normal(size=(2, 12))
+        dir_lo, dir_hi = bc * weights[[0, -1]]
         shape = (5, 7, 6)  # along axis 1, 3 x 4 interior lines
-        op = _lines_operator(1, shape, weights, corr, dir_lo, dir_hi)
+        op = _lines_operator(1, shape, weights, corr)
         assert set(op.corr_lines // 12) == {0, 2, 4}
         rhs = rng.normal(size=shape) * 10.0 ** rng.integers(-4, 5, size=shape)
+        boundary = np.zeros(shape)
+        boundary[1:-1, [0, -1], 1:-1] = np.moveaxis(bc.reshape(2, 3, 4), 0, 1)
         for tau in (0.01, 0.3, 2.5):
-            got = op.solve(tau, rhs, np.zeros(shape))
+            got = op.solve(tau, rhs, boundary)
             for line in range(12):
                 i0, i2 = divmod(line, 4)
                 want = line_solve(
@@ -251,12 +277,9 @@ class TestThomas:
             w.append(d - w[-1])
         regular = np.full(5, 12.0)
         weights = np.column_stack([regular, w])
-        ends = np.zeros(2)
-        op = _lines_operator(2, (3, 4, 6), weights, np.zeros((4, 2)), ends, ends)
-        alone = _lines_operator(
-            0, (6, 4, 4), np.repeat(np.c_[w], 4, axis=1), np.zeros((4, 4)),
-            np.zeros(4), np.zeros(4),
-        )
+        op = _lines_operator(2, (3, 4, 6), weights, np.zeros((4, 2)))
+        lines = np.repeat(np.c_[w], 4, axis=1)
+        alone = _lines_operator(0, (6, 4, 4), lines, np.zeros((4, 4)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="zero pivot"):
@@ -366,11 +389,12 @@ class TestApplyOperator:
         flags = np.array([True] * 4 + [False] * 6)
         bc = (0.6, -0.9)
         op = line_split(flags, (2.0, 80.0), {3: (0.4, 0.7, -1.3)}, bc, 0.5).ops[0]
-        diag, weights, corr, dir_lo, dir_hi = _column(op)
+        diag, weights, corr = _column(op)
         v = rng.normal(size=10)
         v[0], v[-1] = bc
         got = op.apply(_on_lines(v))[:, 1, 1]
-        want = -neg_matrix(diag, weights) @ v[1:-1] + corr + _fold(dir_lo, dir_hi, 8)
+        fold = _fold(weights[0] * bc[0], weights[-1] * bc[1], 8)
+        want = -neg_matrix(diag, weights) @ v[1:-1] + corr + fold
         # A rounding bound scaled by the magnitudes of the summed terms
         # (W_lo v_lo, diag v, W_hi v_hi and c at each node), so that any
         # order of the additions passes and a wrong term does not.
@@ -524,6 +548,31 @@ def _oracle_case(name: str):
     return _sliver(Grid((-3.0, -3.0, -3.0), 1.0, (7, 7, 7))), far_atom
 
 
+_SPECKLE_ATOMS = AtomSet([Atom((0.1, 0.2, 0.3), 1.0, 0.5)])
+_SPECKLE_PARAMS = PhysicalParams(eps_in=2.0, eps_out=80.0, kappa_sq=1.0)
+
+
+def _speckled(fill):
+    """Random node flags on a box of unequal sides, each inside with
+    probability fill, and their crossings: cut edges next to each other on
+    a line, at both of its ends and on the faces.  Returns the interface
+    and the generator that drew it, to draw on from."""
+    grid = Grid((-2.0, -2.0, -2.0), 1.0, (5, 6, 7))
+    rng = np.random.default_rng(int(fill * 10))
+    inside = rng.random(grid.shape) < fill
+    axis, index, theta, location = [], [], [], []
+    for a in range(3):
+        for idx in np.argwhere(np.diff(inside, axis=a)).tolist():
+            t = float(rng.uniform(0.01, 0.99))
+            loc = grid.node(*idx)
+            loc[a] += t * grid.h
+            axis.append(a)
+            index.append(idx)
+            theta.append(t)
+            location.append(loc)
+    return InterfaceData(grid, inside, axis, index, theta, location), rng
+
+
 class TestBatchedAssembly:
     """Assembly from the crossings against the dense assemble_lines, over
     all lines at once and one line at a time."""
@@ -540,9 +589,10 @@ class TestBatchedAssembly:
         edge = split.ops[0].edge_coeff
         assert all(op.edge_coeff is edge for op in split.ops)
         assert not edge.flags.writeable
-        names = ("diag", "weights", "corr", "dir_lo", "dir_hi")
+        names = ("diag", "weights", "corr")
+        rhs = np.random.default_rng(11).normal(size=data.grid.shape)
         for axis, op in enumerate(split.ops):
-            got = (op.diag, op.weights, op.corr, op.dir_lo, op.dir_hi)
+            got = (op.diag, op.weights, op.corr)
             direct = axis_lines(data, params, jumps, bvals, axis)
             lines = [
                 axis_lines(data, params, jumps, bvals, axis, [k])
@@ -553,34 +603,56 @@ class TestBatchedAssembly:
                 for name, g, w in zip(names, got, want):
                     assert g.shape == w.shape, name
                     assert np.array_equal(_bits(g), _bits(w)), (axis, name)
+            # the Dirichlet fold, through a sweep of every line
+            _check_sweep(op, direct, 0.3, rhs, split.boundary)
 
     @pytest.mark.parametrize("fill", [0.3, 0.5, 0.7])
     def test_speckled_masks_match_dense_assembly(self, fill):
-        # Random node flags on a box of unequal sides: cut edges next to
-        # each other on a line, at both of its ends and on the faces.
-        grid = Grid((-2.0, -2.0, -2.0), 1.0, (5, 6, 7))
-        rng = np.random.default_rng(int(fill * 10))
-        inside = rng.random(grid.shape) < fill
-        axis, index, theta, location = [], [], [], []
-        for a in range(3):
-            for idx in np.argwhere(np.diff(inside, axis=a)).tolist():
-                t = float(rng.uniform(0.01, 0.99))
-                loc = grid.node(*idx)
-                loc[a] += t * grid.h
-                axis.append(a)
-                index.append(idx)
-                theta.append(t)
-                location.append(loc)
-        data = InterfaceData(grid, inside, axis, index, theta, location)
-        atoms = AtomSet([Atom((0.1, 0.2, 0.3), 1.0, 0.5)])
-        params = PhysicalParams(eps_in=2.0, eps_out=80.0, kappa_sq=1.0)
+        data, rng = _speckled(fill)
+        grid, atoms, params = data.grid, _SPECKLE_ATOMS, _SPECKLE_PARAMS
         bvals = rng.normal(size=grid.shape)
         split = build_split_operators(data, atoms, params, Field(grid, bvals))
         jumps = compute_jumps(data, atoms, params)
+        rhs = rng.normal(size=grid.shape)
         for axis, op in enumerate(split.ops):
-            got = (op.diag, op.weights, op.corr, op.dir_lo, op.dir_hi)
-            for g, w in zip(got, axis_lines(data, params, jumps, bvals, axis)):
+            direct = axis_lines(data, params, jumps, bvals, axis)
+            for g, w in zip((op.diag, op.weights, op.corr), direct):
                 assert np.array_equal(_bits(g), _bits(w)), axis
+            _check_sweep(op, direct, 0.3, rhs, split.boundary)
+
+    @pytest.mark.parametrize("fill", [0.3, 0.7])
+    def test_sweep_folds_the_boundary_it_is_given(self, fill):
+        # The operators hold no Dirichlet values: a sweep given a boundary
+        # field other than the one the split was built with folds that
+        # field's ends, as line_solve does with them.
+        data, rng = _speckled(fill)
+        grid = data.grid
+        built = Field(grid, rng.normal(size=grid.shape))
+        split = build_split_operators(data, _SPECKLE_ATOMS, _SPECKLE_PARAMS, built)
+        jumps = compute_jumps(data, _SPECKLE_ATOMS, _SPECKLE_PARAMS)
+        other, rhs = rng.normal(size=(2, *grid.shape))
+        for axis, op in enumerate(split.ops):
+            dense = axis_lines(data, _SPECKLE_PARAMS, jumps, other, axis)
+            _check_sweep(op, dense, 0.3, rhs, other)
+
+    @pytest.mark.parametrize("fill", [0.3, 0.7])
+    def test_operators_are_built_from_geometry_alone(self, fill):
+        # Two boundary fields give operators of the same bits, end weights
+        # among them; cut edges at the lines' ends set some of those.
+        data, rng = _speckled(fill)
+        ops = [
+            build_split_operators(
+                data, _SPECKLE_ATOMS, _SPECKLE_PARAMS, Field(data.grid, b)
+            ).ops
+            for b in rng.normal(size=(2, *data.grid.shape))
+        ]
+        names = ("edge_coeff", "_cut_index", "_cut_w", "corr_lines", "corr_value")
+        for op, alt in zip(*ops):
+            for name in (*names, "_end_w", "diag"):
+                a, b = getattr(op, name), getattr(alt, name)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+                assert a.tobytes() == b.tobytes(), name
+            assert (op._end_w != op._edge_lines[[0, -1]].reshape(2, -1)).any()
 
     def test_equal_eps_keeps_every_cut_and_the_same_results(self):
         # With eps_in == eps_out every harmonic weight equals E: the build
@@ -594,11 +666,13 @@ class TestBatchedAssembly:
         v = np.random.default_rng(21).normal(size=data.grid.shape)
         for axis, op in enumerate(split.ops):
             direct = axis_lines(data, params, jumps, bvals, axis)
-            dense = operator_from_lines(axis, op.shape, *direct, edge_coeff=op.edge_coeff)
+            dense = operator_from_lines(
+                axis, op.shape, *direct[:3], edge_coeff=op.edge_coeff
+            )
             assert len(dense._cut_w) == 0 < len(op._cut_w)
-            got = (op.diag, op.weights, op.corr, op.dir_lo, op.dir_hi)
-            for g, w in zip(got, direct):
+            for g, w in zip((op.diag, op.weights, op.corr), direct):
                 assert np.array_equal(_bits(g), _bits(w))
+            _check_sweep(op, direct, 0.3, v, split.boundary)
             assert np.array_equal(_bits(op.apply(v)), _bits(dense.apply(v)))
             assert np.array_equal(
                 _bits(op.solve(0.3, v, split.boundary)),

@@ -206,8 +206,7 @@ def _zero_pivot_operator(split, axis):
     w = op.weights
     w[:2, 0] = -2.0, 1.0
     return operator_from_lines(
-        axis, split.shape, w[:-1] + w[1:], w, op.corr, op.dir_lo, op.dir_hi,
-        edge_coeff=op.edge_coeff,
+        axis, split.shape, w[:-1] + w[1:], w, op.corr, edge_coeff=op.edge_coeff
     )
 
 
@@ -295,9 +294,7 @@ class TestBatchedSweeps:
         rng = np.random.default_rng(8)
         v, rhs = rng.normal(size=(2, *split.shape))
         for op in split.ops:
-            alone = operator_from_lines(
-                op.axis, op.shape, op.diag, op.weights, op.corr, op.dir_lo, op.dir_hi
-            )
+            alone = operator_from_lines(op.axis, op.shape, op.diag, op.weights, op.corr)
             assert alone.edge_coeff is not op.edge_coeff
             assert len(alone._cut_w) == 0 < len(op._cut_w)
             np.testing.assert_array_equal(_bits(alone.apply(v)), _bits(op.apply(v)))
@@ -380,9 +377,7 @@ class TestFactorTable:
         w = op.weights
         w[:, :5] = params.eps_in / grid.h**2
         diag = w[:-1] + w[1:]
-        alone = operator_from_lines(
-            op.axis, op.shape, diag, w, op.corr, op.dir_lo, op.dir_hi
-        )
+        alone = operator_from_lines(op.axis, op.shape, diag, w, op.corr)
         assert len(alone._cut_w) == 0
         tau = 0.3
         alone.solve(tau, rhs, split.boundary)
@@ -1058,7 +1053,7 @@ class TestStepMemory:
         """The built split holds one float field of its own, the three
         operators' shared edge coefficients; it shares the boundary field
         with the problem, and the rest is sized by the crossings, the
-        solute nodes and the lines' Dirichlet ends."""
+        solute nodes and the lines' end weights."""
         problem = build_problem(kirkwood_config(h=0.5, ic="zero"))
         tracemalloc.start()
         try:
@@ -1070,7 +1065,7 @@ class TestStepMemory:
             tracemalloc.stop()
         assert np.shares_memory(split.boundary, problem.boundary.values)
         held = split.inside.nbytes
-        held += sum(a.nbytes for op in split.ops for a in (op.dir_lo, op.dir_hi))
+        held += sum(op._end_w.nbytes for op in split.ops)
         field = problem.boundary.values.nbytes
         # cut edges and corrections: a few indices and values each
         per_crossing = 48 * 8

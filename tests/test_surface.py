@@ -472,7 +472,7 @@ class TestImportRejections:
             ({1: "box 0 0 0 3 3 x"}, "malformed number in box", 1),
             ({2: "n 4 4"}, "n expects 3 integers, got 2", 2),
             ({2: "n 4 4 4.0"}, "malformed integer in n", 2),
-            ({2: "n 4 1 4"}, "node counts must be at least 2, got (4, 1, 4)", 2),
+            ({2: "n 4 1 4"}, "node counts must be at least 4, got (4, 1, 4)", 2),
             ({3: "h 1.0 1.0"}, "h expects 1 numbers, got 2", 3),
             ({3: "h one"}, "malformed number in h", 3),
             ({3: "h -1"}, "h must be positive, got -1.0", 3),
@@ -518,6 +518,19 @@ class TestImportRejections:
             ),
             ({22: "cross x 0 0 0 0.25"}, "duplicate crossing on edge (0, 0, 0)", 22),
             ({36: ""}, "mixed edge without crossing record: (0, 0, 3, 3)", None),
+            ({2: "n 3 3 3"}, "node counts must be at least 4, got (3, 3, 3)", 2),
+            ({3: "h nan"}, "h must be finite, got nan", 3),
+            ({3: "h inf"}, "h must be finite, got inf", 3),
+            (
+                {1: "box nan 0 0 3 3 3"},
+                "box corners must be finite, got [nan, 0.0, 0.0, 3.0, 3.0, 3.0]",
+                1,
+            ),
+            (
+                {1: "box 0 0 0 inf 3 3"},
+                "box corners must be finite, got [0.0, 0.0, 0.0, inf, 3.0, 3.0]",
+                1,
+            ),
         ],
     )
     def test_rejection_names_cause_and_line(self, tmp_path, edits, message, line):
