@@ -33,6 +33,7 @@ from .molecule import (
 from .steady import CG_RTOL, linearized_steady_state
 from .stepping import SplitOperators, adi_step, build_split_operators, lod_step
 from .surface import (
+    AXIS_NAMES,
     InterfaceData,
     classify_sphere,
     classify_ses_grid,
@@ -146,7 +147,9 @@ def build_problem(cfg: RunConfig) -> Problem:
     An imported surface brings its own grid: an h that differs from its
     spacing by more than 1e-9 relative, or a box that differs from its
     corners, raises ConfigError.  An atom center outside the grid box raises
-    DomainError before the surface is classified."""
+    DomainError before the surface is classified, and a solute with an
+    inside node on a box face raises ConfigError once the boundary values
+    are set."""
     if cfg.surface == "sphere" and len(cfg.atoms) != 1:
         raise ConfigError("sphere surface requires exactly one atom")
     if cfg.surface.startswith("import:"):
@@ -163,6 +166,7 @@ def build_problem(cfg: RunConfig) -> Problem:
     elif cfg.surface == "ses-grid":
         data = classify_ses_grid(grid, cfg.atoms, cfg.probe_radius)
     boundary = _boundary_field(grid, cfg.atoms, cfg.params)
+    _check_solute_clear_of_faces(data)
     split = build_split_operators(data, cfg.atoms, cfg.params, boundary)
     return Problem(grid, data, cfg.atoms, cfg.params, split, boundary, stencil)
 
@@ -184,16 +188,45 @@ def _check_imported_grid(cfg: RunConfig, grid: Grid) -> None:
 
 
 def _boundary_field(grid: Grid, atoms: AtomSet, params: PhysicalParams) -> Field:
-    """Field holding the far-field Dirichlet values on the six box faces."""
-    mask = np.zeros(grid.shape, dtype=bool)
-    mask[0, :, :] = mask[-1, :, :] = True
-    mask[:, 0, :] = mask[:, -1, :] = True
-    mask[:, :, 0] = mask[:, :, -1] = True
+    """Field holding the far-field Dirichlet values on the six box faces.
+
+    The face nodes are listed from the faces alone, in the grid's C order:
+    the whole first x face, then the (y, z) rim of each inner x slab, then
+    the whole last x face.  Their values come from one dirichlet_boundary
+    call, so the work is sized by the faces, not by the box."""
+    nx, ny, nz = grid.shape
+    x, y, z = (grid.axis_coords(a) for a in range(3))
+    face = np.stack(np.meshgrid(y, z, indexing="ij"), axis=-1)
+    rim = np.ones((ny, nz), dtype=bool)
+    rim[1:-1, 1:-1] = False
+    m = ny * nz
+    points = np.empty((2 * m + (nx - 2) * np.count_nonzero(rim), 3))
+    slabs = (points[:m], points[m:-m], points[-m:])
+    for slab, xs, yz in zip(slabs, (x[:1], x[1:-1], x[-1:]), (face, face[rim], face)):
+        slab = slab.reshape(len(xs), -1, 3)
+        slab[..., 0] = xs[:, None]
+        slab[..., 1:] = yz.reshape(-1, 2)
+    on_faces = dirichlet_boundary(atoms, points, params)
     values = np.zeros(grid.shape)
-    values[mask] = dirichlet_boundary(atoms, grid.nodes_at(mask), params)
+    values[0], values[-1] = on_faces[:m].reshape(ny, nz), on_faces[-m:].reshape(ny, nz)
+    values[1:-1, rim] = on_faces[m:-m].reshape(nx - 2, -1)
     # the split holds a view of these values in place of a copy
     values.flags.writeable = False
     return Field(grid, values)
+
+
+def _check_solute_clear_of_faces(data: InterfaceData) -> None:
+    """ConfigError when an inside node lies on a box face: the face would
+    hold a far-field value where the solute is."""
+    g, inside = data.grid, data.inside
+    for axis, name in enumerate(AXIS_NAMES):
+        for side, end, corner in (("lower", 0, g.origin), ("upper", -1, g.upper)):
+            if inside.take(end, axis=axis).any():
+                raise ConfigError(
+                    f"the solute reaches the {side} {name} face of the box"
+                    f" ({name} = {corner[axis]!r}): an inside node lies on it;"
+                    " widen the box"
+                )
 
 
 def _step_once(u: np.ndarray, dt: float, split: SplitOperators, scheme: str) -> np.ndarray:

@@ -39,6 +39,11 @@ DEBYE_COEFF = 8.486902807
 SINGULARITY_GUARD = 1e-12
 """Minimum distance (A) from an atom center at which fields are evaluated."""
 
+_BLOCK_BYTES = 1 << 20
+"""Byte budget of one temporary of a point block: the point-blocked sums
+take as many points at a time as keep their (points, atoms, 3) offsets
+within it, so their temporaries do not grow with the point count."""
+
 
 @dataclass(frozen=True)
 class Atom:
@@ -169,20 +174,51 @@ def parse_atoms(text: str) -> AtomSet:
     return AtomSet(atoms)
 
 
-def _offsets(atoms: AtomSet, points: np.ndarray):
-    """Offsets (m, n_atoms, 3) of the points from the atom centers and their
-    lengths (m, n_atoms), with the singularity guard enforced."""
-    diff = points[:, None, :] - atoms.centers[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
+def _point_blocks(n_points: int, width: int):
+    """Slices of n_points rows in blocks of as many rows as keep a
+    (rows, width) float array within _BLOCK_BYTES (one row at least)."""
+    step = max(1, _BLOCK_BYTES // (8 * width))
+    return [slice(start, start + step) for start in range(0, n_points, step)]
+
+
+def _offsets(atoms: AtomSet, points: np.ndarray, rows=slice(None)):
+    """Offsets (b, n_atoms, 3) of the points[rows] from the atom centers and
+    their lengths (b, n_atoms), with the singularity guard enforced over
+    all the points: the error names the nearest (point, atom) pair of all,
+    the first in C order, whichever rows were asked for."""
+    diff = points[rows, None, :] - atoms.centers[None, :, :]
+    dist = _lengths(diff)
     if dist.min() < SINGULARITY_GUARD:
-        row, atom = np.unravel_index(np.argmin(dist), dist.shape)
-        center = tuple(float(v) for v in atoms.centers[atom])
-        point = tuple(float(v) for v in points[row])
-        raise SingularityError(
-            f"evaluation point {point} within {SINGULARITY_GUARD} A of atom"
-            f" {int(atom)} center {center}"
-        )
+        raise _singularity(atoms, points)
     return diff, dist
+
+
+def _lengths(diff: np.ndarray) -> np.ndarray:
+    """Lengths of the rows of diff (..., 3): sqrt((x^2 + y^2) + z^2), the
+    additions, in the same order, of summing diff ** 2 over its last axis,
+    without the squared copy."""
+    dist = diff[..., 0] ** 2
+    dist += diff[..., 1] ** 2
+    dist += diff[..., 2] ** 2
+    return np.sqrt(dist, out=dist)
+
+
+def _singularity(atoms: AtomSet, points: np.ndarray) -> SingularityError:
+    """The SingularityError for the nearest (point, atom) pair, the first
+    in C order, found over point blocks."""
+    nearest = (np.inf, 0, 0)
+    for rows in _point_blocks(len(points), 3 * len(atoms)):
+        dist = _lengths(points[rows, None, :] - atoms.centers)
+        row, atom = np.unravel_index(np.argmin(dist), dist.shape)
+        if dist[row, atom] < nearest[0]:
+            nearest = (dist[row, atom], rows.start + row, atom)
+    _, row, atom = nearest
+    center = tuple(float(v) for v in atoms.centers[atom])
+    point = tuple(float(v) for v in points[row])
+    return SingularityError(
+        f"evaluation point {point} within {SINGULARITY_GUARD} A of atom"
+        f" {int(atom)} center {center}"
+    )
 
 
 def _as_points(p) -> tuple[np.ndarray, bool]:
@@ -216,18 +252,22 @@ def green_axis_terms(
     atoms: AtomSet, points: np.ndarray, axes: np.ndarray, params: PhysicalParams
 ):
     """green_potential at each point of a batch (m, 3) and the axes[i]
-    component of green_gradient at point i, from one set of offsets, both
-    (m,).  Only that component is formed, and it is summed over the atoms
-    from 0.0 in atom order, as green_gradient's reduction is (numpy's
-    pairwise sum would reorder it from 8 atoms on), so both arrays equal
-    those functions' values bit for bit, signed zeros included."""
-    diff, dist = _offsets(atoms, points)
-    pot = (CHARGE_FACTOR / params.eps_in) * (atoms.charges / dist).sum(axis=1)
-    terms = -CHARGE_FACTOR / params.eps_in * atoms.charges / dist**3
-    terms *= diff[np.arange(len(points)), :, axes]
-    grad = np.zeros(len(points))
-    for col in terms.T:
-        grad += col
+    component of green_gradient at point i, both (m,), from one set of
+    offsets per point block (_point_blocks).  Only that component is formed,
+    and it is summed over the atoms from 0.0 in atom order, as
+    green_gradient's reduction is (numpy's pairwise sum would reorder it
+    from 8 atoms on), so both arrays equal those functions' values bit for
+    bit, signed zeros included; a point's sums do not depend on its
+    block."""
+    scale = CHARGE_FACTOR / params.eps_in
+    pot, grad = np.empty(len(points)), np.zeros(len(points))
+    for rows in _point_blocks(len(points), 3 * len(atoms)):
+        diff, dist = _offsets(atoms, points, rows)
+        pot[rows] = scale * (atoms.charges / dist).sum(axis=1)
+        terms = -CHARGE_FACTOR / params.eps_in * atoms.charges / dist**3
+        terms *= diff[np.arange(len(dist)), :, axes[rows]]
+        for col in terms.T:
+            grad[rows] += col
     return pot, grad
 
 
@@ -236,13 +276,18 @@ def dirichlet_boundary(atoms: AtomSet, p, params: PhysicalParams):
 
     phi_b(p) = C * sum_i q_i * exp(-|p-r_i| * sqrt(kappa^2/eps_out))
                / (eps_out * |p-r_i|)
+
+    The points go in blocks (_point_blocks); each point's sum over the
+    atoms does not depend on its block.
     """
     pts, single = _as_points(p)
-    _, dist = _offsets(atoms, pts)
     decay = np.sqrt(params.kappa_sq / params.eps_out)
-    val = (CHARGE_FACTOR / params.eps_out) * (
-        atoms.charges * np.exp(-decay * dist) / dist
-    ).sum(axis=1)
+    val = np.empty(len(pts))
+    for rows in _point_blocks(len(pts), 3 * len(atoms)):
+        _, dist = _offsets(atoms, pts, rows)
+        val[rows] = (CHARGE_FACTOR / params.eps_out) * (
+            atoms.charges * np.exp(-decay * dist) / dist
+        ).sum(axis=1)
     return float(val[0]) if single else val
 
 

@@ -6,15 +6,26 @@ exactly one crossing (the fraction theta measured from the low-index node,
 plus the Cartesian location of the cut).  InterfaceData holds the flags as
 one boolean array and the crossings as arrays in canonical (axis, i, j, k)
 order: the (m, 4) keys, the thetas and the locations, so assembly reads them
-without one Python object per cut edge.  Crossings come from two cut rules,
-each in whole-array numpy: the union of atom spheres (van der Waals; a single
-sphere is the one-atom union) is cut at the exact roots along each edge, and
-the probe-rolled molecular surface, the level set of one node level psi (the
-depth inside the union of probe-inflated spheres minus the probe radius), by
-linear interpolation of psi at the edge's two nodes.  psi >= 0 at every node
-inside an atom sphere, so psi alone gives the inside mask.  Each InterfaceData
-is checked once, where it is made: its one constructor rejects inconsistent
+without one Python object per cut edge.  Crossings come from two cut rules:
+the union of atom spheres (van der Waals; a single sphere is the one-atom
+union) is cut at the exact roots along each edge, and the probe-rolled
+molecular surface, the level set of one node level psi (the depth inside the
+union of probe-inflated spheres minus the probe radius), by linear
+interpolation of psi at the edge's two nodes.  psi >= 0 at every node inside
+an atom sphere, so psi alone gives the inside mask.  Each InterfaceData is
+checked once, where it is made: its one constructor rejects inconsistent
 flags and crossings, and the operator assembly relies on that.
+
+The set-up is sized by the solute, not by the box.  Node distances are taken
+per atom on its block, the nodes within reach of its centre along each axis
+(_atom_blocks); the distance transform runs on the inflated union's
+bounding block widened by one node; the mixed-edge searches and counts run on
+the inside mask's bounding block widened by one node (_widened_box), since
+every edge outside it joins two outside nodes; and the union's cut
+fractions and the molecular surface's radial-exit tests, (points, atoms)
+work, take their points in blocks of a fixed byte budget.
+What is left of the whole grid is the masks themselves, their
+bounding-block reductions and, for the molecular surface, the level field.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from scipy.ndimage import distance_transform_edt
 
 from .errors import AssemblyError, ConfigError, FormatError
 from .grid import MIN_NODES, Grid
-from .molecule import Atom, AtomSet
+from .molecule import Atom, AtomSet, _lengths, _point_blocks
 
 AXIS_NAMES = ("x", "y", "z")
 
@@ -166,7 +177,8 @@ class InterfaceData:
         if (last | (flags[low] == flags[high])).any():
             return False
         counts = np.bincount(self.axis, minlength=3)
-        mixed = (np.count_nonzero(np.diff(self.inside, axis=a)) for a in range(3))
+        near = self.inside[_widened_box(self.inside)]
+        mixed = (np.count_nonzero(np.diff(near, axis=a)) for a in range(3))
         return all(m == c for m, c in zip(mixed, counts))
 
     def _scan_edges(self) -> None:
@@ -194,13 +206,28 @@ def _codes(axis, index: np.ndarray, edges: tuple) -> np.ndarray:
     return np.ravel_multi_index((np.broadcast_to(axis, len(index)), *index.T), edges)
 
 
+def _widened_box(mask: np.ndarray) -> tuple[slice, slice, slice]:
+    """The bounding block of mask's set nodes widened by one node on each
+    side and clipped to the grid; empty when none is set.  For an inside
+    mask it holds both ends of every mixed edge."""
+    xs = np.flatnonzero(mask.reshape(len(mask), -1).any(axis=1))
+    if not xs.size:
+        return (slice(0, 0),) * 3
+    plane = mask[xs[0] : xs[-1] + 1].any(axis=0)
+    ys, zs = (np.flatnonzero(plane.any(axis=a)) for a in (1, 0))
+    return tuple(slice(max(r[0] - 1, 0), r[-1] + 2) for r in (xs, ys, zs))
+
+
 def _classified(grid: Grid, inside: np.ndarray, fraction) -> InterfaceData:
     """Crossings on every mixed edge, from fraction(axis, idx, p0): the cut
     fractions t of the edges with low nodes idx (m, 3), C order, at p0.
-    theta is t clamped to [THETA_MIN, 1 - THETA_MIN]."""
+    theta is t clamped to [THETA_MIN, 1 - THETA_MIN].  The mixed edges are
+    searched on _widened_box(inside) alone."""
+    box = _widened_box(inside)
+    start = np.array([b.start for b in box])
     parts = []
     for axis in range(3):
-        idx = np.argwhere(np.diff(inside, axis=axis))
+        idx = np.argwhere(np.diff(inside[box], axis=axis)) + start
         p0 = np.asarray(grid.origin) + idx * grid.h
         t = fraction(axis, idx, p0)
         loc = p0.copy()
@@ -226,13 +253,28 @@ def _stable_roots(a: float, b: np.ndarray, c: np.ndarray):
     return np.where(real, lo, np.inf), np.where(real, hi, -np.inf)
 
 
-def _node_distance(grid: Grid, center) -> np.ndarray:
-    """Distance of every node to center, sqrt((dx^2 + dy^2) + dz^2) from
+def _atom_blocks(grid: Grid, atoms: AtomSet, reach: np.ndarray):
+    """Yield, per atom in order, its block and the distance of each node of
+    the block to its centre.  The block is the slices of the nodes within
+    reach[a] of the centre along each axis, so it holds every node within
+    that distance of it.  The distance is sqrt((dx^2 + dy^2) + dz^2) from
     broadcast per-axis differences: the additions, in the same order, of
     summing ((nodes - center) ** 2) over its last axis, without the
-    (nx, ny, nz, 3) temporaries."""
-    dx, dy, dz = ((grid.axis_coords(a) - center[a]) ** 2 for a in range(3))
-    return np.sqrt((dx[:, None, None] + dy[:, None]) + dz)
+    (bx, by, bz, 3) temporaries, so a node's value does not depend on the
+    block it is taken in."""
+    coords = [grid.axis_coords(a) for a in range(3)]
+    centers = atoms.centers
+    ends = [
+        (
+            np.searchsorted(x, centers[:, a] - reach, side="left"),
+            np.searchsorted(x, centers[:, a] + reach, side="right"),
+        )
+        for a, x in enumerate(coords)
+    ]
+    for ia, center in enumerate(centers):
+        block = tuple(slice(lo[ia], hi[ia]) for lo, hi in ends)
+        dx, dy, dz = ((x[b] - c) ** 2 for x, b, c in zip(coords, block, center))
+        yield block, np.sqrt((dx[:, None, None] + dy[:, None]) + dz)
 
 
 def _cover(t1: np.ndarray, t2: np.ndarray, start: float) -> np.ndarray:
@@ -253,28 +295,35 @@ def _cover(t1: np.ndarray, t2: np.ndarray, start: float) -> np.ndarray:
 def classify_union(grid: Grid, atoms: AtomSet) -> InterfaceData:
     """Classify the union of the atom spheres (van der Waals surface).
 
-    Each edge's intervals inside the atom spheres are chained from the
-    inside endpoint; the cut is where the chain ends.
+    A node is inside when its distance to some centre, less that atom's
+    radius, is below CLASSIFY_TOL.  Each atom's test runs on its block
+    (_atom_blocks, reach radius + h), so no float array the size of the
+    grid is made.  Each edge's intervals inside the atom spheres are
+    chained from the inside endpoint; the cut is where the chain ends.  The
+    edges are taken in point blocks (molecule._point_blocks), so the (edges,
+    atoms) temporaries do not grow with the crossing count.
     """
     centers, radii = atoms.centers, atoms.radii
-    signed = _node_distance(grid, centers[0])
-    signed -= radii[0]
-    for center, radius in zip(centers[1:], radii[1:]):
-        d = _node_distance(grid, center)
-        d -= radius
-        np.minimum(signed, d, out=signed)
-    inside = signed < CLASSIFY_TOL
     h = grid.h
+    inside = np.zeros(grid.shape, dtype=bool)
+    for radius, (block, d) in zip(radii, _atom_blocks(grid, atoms, radii + h)):
+        d -= radius
+        inside[block] |= d < CLASSIFY_TOL
 
     def fraction(axis, idx, p0):
-        d0 = p0[:, None, :] - centers  # (m, atoms, 3)
-        b = 2.0 * h * d0[..., axis]
-        c0 = (d0**2).sum(axis=-1) - radii**2
-        t1, t2 = _stable_roots(h * h, b, c0)
-        # From an outside low node, chain down from t = 1 on the mirror image.
-        return np.where(
-            inside[tuple(idx.T)], _cover(t1, t2, 0.0), -_cover(-t2, -t1, -1.0)
-        )
+        low_inside = inside[tuple(idx.T)]
+        t = np.empty(len(idx))
+        for rows in _point_blocks(len(idx), 3 * len(centers)):
+            d0 = p0[rows, None, :] - centers  # (rows, atoms, 3)
+            b = 2.0 * h * d0[..., axis]
+            c0 = (d0**2).sum(axis=-1) - radii**2
+            t1, t2 = _stable_roots(h * h, b, c0)
+            # From an outside low node, chain down from t = 1 on the mirror
+            # image.
+            t[rows] = np.where(
+                low_inside[rows], _cover(t1, t2, 0.0), -_cover(-t2, -t1, -1.0)
+            )
+        return t
 
     return _classified(grid, inside, fraction)
 
@@ -292,16 +341,29 @@ def _radial_exit_clear(points, ia, centers, sas_r) -> np.ndarray:
     ca = centers[ia]
     ra = sas_r[ia]
     dvec = points - ca
-    dn = np.sqrt((dvec**2).sum(axis=1))
+    dn = _lengths(dvec)
     safe = np.where(dn > CLASSIFY_TOL, dn, 1.0)
     unit = dvec / safe[:, None]
     unit[dn <= CLASSIFY_TOL] = (1.0, 0.0, 0.0)
     exit_pts = ca + ra[:, None] * unit
     blocked = np.zeros(len(points), dtype=bool)
     for k in range(len(centers)):
-        dk = np.sqrt(((exit_pts - centers[k]) ** 2).sum(axis=1))
+        dk = _lengths(exit_pts - centers[k])
         blocked |= (dk < sas_r[k] - CLASSIFY_TOL) & (ia != k)
     return ~blocked
+
+
+def _exterior_distance(mask: np.ndarray, nodes: tuple, h: float) -> np.ndarray:
+    """distance_transform_edt(mask, sampling=h) at the nodes (a tuple of
+    index arrays) alone.  The distances come from its feature transform by
+    its own arithmetic, sqrt((dx^2 + dy^2) + dz^2) of the offsets times h,
+    so they equal its values bit for bit without its (3,) + mask.shape
+    float arrays."""
+    feature = distance_transform_edt(
+        mask, sampling=(h,) * 3, return_distances=False, return_indices=True
+    )
+    d = [(feature[a][nodes] - i).astype(float) * h for a, i in enumerate(nodes)]
+    return np.sqrt((d[0] * d[0] + d[1] * d[1]) + d[2] * d[2])
 
 
 def _ses_levels(grid: Grid, atoms: AtomSet, probe_radius: float) -> np.ndarray:
@@ -313,22 +375,53 @@ def _ses_levels(grid: Grid, atoms: AtomSet, probe_radius: float) -> np.ndarray:
     the inward radial ray from the deepest inflated sphere exits into free
     space the depth is exact; where another inflated sphere blocks that exit
     it is the lattice distance to the nearest exterior node (an upper bound).
+
+    Each atom's depth is taken on its block, with reach its inflated radius
+    plus h + CLASSIFY_TOL, and kept where it is strictly deeper, in atom
+    order; psi is -inf at the nodes outside every block.  That changes psi
+    at no node where it is read.  A node in the inflated union lies in its
+    deepest atom's block, and an atom whose block misses it is shallower by
+    more than h.  The neighbour of an inside node lies within
+    r + h + CLASSIFY_TOL of that node's deepest atom, so inside that atom's
+    block, and every atom whose block misses it is below it.  So depth and
+    the deepest atom are unchanged at every node in the inflated union and
+    at both ends of every mixed edge.  The
+    distance transform runs on the inflated union's bounding block widened
+    by one node: clamping any exterior node into that block brings it
+    strictly closer and onto its all-exterior rim, so each distance is kept.
+    Its distances are formed only where the radial exit is blocked
+    (_exterior_distance), and the radial-exit tests take the inflated
+    union's nodes in point blocks.
     """
     centers = atoms.centers
     sas_r = atoms.radii + probe_radius
     depth = np.full(grid.shape, -np.inf)
     deepest = np.zeros(grid.shape, dtype=int)
-    for ia, (center, radius) in enumerate(zip(centers, atoms.radii)):
-        v = (radius + probe_radius) - _node_distance(grid, center)
-        upd = v > depth
-        depth[upd] = v[upd]
-        deepest[upd] = ia
-    sas_inside = depth > -CLASSIFY_TOL
-    edt = distance_transform_edt(sas_inside, sampling=(grid.h,) * 3)
-    points = grid.nodes_at(sas_inside)
-    exact = _radial_exit_clear(points, deepest[sas_inside], centers, sas_r)
-    depth[sas_inside] = np.where(exact, depth[sas_inside], edt[sas_inside])
-    return depth - probe_radius
+    reach = sas_r + (grid.h + CLASSIFY_TOL)
+    for ia, (block, d) in enumerate(_atom_blocks(grid, atoms, reach)):
+        v = sas_r[ia] - d
+        near = depth[block]
+        upd = v > near
+        near[upd] = v[upd]
+        deepest[block][upd] = ia
+    box = _widened_box(depth > -CLASSIFY_TOL)
+    near, nearest = depth[box], deepest[box]
+    sas = near > -CLASSIFY_TOL
+    nodes = np.flatnonzero(sas)
+    coords = [grid.axis_coords(a)[b] for a, b in enumerate(box)]
+    exact = np.empty(len(nodes), dtype=bool)
+    # a block's (rows, 3) arrays in _radial_exit_clear, some eight of them,
+    # take about _BLOCK_BYTES together
+    for rows in _point_blocks(len(nodes), 3 * 8):
+        at = np.unravel_index(nodes[rows], sas.shape)
+        points = np.stack([x[i] for x, i in zip(coords, at)], axis=-1)
+        exact[rows] = _radial_exit_clear(points, nearest[at], centers, sas_r)
+    levels = near[sas]
+    blocked = np.unravel_index(nodes[~exact], sas.shape)
+    levels[~exact] = _exterior_distance(sas, blocked, grid.h)
+    near[sas] = levels
+    depth -= probe_radius
+    return depth
 
 
 def classify_ses_grid(
@@ -338,8 +431,11 @@ def classify_ses_grid(
 
     A node is inside when psi > -CLASSIFY_TOL, that is at depth at least
     probe_radius inside the probe-inflated union; this takes in every node
-    inside an atom sphere (see _ses_levels).  Crossing fractions come from
-    linear interpolation of the node levels psi along each mixed edge.
+    inside an atom sphere (see _ses_levels, whose per-atom passes run on
+    each atom's block).  Crossing fractions come from linear interpolation
+    of the node levels psi along each mixed edge, read at its two nodes
+    alone, and the mixed edges are searched on the inside mask's widened
+    bounding block (_classified).
     """
     if probe_radius < 0:
         raise ConfigError(f"probe radius must be nonnegative, got {probe_radius}")
@@ -349,8 +445,10 @@ def classify_ses_grid(
     inside = psi > -CLASSIFY_TOL
 
     def fraction(axis, idx, p0):
+        high = idx.copy()
+        high[:, axis] += 1
         psi_lo = psi[tuple(idx.T)]
-        denom = -np.diff(psi, axis=axis)[tuple(idx.T)]  # psi_lo - psi_hi
+        denom = psi_lo - psi[tuple(high.T)]
         with np.errstate(divide="ignore", invalid="ignore"):
             t = psi_lo / np.where(denom != 0.0, denom, 1.0)
         return np.where(denom != 0.0, t, 0.5)

@@ -175,6 +175,18 @@ class TestSolve:
             " center (4.0, 0.0, 0.0)\n"
         )
 
+    def test_box_cutting_the_solute_is_config_error(self, atom_file, capsys):
+        # the R = 1.7 sphere crosses the upper y face at 1.5
+        args = _solve_args(atom_file)
+        at = args.index("--box")
+        args[at + 1 : at + 7] = ["-2", "-2", "-2", "2", "1.5", "2"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: the solute reaches the upper y face of the box (y = 1.5): an"
+            " inside node lies on it; widen the box\n"
+        )
+
     def test_wall_time_covers_the_whole_run(self, atom_file, capsys):
         # lpb start: build and CG run before the march, outside trace.wall_time
         args = _solve_args(atom_file)

@@ -44,6 +44,7 @@ from gfmpbe.molecule import (
     CHARGE_FACTOR,
     SINGULARITY_GUARD,
     PhysicalParams,
+    dirichlet_boundary,
     solvation_energy,
 )
 from gfmpbe.steady import CG_RTOL, linearized_steady_state
@@ -809,6 +810,49 @@ class TestProblemAssembly:
         with pytest.raises(DomainError, match=r"point \(5\.2, 0\.0, 0\.0\)") as exc:
             build_problem(cfg)
         assert "np.float64" not in str(exc.value)
+
+    def test_box_cutting_the_solute_is_config_error(self):
+        # the R = 2 sphere fills the +-1.5 box; this marched to E = -3.51
+        with pytest.raises(ConfigError) as exc:
+            build_problem(kirkwood_config(h=0.5, box_half=1.5))
+        assert str(exc.value) == (
+            "the solute reaches the lower x face of the box (x = -1.5): an inside"
+            " node lies on it; widen the box"
+        )
+
+    @pytest.mark.parametrize(
+        "box, face",
+        [
+            ((-4.0, -4.0, -4.0, 4.0, 4.0, 2.0), "upper z face of the box (z = 2.0)"),
+            ((-4.0, -1.0, -4.0, 4.0, 4.0, 4.0), "lower y face of the box (y = -1.0)"),
+        ],
+    )
+    def test_face_named_by_axis_side_and_coordinate(self, box, face):
+        cfg = replace(kirkwood_config(h=0.5), surface="vdw", box=box)
+        with pytest.raises(ConfigError, match=re.escape(face)):
+            build_problem(cfg)
+
+    def test_box_clearing_the_solute_by_one_node_builds(self):
+        # nodes at +-2.0 lie on the sphere, so inside; the faces are at +-2.5
+        problem = build_problem(kirkwood_config(h=0.5, box_half=2.5))
+        inside = problem.data.inside
+        assert inside[1].any() and inside[-2].any() and not inside[0].any()
+
+    @pytest.mark.parametrize("shape", [(4, 4, 4), (5, 7, 6), (9, 4, 5)])
+    def test_boundary_values_on_the_faces_alone(self, shape):
+        # as the whole-grid face mask and one dirichlet_boundary call give them
+        grid = Grid((-3.0, -2.5, -2.0), 0.75, shape)
+        atoms = AtomSet(
+            [Atom((0.1, 0.2, 0.3), 1.0, 1.0), Atom((-0.4, 0.0, 0.1), -0.5, 1.0)]
+        )
+        params = PhysicalParams(kappa_sq=0.4)
+        mask = np.ones(shape, dtype=bool)
+        mask[1:-1, 1:-1, 1:-1] = False
+        want = np.zeros(shape)
+        want[mask] = dirichlet_boundary(atoms, grid.nodes_at(mask), params)
+        got = driver._boundary_field(grid, atoms, params).values
+        np.testing.assert_array_equal(got, want)
+        assert not got.flags.writeable
 
     @pytest.mark.parametrize("scheme", ["ADI", "LOD"])
     def test_final_energy_is_the_energy_of_the_final_field(self, scheme):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfmpbe import molecule
 from gfmpbe.errors import ConfigError, ParseError, SingularityError
 from gfmpbe.grid import Field, Grid
 from gfmpbe.molecule import (
@@ -20,6 +21,7 @@ from gfmpbe.molecule import (
     PhysicalParams,
     debye_kappa_sq,
     dirichlet_boundary,
+    green_axis_terms,
     green_gradient,
     green_potential,
     parse_atoms,
@@ -199,6 +201,55 @@ class TestGreenPotential:
     def test_gradient_batch_shape(self):
         pts = np.array([[4.0, 0, 0], [0, 3.0, 1.0]])
         assert green_gradient(self.atoms, pts, self.params).shape == (2, 3)
+
+
+class TestPointBlocks:
+    """dirichlet_boundary and green_axis_terms take their points in blocks
+    of molecule._BLOCK_BYTES; each point's sums do not depend on them."""
+
+    @staticmethod
+    def _atoms(n, seed=3):
+        rng = np.random.default_rng(seed)
+        return AtomSet(
+            [Atom(tuple(c), float(q), 1.0) for c, q in
+             zip(rng.uniform(-3, 3, (n, 3)), rng.uniform(-1, 1, n))]
+        )
+
+    @pytest.mark.parametrize("n_atoms", [1, 9, 40])
+    def test_one_row_blocks_equal_one_block(self, monkeypatch, n_atoms):
+        atoms = self._atoms(n_atoms)
+        rng = np.random.default_rng(n_atoms)
+        pts = rng.uniform(-6, 6, (301, 3))
+        axes = rng.integers(0, 3, len(pts))
+        params = PhysicalParams(eps_in=2.0, eps_out=80.0, kappa_sq=0.3)
+        whole = dirichlet_boundary(atoms, pts, params), *green_axis_terms(
+            atoms, pts, axes, params
+        )
+        assert len(molecule._point_blocks(len(pts), 3 * n_atoms)) == 1
+        monkeypatch.setattr(molecule, "_BLOCK_BYTES", 1)
+        assert len(molecule._point_blocks(len(pts), 3 * n_atoms)) == len(pts)
+        blocked = dirichlet_boundary(atoms, pts, params), *green_axis_terms(
+            atoms, pts, axes, params
+        )
+        for a, b in zip(whole, blocked):
+            np.testing.assert_array_equal(a, b)
+        # green_axis_terms' gradient is green_gradient's, bit for bit
+        grad = green_gradient(atoms, pts, params)[np.arange(len(pts)), axes]
+        np.testing.assert_array_equal(blocked[2], grad)
+
+    def test_singularity_error_names_the_nearest_point_of_all(self, monkeypatch):
+        # the first block's point is within the guard, a later one nearer
+        atoms = self._atoms(4)
+        pts = np.array(
+            [atoms.centers[2] + (4e-13, 0.0, 0.0), (9.0, 9.0, 9.0), atoms.centers[1]]
+        )
+        monkeypatch.setattr(molecule, "_BLOCK_BYTES", 1)
+        point = tuple(float(v) for v in atoms.centers[1])
+        message = f"evaluation point {point} within 1e-12 A of atom 1 center {point}"
+        with pytest.raises(SingularityError, match=re.escape(message)):
+            dirichlet_boundary(atoms, pts, PhysicalParams())
+        with pytest.raises(SingularityError, match=re.escape(message)):
+            green_axis_terms(atoms, pts, np.zeros(3, int), PhysicalParams())
 
 
 class TestDirichletBoundary:
